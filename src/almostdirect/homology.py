@@ -143,21 +143,23 @@ def verify_chain_map(pres):
 class H2Matrix:
     """The augmented chain map matrix, rows by relations, columns by pairs."""
 
-    __slots__ = ("ranks", "row_labels", "col_labels", "entries")
+    __slots__ = ("ranks", "row_labels", "col_labels", "entries", "_rows")
 
     def __init__(self, ranks, row_labels, col_labels, entries):
         self.ranks = ranks
         self.row_labels = row_labels
         self.col_labels = col_labels
         self.entries = entries
+        self._rows = {}
+        for (r, col), v in entries.items():
+            if v:
+                self._rows.setdefault(r, {})[col] = v
 
     def entry(self, row, col):
         return self.entries.get((row, col), 0)
 
     def row(self, row):
-        return {
-            col: v for (r, col), v in self.entries.items() if r == row and v
-        }
+        return dict(self._rows.get(row, {}))
 
     def to_dense(self):
         return [

@@ -119,7 +119,6 @@ class Word:
         if not self.letters:
             return "1"
         parts = []
-        run_g, run_e = self.letters[0], None
         i = 0
         while i < len(self.letters):
             g, e = self.letters[i]

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import almostdirect
 
 from almostdirect.adp import (
     AdpSpec,
@@ -100,6 +106,20 @@ def test_verify_catches_inconsistent_actions(tmp_path, capsys):
     assert "summary: FAIL" in out
 
 
+def test_verify_names_the_failing_critical_pair(tmp_path, capsys):
+    path = tmp_path / "bad.adp"
+    path.write_text(INCONSISTENT)
+    rc, out, err = run(capsys, ["verify", str(path), "--porcelain"])
+    assert rc == 2
+    assert "verify groebner fail e(3,1)e(3,2) e(3,1)" in out.splitlines()
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert "groebner               fail (e(3,1)e(3,2) e(3,1))" in out
+    rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
+    assert "verify groebner ok" in out.splitlines()
+    rc, out, err = run(capsys, ["verify", "builtin:purebraid:4"])
+    assert "groebner               ok (14 critical pairs)" in out
+
+
 def test_spec_file_from_path(tmp_path, capsys):
     path = tmp_path / "spec.adp"
     path.write_text("ranks = 1 2\naction 2 1 1 = B(1,2)\n")
@@ -119,6 +139,24 @@ def test_usage_errors_return_one(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(almostdirect.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "almostdirect", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "usage: almostdirect" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_parse_spec_round_trips_magnus():

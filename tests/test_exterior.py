@@ -1,11 +1,14 @@
 import math
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from almostdirect.adp import pure_braid, random_spec, upper_mccool
+from almostdirect.cli import parse_spec
 from almostdirect.exterior import (
+    CohomologyRing,
     ExtElem,
     cohomology_ring,
     deg_lex_compare,
@@ -14,6 +17,8 @@ from almostdirect.exterior import (
     mono_mul,
 )
 from almostdirect.linalg import span_rank
+from test_acceptance import ring_of, specs_under_test
+from test_cli import INCONSISTENT
 
 
 def test_deg_lex_order():
@@ -215,3 +220,39 @@ def test_ring_pairing_choice_does_not_change_the_rules():
         assert [el.terms for el in first.eta_elements()] == [
             el.terms for el in last.eta_elements()
         ]
+
+
+def test_critical_pairs_agree_with_the_rank_oracle():
+    for spec in specs_under_test():
+        ring = ring_of(spec)
+        assert (ring.critical_pair_verify() is None) == ring.groebner_verify().ok
+
+
+def test_critical_pairs_reject_the_inconsistent_table():
+    ring = cohomology_ring(parse_spec(INCONSISTENT))
+    assert not ring.groebner_verify().ok
+    # e(3,1) times eta(3;1,2), the first square product, survives rewriting
+    assert ring.critical_pair_verify() == (((3, 1), (3, 2)), ((3, 1),))
+
+
+def test_critical_pairs_reject_a_perturbed_relation():
+    ring = cohomology_ring(pure_braid(4))
+    relations = list(ring.relations)
+    k = relations[-1]
+    (key, c), *rest = k.kappa
+    relations[-1] = replace(k, kappa=((key, c + 1),) + tuple(rest))
+    bad = CohomologyRing(ring.ranks, relations)
+    assert not bad.groebner_verify().ok
+    witness = bad.critical_pair_verify()
+    assert witness is not None
+    assert bad.normal_form(bad.critical_product(*witness))
+
+
+def test_critical_pairs_certify_nine_strands():
+    # far past the reach of groebner_verify, whose degree-10 rows number
+    # C(36, 8) times 84
+    ring = cohomology_ring(pure_braid(9))
+    assert len(ring.relations) == math.comb(9, 3)
+    assert ring.critical_pair_verify() is None
+    pairs = list(ring.critical_pairs())
+    assert len(pairs) == 2 * 84 + math.comb(84, 2)
