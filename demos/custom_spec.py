@@ -6,6 +6,9 @@ the second, and both act on the third by powers of a single automorphism,
 which keeps the iterated action consistent.
 """
 
+import os
+import tempfile
+
 from almostdirect.adp import MAGNUS, AdpSpec, build_presentation
 from almostdirect.cli import format_spec, main, parse_spec
 from almostdirect.exterior import cohomology_ring
@@ -43,11 +46,12 @@ def main_demo():
     print("rewriting certified:", ring.groebner_verify().ok)
 
     # the command line verifier runs the same battery from a file
-    path = "/tmp/demo_spec.adp"
-    with open(path, "w") as fh:
-        fh.write(text)
-    print("\nalmostdirect verify %s:" % path)
-    main(["verify", path])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "demo_spec.adp")
+        with open(path, "w") as fh:
+            fh.write(text)
+        print("\nalmostdirect verify %s:" % path)
+        main(["verify", path])
 
 
 if __name__ == "__main__":

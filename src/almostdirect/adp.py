@@ -50,9 +50,14 @@ class AdpSpec:
     ``("magnus", IAWord)`` or ``("images", (w_1, ..., w_{n_j}))`` where
     ``w_q`` is the image of ``x(j,q)``.  Actions that turn out to be trivial
     are dropped, so specs compare equal iff they define the same product.
+
+    A spec holds its image table: the tuple of image words of every action,
+    computed once here.  A magnus action applies its ``IAWord`` to each
+    generator of the target block; an images action is its own table.
+    :meth:`action_image`, ``==`` and ``hash`` read the table.
     """
 
-    __slots__ = ("ranks", "actions", "name")
+    __slots__ = ("ranks", "actions", "name", "_images")
 
     def __init__(self, ranks, actions=None, name=""):
         ranks = tuple(int(n) for n in ranks)
@@ -60,13 +65,16 @@ class AdpSpec:
             raise ValueError("ranks must be a nonempty tuple of positive ints")
         self.ranks = ranks
         self.name = name
-        cleaned = {}
+        self.actions = {}
+        self._images = {}
         for (i, j, p), action in (actions or {}).items():
             self._check_key(i, j, p)
-            action = self._check_action(j, action)
-            if action is not None:
-                cleaned[(i, j, p)] = action
-        self.actions = cleaned
+            images = self._check_action(j, action)
+            if any(w != x(j, q) for q, w in enumerate(images, start=1)):
+                if action[0] == IMAGES:
+                    action = (IMAGES, images)
+                self.actions[(i, j, p)] = action
+                self._images[(i, j, p)] = images
 
     def _check_key(self, i, j, p):
         l = len(self.ranks)
@@ -79,6 +87,7 @@ class AdpSpec:
             )
 
     def _check_action(self, j, action):
+        # the image of each generator of block j, as a tuple of words
         kind, payload = action
         n = self.ranks[j - 1]
         if kind == MAGNUS:
@@ -87,9 +96,7 @@ class AdpSpec:
                     "IA word has rank %d but block %d has rank %d"
                     % (payload.rank, j, n)
                 )
-            if all(payload.apply(x(j, q)) == x(j, q) for q in range(1, n + 1)):
-                return None
-            return action
+            return tuple(payload.apply(x(j, q)) for q in range(1, n + 1))
         if kind == IMAGES:
             images = tuple(payload)
             if len(images) != n:
@@ -107,9 +114,7 @@ class AdpSpec:
                     raise ValueError(
                         "image of x(%d,%d) is not IA: %s" % (j, q, w)
                     )
-            if all(images[q - 1] == x(j, q) for q in range(1, n + 1)):
-                return None
-            return (IMAGES, images)
+            return images
         raise ValueError("unknown action kind %r" % (kind,))
 
     @property
@@ -141,13 +146,8 @@ class AdpSpec:
         self._check_key(i, j, p)
         if not (1 <= q <= self.ranks[j - 1]):
             raise ValueError("index %d exceeds rank of block %d" % (q, j))
-        action = self.actions.get((i, j, p))
-        if action is None:
-            return x(j, q)
-        kind, payload = action
-        if kind == MAGNUS:
-            return payload.apply(x(j, q))
-        return payload[q - 1]
+        images = self._images.get((i, j, p))
+        return x(j, q) if images is None else images[q - 1]
 
     def acts_trivially_beyond(self, i):
         """True when block ``i`` acts trivially on every later block."""
@@ -156,16 +156,7 @@ class AdpSpec:
     def _image_table(self):
         # canonical form: every action as its tuple of image words, so the
         # magnus and images encodings of the same product compare equal
-        return tuple(
-            (
-                (i, j, p),
-                tuple(
-                    self.action_image(i, j, p, q)
-                    for q in range(1, self.ranks[j - 1] + 1)
-                ),
-            )
-            for (i, j, p) in sorted(self.actions)
-        )
+        return tuple(sorted(self._images.items()))
 
     def __eq__(self, other):
         return (

@@ -546,7 +546,7 @@ def cmd_verify(args):
     report = verify_chain_map(pres)
     results.append(("chain-map", report.ok, ""))
 
-    matrix = h2_matrix(pres)
+    matrix = h2_matrix(pres, report.a2)
     results.append(("matrix-rank", matrix.has_full_row_rank(), ""))
 
     kernel = kernel_basis(matrix)

@@ -7,9 +7,16 @@ the product rule ``d(uv) = d(u) + u d(v)`` and the fundamental formula
 
     w - 1 = sum over g of (d(w)/d(g)) (g - 1)
 
-in the group ring.  Abelianizing coefficients (each generator ``x(i,p)``
-becomes the Laurent variable ``t(i,p)``) gives the gradients used by the
-degree-two chain map.
+in the group ring.  :func:`fox_gradient` makes that scan once for all
+generators: ``w`` is freely reduced, so each prefix is a slice of its
+letters and is built once, as the word it already is.
+
+Abelianizing coefficients (each generator ``x(i,p)`` becomes the Laurent
+variable ``t(i,p)``) gives the gradients used by the degree-two chain map.
+:func:`abel_gradient` computes them in one scan without building any word
+or group ring element: it keeps the exponent sums of the prefix read so far,
+and a letter ``g`` adds ``+t^(prefix)`` to the gradient of ``g`` while
+``g^-1`` adds ``-t^(prefix - e_g)``.
 """
 
 from __future__ import annotations
@@ -121,29 +128,22 @@ def fox_derivative(w, g):
     >>> print(fox_derivative(x(1, 1, -1), (1, 1)))
     -x(1,1)^-1
     """
-    terms = {}
-    prefix = Word()
-    for h, e in w.letters:
-        if h == g:
-            key = prefix if e == 1 else prefix * Word(((g, -1),))
-            c = 1 if e == 1 else -1
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-        prefix = prefix * Word(((h, e),))
-    return GroupRingElem(terms)
+    return fox_gradient(w).get(g, GroupRingElem())
 
 
 def fox_gradient(w):
     """All nonzero free derivatives of ``w``, keyed by generator."""
+    letters = w.letters
     grad = {}
-    for g in {g for g, _ in w.letters}:
-        d = fox_derivative(w, g)
-        if not d.is_zero():
-            grad[g] = d
-    return grad
+    for k, (g, e) in enumerate(letters):
+        key = Word(letters[:k] if e == 1 else letters[: k + 1])
+        terms = grad.setdefault(g, {})
+        s = terms.get(key, 0) + e
+        if s:
+            terms[key] = s
+        else:
+            del terms[key]
+    return {g: GroupRingElem(terms) for g, terms in grad.items() if terms}
 
 
 def abelianize_word(w):
@@ -160,13 +160,28 @@ def abelianize(elem):
 
 
 def abel_gradient(w):
-    """The abelianized Fox gradient: generator to Laurent polynomial."""
+    """The abelianized Fox gradient: generator to Laurent polynomial.
+
+    >>> from .words import commutator, x
+    >>> grad = abel_gradient(commutator(x(2, 1), x(2, 2)))
+    >>> print(grad[(2, 1)], "|", grad[(2, 2)])
+    1 - t(2,2) | -1 + t(2,1)
+    """
+    exps = {}
     grad = {}
-    for g, d in fox_gradient(w).items():
-        p = abelianize(d)
-        if not p.is_zero():
-            grad[g] = p
-    return grad
+    for g, e in w.letters:
+        if e == -1:
+            exps[g] = exps.get(g, 0) - 1
+        mono = monomial(exps)
+        terms = grad.setdefault(g, {})
+        s = terms.get(mono, 0) + e
+        if s:
+            terms[mono] = s
+        else:
+            del terms[mono]
+        if e == 1:
+            exps[g] = exps.get(g, 0) + 1
+    return {g: LaurentPoly(terms) for g, terms in grad.items() if terms}
 
 
 if __name__ == "__main__":

@@ -125,19 +125,26 @@ def delta2(rel):
 
 @dataclass
 class ChainMapReport:
+    """The verdict of :func:`verify_chain_map`; ``a2`` keeps the chain map
+    of every relation by its key, for :func:`h2_matrix` to reuse."""
+
     ok: bool
     failures: list = field(default_factory=list)
+    a2: dict = field(default_factory=dict)
 
 
 def verify_chain_map(pres):
     """Check ``d2 o a2 = delta2`` on every relation of a presentation."""
     failures = []
-    for rel in pres:
-        lhs = koszul_d2(chain_a2(rel))
+    a2 = {}
+    for key in pres.keys():
+        rel = pres[key]
+        a2[key] = chain_a2(rel)
+        lhs = koszul_d2(a2[key])
         rhs = delta2(rel)
         if lhs != rhs:
-            failures.append(((rel.i, rel.j, rel.p, rel.q), lhs, rhs))
-    return ChainMapReport(ok=not failures, failures=failures)
+            failures.append((key, lhs, rhs))
+    return ChainMapReport(ok=not failures, failures=failures, a2=a2)
 
 
 class H2Matrix:
@@ -172,11 +179,13 @@ class H2Matrix:
         return span_rank(rows) == len(self.row_labels)
 
 
-def h2_matrix(pres):
+def h2_matrix(pres, a2=None):
     """Augment ``a2`` over all relations into one integer matrix.
 
     Each row carries a 1 in its mixed column ``(e(i,p), e(j,q))``; all
-    remaining entries sit in same-block columns of block ``j``.
+    remaining entries sit in same-block columns of block ``j``.  ``a2``,
+    if given, maps each relation key to its :func:`chain_a2` (as in
+    ``verify_chain_map(pres).a2``); otherwise it is computed here.
     """
     row_labels = sorted(pres.relations, key=relation_sort_key)
     col_labels = generator_pairs(pres.ranks)
@@ -184,7 +193,8 @@ def h2_matrix(pres):
     for key in row_labels:
         rel = pres[key]
         mixed = ((rel.i, rel.p), (rel.j, rel.q))
-        for pair, poly in chain_a2(rel).items():
+        chain = a2[key] if a2 is not None else chain_a2(rel)
+        for pair, poly in chain.items():
             c = poly.augment()
             if not c:
                 continue

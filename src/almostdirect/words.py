@@ -29,12 +29,14 @@ __all__ = [
 
 
 def _reduce(letters):
+    # keeps the letter tuples it is given, so words can share them
     out = []
-    for g, e in letters:
+    for letter in letters:
+        g, e = letter
         if out and out[-1][0] == g and out[-1][1] == -e:
             out.pop()
         else:
-            out.append((g, e))
+            out.append(letter)
     return tuple(out)
 
 
@@ -298,12 +300,16 @@ class IAWord:
 
     @staticmethod
     def _apply_factor(gen, exp, w, block):
+        # both kinds of basic automorphism move y_i = gen[1] alone; every
+        # occurrence of y_i^(+-1) shares the letter tuples of one image
+        image = [((block, k), f) for k, f in _factor_image(gen, exp)]
+        inverse = [(g, -f) for g, f in reversed(image)]
         out = []
-        for (_, index), e in w.letters:
-            image = _factor_image(gen, exp, index)
-            if e == -1:
-                image = [(k, -f) for k, f in reversed(image)]
-            out.extend(((block, k), f) for k, f in image)
+        for letter in w.letters:
+            if letter[0][1] != gen[1]:
+                out.append(letter)
+            else:
+                out.extend(image if letter[1] == 1 else inverse)
         return Word(out)
 
     def __str__(self):
@@ -349,18 +355,15 @@ class IAWord:
         return cls(rank, factors)
 
 
-def _factor_image(gen, exp, index):
-    # image of y_index under one basic automorphism, as (index, exp) letters
+def _factor_image(gen, exp):
+    # image of the moved generator y_i under one basic automorphism, as
+    # (index, exp) letters
     if gen[0] == "beta":
         _, i, j = gen
-        if index != i:
-            return [(index, 1)]
         if exp == 1:
             return [(j, -1), (i, 1), (j, 1)]
         return [(j, 1), (i, 1), (j, -1)]
     _, i, s, t = gen
-    if index != i:
-        return [(index, 1)]
     if exp == 1:
         return [(i, 1), (s, 1), (t, 1), (s, -1), (t, -1)]
     return [(i, 1), (t, 1), (s, 1), (t, -1), (s, -1)]

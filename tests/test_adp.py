@@ -201,3 +201,83 @@ def test_relator_vanishes_under_defining_equation():
         lhs = x(rel.j, rel.q) * x(rel.i, rel.p)
         rhs = x(rel.i, rel.p) * x(rel.j, rel.q) * rel.word
         assert rel.relator() == lhs * ~rhs
+
+
+def builtin_specs():
+    specs = [pure_braid(l) for l in range(2, 6)]
+    specs += [partial_pure_braid(l, k) for l in (1, 2, 3) for k in (1, 2)]
+    specs += [upper_mccool(n) for n in range(2, 6)]
+    specs += [pure_braid_mod_center(l) for l in range(3, 6)]
+    specs += [upper_mccool_mod_center(n) for n in range(3, 6)]
+    specs.append(extend_with_torus(pure_braid_mod_center(4), 1))
+    return specs
+
+
+def random_specs(count=50):
+    rng = random.Random(20260815)
+    return [random_spec(rng) for _ in range(count)]
+
+
+def all_keys(spec):
+    l = len(spec.ranks)
+    for j in range(2, l + 1):
+        for i in range(1, j):
+            for p in range(1, spec.ranks[i - 1] + 1):
+                for q in range(1, spec.ranks[j - 1] + 1):
+                    yield i, j, p, q
+
+
+def test_action_image_reads_the_actions():
+    # the stored table agrees with the action as given: the IA word applied
+    # to the generator, the listed image, or the generator itself
+    for spec in builtin_specs() + random_specs():
+        for i, j, p, q in all_keys(spec):
+            kind, payload = spec.actions.get((i, j, p), (None, None))
+            if kind == MAGNUS:
+                expect = payload.apply(x(j, q))
+            elif kind == IMAGES:
+                expect = payload[q - 1]
+            else:
+                expect = x(j, q)
+            assert spec.action_image(i, j, p, q) == expect
+
+
+def test_magnus_and_images_encodings_compare_and_hash_equal():
+    for spec in random_specs():
+        images = {
+            (i, j, p): (
+                IMAGES,
+                tuple(
+                    spec.action_image(i, j, p, q)
+                    for q in range(1, spec.ranks[j - 1] + 1)
+                ),
+            )
+            for i, j, p in spec.actions
+        }
+        twin = AdpSpec(spec.ranks, images)
+        assert twin == spec
+        assert hash(twin) == hash(spec)
+
+
+def test_magnus_spec_applies_each_action_once_per_generator(count_calls):
+    calls = count_calls(IAWord, "apply")
+    conj = IAWord(3, ((beta(1, 2), 1), (beta(3, 1), -1)))
+    trivial = IAWord(3, ((beta(1, 2), 1), (beta(1, 2), -1)))
+    actions = {
+        (1, 3, 1): (MAGNUS, conj),
+        (2, 3, 1): (MAGNUS, conj.inverse()),
+        (2, 3, 2): (MAGNUS, trivial),
+    }
+    spec = AdpSpec((1, 2, 3), actions)
+    twin = AdpSpec((1, 2, 3), actions)
+    # two specs of three actions on a rank-3 block: one call per action
+    # and target generator, and the trivial action is still dropped
+    assert len(calls) == 2 * 3 * 3
+    assert set(spec.actions) == {(1, 3, 1), (2, 3, 1)}
+    del calls[:]
+    build_presentation(spec)
+    build_presentation(spec, pairing="last")
+    for key in all_keys(spec):
+        spec.action_image(*key)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert calls == []

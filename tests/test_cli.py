@@ -2,14 +2,17 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import almostdirect
 
+from almostdirect import homology
 from almostdirect.adp import (
     AdpSpec,
+    build_presentation,
     extend_with_torus,
     partial_pure_braid,
     pure_braid,
@@ -225,3 +228,20 @@ def test_load_spec_builtin_reference():
         load_spec("builtin:purebraid")
     with pytest.raises(ValueError):
         load_spec("builtin:purebraid:x")
+
+
+def test_verify_computes_chain_a2_once_per_relation(count_calls, capsys):
+    calls = count_calls(homology, "chain_a2")
+    magnus = Path(__file__).parent / "golden" / "specs" / "longword-1-3.spec"
+    for ref in ("builtin:purebraid:4", "builtin:uppermccoolbar:5", str(magnus)):
+        spec = load_spec(ref)
+        first = build_presentation(spec)
+        last = build_presentation(spec, pairing="last")
+        del calls[:]
+        rc, out, err = run(capsys, ["verify", ref, "--porcelain"])
+        assert rc == 0
+        # the chain-map check and the matrix share one a2 per relation of
+        # the first pairing; the last pairing has its own
+        relations = [args[0] for args in calls]
+        assert Counter(relations) == Counter(list(first) + list(last))
+        assert len(calls) == 2 * len(first)
