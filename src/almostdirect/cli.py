@@ -39,8 +39,9 @@ from .adp import (
     MAGNUS,
     AdpSpec,
     build_presentation,
+    extend_with_torus,
 )
-from .exterior import CohomologyRing, deg_lex_key, cohomology_ring
+from .exterior import CohomologyRing, cohomology_ring
 from .homology import h2_matrix, kernel_basis, verify_chain_map
 from .invariants import (
     lcs_identity_holds,
@@ -320,30 +321,15 @@ def mono_token(mono):
 
 
 def elem_token(elem):
+    """An ExtElem or TensorElem as one token: ``+2*e(1,1)-1*e(2,1)``."""
     if elem.is_zero():
         return "0"
     parts = []
-    for mono in sorted(elem.terms, key=deg_lex_key):
-        c = elem.terms[mono]
-        parts.append("%s%s*%s" % ("+" if c > 0 else "", c, mono_token(mono)))
+    for key in sorted(elem.terms, key=elem._order):
+        c = elem.terms[key]
+        body = elem._key_str(key) or "1"
+        parts.append("%s%s*%s" % ("+" if c > 0 else "", c, body))
     return "".join(parts)
-
-
-def tensor_token(elem):
-    if elem.is_zero():
-        return "0"
-    parts = []
-    for ml, mr in sorted(elem.terms):
-        c = elem.terms[(ml, mr)]
-        parts.append(
-            "%s%s*%s(x)%s"
-            % ("+" if c > 0 else "", c, mono_token(ml), mono_token(mr))
-        )
-    return "".join(parts)
-
-
-def _elem_pretty(elem):
-    return str(elem)
 
 
 def _spec_header(spec, porcelain):
@@ -482,8 +468,6 @@ def cmd_lcs(args):
 
 def cmd_zcl(args):
     spec = load_spec(args.spec)
-    from .adp import extend_with_torus
-
     ext = extend_with_torus(spec, args.torus)
     ring = cohomology_ring(ext)
     wit = zcl_witness(ring)
@@ -491,7 +475,7 @@ def cmd_zcl(args):
     if args.porcelain:
         out.append("zcl-length %d" % wit.length)
         out.append("zcl-factors %d" % wit.num_factors)
-        out.append("zcl-element %s" % tensor_token(wit.element))
+        out.append("zcl-element %s" % elem_token(wit.element))
     else:
         out.append(
             "longest nonzero zero-divisor product: %d of %d factors"
@@ -505,8 +489,6 @@ def cmd_zcl(args):
 def cmd_tc(args):
     spec = load_spec(args.spec)
     cert = tc_certificate(spec, torus_rank=args.torus)
-    from .adp import extend_with_torus
-
     ext = extend_with_torus(spec, args.torus)
     out = _spec_header(ext, args.porcelain)
     if args.porcelain:
@@ -581,8 +563,9 @@ def cmd_verify(args):
 
     results.append(("lcs-identity", lcs_identity_holds(spec.ranks, 10), ""))
 
-    normalized = parse_spec(format_spec(spec))
-    round_trip = parse_spec(format_spec(normalized)) == normalized
+    text = format_spec(spec)
+    normalized = parse_spec(text)
+    round_trip = format_spec(normalized) == text
     if {kind for kind, _ in spec.actions.values()} <= {MAGNUS}:
         round_trip = round_trip and normalized == spec
     results.append(("round-trip", round_trip, ""))

@@ -34,18 +34,20 @@ refutes the basis.  There are ``O(#eta^2)`` checks.
 :meth:`CohomologyRing.groebner_verify` is the independent oracle: it
 rank-computes the span of the ideal in every degree through ``l + 1`` by
 elimination, which costs ``C(N, k-2) #eta`` rows in degree ``k``.
+
+:class:`ExtElem` builds on :class:`~almostdirect.sparse.Sparse`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .adp import build_presentation
 from .homology import h2_matrix, kernel_basis
 from .linalg import span_rank
+from .sparse import Sparse
 
 __all__ = [
     "deg_lex_key",
@@ -102,7 +104,7 @@ def mono_mul(m1, m2):
     return sign, tuple(out)
 
 
-class ExtElem:
+class ExtElem(Sparse):
     """An element of the exterior algebra, exact coefficients.
 
     Terms map monomials to ints or Fractions.  ``*`` is the exterior
@@ -115,76 +117,18 @@ class ExtElem:
     True
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {m: c for m, c in terms.items() if c}
+    _order = staticmethod(deg_lex_key)
+    _key_mul = staticmethod(mono_mul)
 
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
+    @staticmethod
+    def _key_str(m):
+        return "".join("e(%d,%d)" % g for g in m)
 
     @classmethod
     def monomial(cls, mono, c=1):
         return cls({tuple(mono): c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, ExtElem):
-            return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return ExtElem(terms)
-
-    def __neg__(self):
-        return ExtElem({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ExtElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ExtElem({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, ExtElem):
-            return NotImplemented
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = mono_mul(m1, m2)
-                if prod is None:
-                    continue
-                sign, m = prod
-                s = terms.get(m, 0) + sign * c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-        return ExtElem(terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ExtElem({m: other * c for m, c in self.terms.items()})
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, ExtElem) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def leading_term(self):
         """The deg-lex largest monomial and its coefficient."""
@@ -199,21 +143,6 @@ class ExtElem:
         if len(degrees) != 1:
             raise ValueError("element is not homogeneous: %s" % self)
         return degrees.pop()
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=deg_lex_key):
-            c = self.terms[m]
-            body = "".join("e(%d,%d)" % g for g in m) or "1"
-            if abs(c) != 1 or not m:
-                body = "%s %s" % (abs(c), body) if m else str(abs(c))
-            parts.append(("- " if c < 0 else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else out[0] + out[2:]
-
-    __repr__ = __str__
 
 
 def e(block, index):

@@ -17,11 +17,14 @@ variable ``t(i,p)``) gives the gradients used by the degree-two chain map.
 or group ring element: it keeps the exponent sums of the prefix read so far,
 and a letter ``g`` adds ``+t^(prefix)`` to the gradient of ``g`` while
 ``g^-1`` adds ``-t^(prefix - e_g)``.
+
+:class:`GroupRingElem` builds on :class:`~almostdirect.sparse.Sparse`.
 """
 
 from __future__ import annotations
 
 from .laurent import LaurentPoly, monomial
+from .sparse import Sparse
 from .words import Word
 
 __all__ = [
@@ -34,89 +37,25 @@ __all__ = [
 ]
 
 
-class GroupRingElem:
+class GroupRingElem(Sparse):
     """An integer linear combination of words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {w: c for w, c in terms.items() if c}
+    UNIT = Word()
+    _order = staticmethod(lambda w: (len(w), w.letters))
 
     @classmethod
     def from_word(cls, w, c=1):
         return cls({w: c})
 
-    @classmethod
-    def one(cls):
-        return cls({Word(): 1})
+    @staticmethod
+    def _key_mul(w1, w2):
+        return 1, w1 * w2
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, GroupRingElem):
-            return NotImplemented
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, 0) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return GroupRingElem(terms)
-
-    def __neg__(self):
-        return GroupRingElem({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupRingElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElem({w: c * other for w, c in self.terms.items()})
-        if not isinstance(other, GroupRingElem):
-            return NotImplemented
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                s = terms.get(w, 0) + c1 * c2
-                if s:
-                    terms[w] = s
-                else:
-                    del terms[w]
-        return GroupRingElem(terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElem({w: other * c for w, c in self.terms.items()})
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElem) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def augment(self):
-        return sum(self.terms.values())
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w.letters)):
-            c = self.terms[w]
-            body = str(w) if abs(c) == 1 else "%d (%s)" % (abs(c), w)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else out[0] + out[2:]
-
-    __repr__ = __str__
+    @staticmethod
+    def _term_str(w, c):
+        return str(w) if c == 1 else "%s (%s)" % (c, w)
 
 
 def fox_derivative(w, g):

@@ -11,18 +11,19 @@ Topological complexity is bracketed through the tensor square of the
 cohomology ring: products of zero divisors ``1 (x) u - u (x) 1`` bound it
 from below, the block structure bounds it from above, and the two meet
 exactly when every block that acts or is acted on nontrivially has rank at
-least two.
+least two.  :class:`TensorElem` builds on
+:class:`~almostdirect.sparse.Sparse`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .adp import extend_with_torus
 from .exterior import ExtElem, CohomologyRing, cohomology_ring, e, mono_mul
+from .sparse import Sparse
 
 __all__ = [
     "poincare_vector",
@@ -113,58 +114,46 @@ def lcs_identity_holds(ranks, max_k):
     return lhs[: max_k + 1] == rhs[: max_k + 1]
 
 
-class TensorElem:
+class TensorElem(Sparse):
     """An element of the tensor square of a cohomology ring.
 
     Terms map pairs of normal monomials to coefficients; multiplication
     follows the sign rule ``(a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd``
-    with both components reduced to normal form.
+    with both components reduced to normal form.  Elements of different
+    rings do not add, subtract or multiply.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
+
+    UNIT = ((), ())
 
     def __init__(self, ring, terms=None):
         self.ring = ring
-        if terms is None:
-            terms = {}
-        self.terms = {k: c for k, c in terms.items() if c}
+        super().__init__(terms)
 
     @classmethod
     def one(cls, ring):
-        return cls(ring, {((), ()): 1})
+        return cls(ring, {cls.UNIT: 1})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElem) or other.ring != self.ring:
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
+    def _new(self, terms):
         return TensorElem(self.ring, terms)
 
-    def __neg__(self):
-        return TensorElem(self.ring, {k: -c for k, c in self.terms.items()})
+    def _same_ring(self, other):
+        return other.ring is self.ring or other.ring == self.ring
 
-    def __sub__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        return self + (-other)
+    def _coerce(self, other):
+        if isinstance(other, TensorElem) and not self._same_ring(other):
+            return None
+        return super()._coerce(other)
+
+    @staticmethod
+    def _key_str(key):
+        return "%s(x)%s" % tuple(ExtElem._key_str(m) or "1" for m in key)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TensorElem(
-                self.ring, {k: c * other for k, c in self.terms.items()}
-            )
-        if not isinstance(other, TensorElem) or other.ring != self.ring:
+        if not isinstance(other, TensorElem):
+            return super().__mul__(other)
+        if not self._same_ring(other):
             return NotImplemented
         ring = self.ring
         terms = {}
@@ -188,38 +177,7 @@ class TensorElem:
                             terms[key] = s
                         else:
                             del terms[key]
-        return TensorElem(self.ring, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TensorElem(
-                self.ring, {k: other * c for k, c in self.terms.items()}
-            )
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElem)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def side(m):
-            return "".join("e(%d,%d)" % g for g in m) or "1"
-        parts = []
-        for ml, mr in sorted(self.terms):
-            c = self.terms[(ml, mr)]
-            body = "%s(x)%s" % (side(ml), side(mr))
-            if abs(c) != 1:
-                body = "%s %s" % (abs(c), body)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else out[0] + out[2:]
-
-    __repr__ = __str__
+        return TensorElem(ring, terms)
 
 
 def tensor(ring, a, b):

@@ -7,9 +7,12 @@ modules over this ring.
 
 Monomials are stored as sorted tuples of ``(variable, exponent)`` pairs with
 nonzero exponents, so equality of polynomials is dict equality.
+:class:`LaurentPoly` builds on :class:`~almostdirect.sparse.Sparse`.
 """
 
 from __future__ import annotations
+
+from .sparse import Sparse
 
 __all__ = ["LaurentPoly", "t", "monomial"]
 
@@ -19,22 +22,7 @@ def monomial(exponents):
     return tuple(sorted((v, e) for v, e in exponents.items() if e))
 
 
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for v, e in m2:
-        s = exps.get(v, 0) + e
-        if s:
-            exps[v] = s
-        else:
-            del exps[v]
-    return tuple(sorted(exps.items()))
-
-
-class LaurentPoly:
+class LaurentPoly(Sparse):
     """An integer Laurent polynomial in the variables ``t(block, index)``.
 
     >>> p = t(1, 1) - 1
@@ -44,112 +32,33 @@ class LaurentPoly:
     True
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {m: c for m, c in terms.items() if c}
+    __slots__ = ()
 
     @classmethod
     def constant(cls, c):
-        return cls({(): c} if c else {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def augment(self):
-        """Sum of coefficients: the image under every ``t -> 1``."""
-        return sum(self.terms.values())
+        return cls({(): c})
 
     @staticmethod
-    def _coerce(other):
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, int):
-            return LaurentPoly.constant(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
+    def _key_mul(m1, m2):
+        if not m1:
+            return 1, m2
+        if not m2:
+            return 1, m1
+        exps = dict(m1)
+        for v, e in m2:
+            s = exps.get(v, 0) + e
             if s:
-                terms[m] = s
+                exps[v] = s
             else:
-                terms.pop(m, None)
-        return LaurentPoly(terms)
+                del exps[v]
+        return 1, tuple(sorted(exps.items()))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-        return LaurentPoly(terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            factors = " ".join(
-                "t(%d,%d)" % v if e == 1 else "t(%d,%d)^%d" % (v[0], v[1], e)
-                for v, e in m
-            )
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = factors
-            else:
-                body = "%d %s" % (abs(c), factors)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else out[0] + out[2:]
-
-    __repr__ = __str__
+    @staticmethod
+    def _key_str(m):
+        return " ".join(
+            "t(%d,%d)" % v if e == 1 else "t(%d,%d)^%d" % (v[0], v[1], e)
+            for v, e in m
+        )
 
 
 def t(block, index, power=1):

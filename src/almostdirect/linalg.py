@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .sparse import add_scaled
+
 __all__ = ["span_rank", "spans_equal"]
 
 
@@ -45,52 +47,36 @@ class Eliminator:
         self.pivots = {}
         self.rank = 0
 
-    def add(self, row):
-        """Reduce ``row`` against the pivots; returns True if independent."""
-        row = _integer_row(row)
+    def _reduce(self, row):
+        # reduce until the leading column has no pivot; {} if in the span
         while row:
             lead = max(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                row = _reduce_content(row)
-                if row[lead] < 0:
-                    row = {c: -v for c, v in row.items()}
-                self.pivots[lead] = row
-                self.rank += 1
-                return True
+                return row
             a, b = row[lead], piv[lead]
             g = gcd(a, b)
             fa, fb = b // g, a // g
             new = {c: v * fa for c, v in row.items()}
-            for c, v in piv.items():
-                s = new.get(c, 0) - v * fb
-                if s:
-                    new[c] = s
-                else:
-                    new.pop(c, None)
-            row = _reduce_content(new)
-        return False
+            row = _reduce_content(add_scaled(new, piv, -fb))
+        return row
+
+    def add(self, row):
+        """Reduce ``row`` against the pivots; returns True if independent."""
+        row = self._reduce(_integer_row(row))
+        if not row:
+            return False
+        row = _reduce_content(row)
+        lead = max(row)
+        if row[lead] < 0:
+            row = {c: -v for c, v in row.items()}
+        self.pivots[lead] = row
+        self.rank += 1
+        return True
 
     def reduces_to_zero(self, row):
         """True when ``row`` lies in the span of the rows added so far."""
-        row = _integer_row(row)
-        while row:
-            lead = max(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return False
-            a, b = row[lead], piv[lead]
-            g = gcd(a, b)
-            fa, fb = b // g, a // g
-            new = {c: v * fa for c, v in row.items()}
-            for c, v in piv.items():
-                s = new.get(c, 0) - v * fb
-                if s:
-                    new[c] = s
-                else:
-                    new.pop(c, None)
-            row = _reduce_content(new)
-        return True
+        return not self._reduce(_integer_row(row))
 
 
 def _keyed(rows):

@@ -245,3 +245,19 @@ def test_verify_computes_chain_a2_once_per_relation(count_calls, capsys):
         relations = [args[0] for args in calls]
         assert Counter(relations) == Counter(list(first) + list(last))
         assert len(calls) == 2 * len(first)
+
+
+def test_verify_round_trip_parses_the_spec_text_once(count_calls, capsys, tmp_path):
+    import almostdirect.cli as cli
+
+    calls = count_calls(cli, "parse_spec")
+    images = tmp_path / "images.spec"
+    images.write_text(INCONSISTENT)
+    magnus = Path(__file__).parent / "golden" / "specs" / "longword-1-3.spec"
+    for path, code in ((magnus, 0), (images, 2)):
+        del calls[:]
+        rc, out, err = run(capsys, ["verify", str(path), "--porcelain"])
+        assert rc == code
+        assert "verify round-trip ok" in out.splitlines()
+        # one parse to load the file, one of the text format_spec writes
+        assert len(calls) == 2

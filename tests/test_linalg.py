@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from almostdirect.linalg import Eliminator, span_rank, spans_equal
@@ -66,3 +67,50 @@ def test_rank_matches_dense_elimination():
         {j: v for j, v in enumerate(r) if v} for r in dense
     ]
     assert span_rank(rows) == 3
+
+
+def dense_rank(matrix):
+    """Plain Gaussian elimination over the rationals: the reference rank."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_eliminator_matches_dense_reference_on_random_matrices():
+    rng = random.Random(20081)
+    for _ in range(200):
+        n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+        matrix = [
+            [
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                if rng.random() < 0.2
+                else rng.randint(-3, 3)
+                for _ in range(n_cols)
+            ]
+            for _ in range(n_rows)
+        ]
+        if n_rows >= 3 and rng.random() < 0.5:
+            # replace the last row by a combination of two others
+            a, b = rng.randint(-2, 2), Fraction(rng.randint(-3, 3), 2)
+            matrix[-1] = [a * u + b * v for u, v in zip(matrix[0], matrix[1])]
+        # sparse rows over shuffled string columns, so column order differs
+        # from the dense one
+        names = ["c%d" % j for j in range(n_cols)]
+        rng.shuffle(names)
+        rows = [{names[j]: v for j, v in enumerate(r) if v} for r in matrix]
+        rank = dense_rank(matrix)
+        assert span_rank(rows) == rank
+        el = Eliminator()
+        assert sum(el.add(row) for row in rows) == rank == el.rank
+        assert all(el.reduces_to_zero(row) for row in rows)
+        assert spans_equal(rows, rows[::-1])
