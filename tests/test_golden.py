@@ -1,10 +1,12 @@
 """Golden porcelain corpus: the CLI output of fixed inputs, byte for byte.
 
-Each file under ``tests/golden/`` holds the ``present --porcelain`` output
-for both pairings and the ``verify --porcelain`` output of one spec, each
+Each file under ``tests/golden/`` holds the porcelain output of every call
+in :data:`CALLS` on one spec (``present`` for both pairings, ``verify``,
+``cohomology``, ``hilbert --check``, ``zcl`` and ``tc --torus 1``), each
 after a ``$`` line naming the call and an ``rc`` line with its exit code.
-The specs are the builtins through five blocks and the magnus spec files in
-``tests/golden/specs/`` (relators of 80-100 letters).  A change that keeps
+The specs are the builtins through five blocks and the spec files in
+``tests/golden/specs/``: two magnus specs with relators of 80-100 letters
+and an inconsistent images table, on which ``verify`` fails.  A change that keeps
 the output keeps these files; regenerate them only for an intended change
 of output, with::
 
@@ -34,6 +36,10 @@ CALLS = (
     ("present", "--porcelain", "--pairing", "first"),
     ("present", "--porcelain", "--pairing", "last"),
     ("verify", "--porcelain"),
+    ("cohomology", "--porcelain"),
+    ("hilbert", "--check", "--porcelain"),
+    ("zcl", "--porcelain"),
+    ("tc", "--porcelain", "--torus", "1"),
 )
 
 
@@ -69,7 +75,7 @@ def test_corpus_has_every_case():
     names = {c[0] for c in cases()}
     on_disk = {p.name for p in GOLDEN.glob("*.txt")}
     assert names == on_disk
-    assert len(list((GOLDEN / "specs").glob("*.spec"))) == 2
+    assert len(list((GOLDEN / "specs").glob("*.spec"))) == 3
 
 
 if __name__ == "__main__":
