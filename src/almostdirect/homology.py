@@ -19,10 +19,14 @@ which is exactly the degree-two differential of the presentation.
 
 Applying the augmentation (every ``t -> 1``) to ``a2`` gives an integer
 matrix ``A`` whose rows are indexed by relations and columns by products of
-two generators.  Each row has a single 1 in its mixed column and its other
-entries in the columns of the acted-on block, so ``A`` always has full row
-rank, and the kernel of right multiplication by ``A`` is spanned by one
-element per same-block pair of generators:
+two generators.  The augmentation is a ring map and the wedge is bilinear,
+so row ``r`` is ``e(i,p) e(j,q) + sum_k eps(grad u_k) ^ eps(grad v_k)``;
+by Fox's fundamental formula the augmented gradient ``eps(grad u)`` is the
+exponent-sum vector of ``u``.  :func:`h2_matrix` builds the rows that way,
+without the Laurent chain map.  Each row has a single 1 in its mixed column
+and its other entries in the columns of the acted-on block, so ``A`` always
+has full row rank, and the kernel of right multiplication by ``A`` is
+spanned by one element per same-block pair of generators:
 
     eta(j; p, q) = e(j,p) e(j,q) + sum kappa e(i,r) e(j,s)
 
@@ -37,6 +41,7 @@ from .fox import abel_gradient
 from .laurent import LaurentPoly, t
 from .linalg import span_rank
 from .adp import relation_sort_key
+from .sparse import add_scaled
 
 __all__ = [
     "wedge",
@@ -76,7 +81,7 @@ def generator_pairs(ranks):
 
 
 def wedge(f, g):
-    """Exterior product of two gradient vectors, degree one to degree two."""
+    """Exterior product of two degree-one vectors, Laurent or integer."""
     terms = {}
     for a, fa in f.items():
         for b, gb in g.items():
@@ -85,19 +90,16 @@ def wedge(f, g):
             key, val = ((a, b), fa * gb) if a < b else ((b, a), -(gb * fa))
             cur = terms.get(key)
             terms[key] = val if cur is None else cur + val
-    return {k: v for k, v in terms.items() if not v.is_zero()}
+    return {k: v for k, v in terms.items() if v}
 
 
 def chain_a2(rel):
     """The degree-two chain map on one relation, over the Laurent ring."""
-    lead = ((rel.i, rel.p), (rel.j, rel.q))
-    terms = {lead: LaurentPoly.constant(1)}
+    terms = {((rel.i, rel.p), (rel.j, rel.q)): LaurentPoly.constant(1)}
     scale = t(rel.i, rel.p) * t(rel.j, rel.q)
     for u, v in rel.pairs:
-        for key, val in wedge(abel_gradient(u), abel_gradient(v)).items():
-            cur = terms.get(key, LaurentPoly())
-            terms[key] = cur + scale * val
-    return {k: v for k, v in terms.items() if not v.is_zero()}
+        add_scaled(terms, wedge(abel_gradient(u), abel_gradient(v)), scale)
+    return terms
 
 
 def koszul_d1(f):
@@ -111,11 +113,8 @@ def koszul_d2(k2):
     """Koszul differential of a degree-two element, as a gradient vector."""
     out = {}
     for (a, b), val in k2.items():
-        ta = t(a[0], a[1]) - 1
-        tb = t(b[0], b[1]) - 1
-        out[b] = out.get(b, LaurentPoly()) - ta * val
-        out[a] = out.get(a, LaurentPoly()) + tb * val
-    return {g: v for g, v in out.items() if not v.is_zero()}
+        add_scaled(out, {a: (t(*b) - 1) * val, b: (1 - t(*a)) * val})
+    return out
 
 
 def delta2(rel):
@@ -125,48 +124,39 @@ def delta2(rel):
 
 @dataclass
 class ChainMapReport:
-    """The verdict of :func:`verify_chain_map`; ``a2`` keeps the chain map
-    of every relation by its key, for :func:`h2_matrix` to reuse."""
+    """The verdict of :func:`verify_chain_map` and each failing relation."""
 
     ok: bool
     failures: list = field(default_factory=list)
-    a2: dict = field(default_factory=dict)
 
 
 def verify_chain_map(pres):
     """Check ``d2 o a2 = delta2`` on every relation of a presentation."""
     failures = []
-    a2 = {}
-    for key in pres.keys():
-        rel = pres[key]
-        a2[key] = chain_a2(rel)
-        lhs = koszul_d2(a2[key])
+    for key, rel in pres.relations.items():
+        lhs = koszul_d2(chain_a2(rel))
         rhs = delta2(rel)
         if lhs != rhs:
             failures.append((key, lhs, rhs))
-    return ChainMapReport(ok=not failures, failures=failures, a2=a2)
+    return ChainMapReport(ok=not failures, failures=failures)
 
 
 class H2Matrix:
     """The augmented chain map matrix, rows by relations, columns by pairs."""
 
-    __slots__ = ("ranks", "row_labels", "col_labels", "entries", "_rows")
+    __slots__ = ("ranks", "row_labels", "col_labels", "entries")
 
     def __init__(self, ranks, row_labels, col_labels, entries):
         self.ranks = ranks
         self.row_labels = row_labels
         self.col_labels = col_labels
         self.entries = entries
-        self._rows = {}
-        for (r, col), v in entries.items():
-            if v:
-                self._rows.setdefault(r, {})[col] = v
 
     def entry(self, row, col):
         return self.entries.get((row, col), 0)
 
     def row(self, row):
-        return dict(self._rows.get(row, {}))
+        return {col: v for (r, col), v in self.entries.items() if r == row}
 
     def to_dense(self):
         return [
@@ -179,13 +169,17 @@ class H2Matrix:
         return span_rank(rows) == len(self.row_labels)
 
 
-def h2_matrix(pres, a2=None):
-    """Augment ``a2`` over all relations into one integer matrix.
+def h2_matrix(pres):
+    """The augmented chain map over all relations, as one integer matrix.
 
-    Each row carries a 1 in its mixed column ``(e(i,p), e(j,q))``; all
-    remaining entries sit in same-block columns of block ``j``.  ``a2``,
-    if given, maps each relation key to its :func:`chain_a2` (as in
-    ``verify_chain_map(pres).a2``); otherwise it is computed here.
+    Row ``(i, j, p, q)`` is the unit mixed entry ``e(i,p) e(j,q)`` plus
+    ``sum_k ab(u_k) ^ ab(v_k)`` over the commutator pairs of the relation,
+    ``ab`` the exponent-sum vector: the augmentation of :func:`chain_a2`,
+    by Fox's fundamental formula.  Raises ``ValueError``, naming the row
+    and column, unless the mixed entry is 1 and every other entry sits in
+    a same-block column of block ``j``.  That structure gives the matrix
+    an identity minor (full row rank) and makes each element of
+    :func:`kernel_basis` annihilate every row.
     """
     row_labels = sorted(pres.relations, key=relation_sort_key)
     col_labels = generator_pairs(pres.ranks)
@@ -193,18 +187,17 @@ def h2_matrix(pres, a2=None):
     for key in row_labels:
         rel = pres[key]
         mixed = ((rel.i, rel.p), (rel.j, rel.q))
-        chain = a2[key] if a2 is not None else chain_a2(rel)
-        for pair, poly in chain.items():
-            c = poly.augment()
-            if not c:
-                continue
+        row = {mixed: 1}
+        for u, v in rel.pairs:
+            add_scaled(row, wedge(u.exponent_sums(), v.exponent_sums()))
+        for pair, c in row.items():
             if pair != mixed and not (pair[0][0] == pair[1][0] == rel.j):
                 raise ValueError(
                     "row %s has an entry outside its blocks at %s"
                     % (key, pair)
                 )
             entries[(key, pair)] = c
-        if entries.get((key, mixed)) != 1:
+        if row.get(mixed) != 1:
             raise ValueError("row %s lacks its unit mixed entry" % (key,))
     return H2Matrix(pres.ranks, row_labels, col_labels, entries)
 

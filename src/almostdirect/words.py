@@ -294,23 +294,24 @@ class IAWord:
         block = w.single_block()
         if any(index > self.rank for (_, index), _ in w.letters):
             raise ValueError("word index exceeds block rank %d" % self.rank)
+        letters = w.letters
         for gen, exp in self.factors:
-            w = self._apply_factor(gen, exp, w, block)
-        return w
+            letters = self._apply_factor(gen, exp, letters, block)
+        return Word(letters)
 
     @staticmethod
-    def _apply_factor(gen, exp, w, block):
+    def _apply_factor(gen, exp, letters, block):
         # both kinds of basic automorphism move y_i = gen[1] alone; every
         # occurrence of y_i^(+-1) shares the letter tuples of one image
         image = [((block, k), f) for k, f in _factor_image(gen, exp)]
         inverse = [(g, -f) for g, f in reversed(image)]
         out = []
-        for letter in w.letters:
+        for letter in letters:
             if letter[0][1] != gen[1]:
                 out.append(letter)
             else:
                 out.extend(image if letter[1] == 1 else inverse)
-        return Word(out)
+        return _reduce(out)
 
     def __str__(self):
         if not self.factors:

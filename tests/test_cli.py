@@ -123,6 +123,18 @@ def test_verify_names_the_failing_critical_pair(tmp_path, capsys):
     assert "groebner               ok (14 critical pairs)" in out
 
 
+def test_verify_hilbert_fails_with_the_groebner_check(tmp_path, capsys):
+    # the Hilbert series is a theorem only through the Groebner basis
+    path = tmp_path / "bad.adp"
+    path.write_text(INCONSISTENT)
+    rc, out, err = run(capsys, ["verify", str(path), "--porcelain"])
+    assert rc == 2
+    assert "verify hilbert fail" in out.splitlines()
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert rc == 2
+    assert "  hilbert                fail" in out.splitlines()
+
+
 def test_spec_file_from_path(tmp_path, capsys):
     path = tmp_path / "spec.adp"
     path.write_text("ranks = 1 2\naction 2 1 1 = B(1,2)\n")
@@ -234,17 +246,31 @@ def test_verify_computes_chain_a2_once_per_relation(count_calls, capsys):
     calls = count_calls(homology, "chain_a2")
     magnus = Path(__file__).parent / "golden" / "specs" / "longword-1-3.spec"
     for ref in ("builtin:purebraid:4", "builtin:uppermccoolbar:5", str(magnus)):
-        spec = load_spec(ref)
-        first = build_presentation(spec)
-        last = build_presentation(spec, pairing="last")
+        first = build_presentation(load_spec(ref))
         del calls[:]
         rc, out, err = run(capsys, ["verify", ref, "--porcelain"])
         assert rc == 0
-        # the chain-map check and the matrix share one a2 per relation of
-        # the first pairing; the last pairing has its own
+        # only the chain-map check needs a2, on the first pairing; both
+        # matrices are read off exponent sums
         relations = [args[0] for args in calls]
-        assert Counter(relations) == Counter(list(first) + list(last))
-        assert len(calls) == 2 * len(first)
+        assert Counter(relations) == Counter(first)
+        assert len(calls) == len(first)
+
+
+def test_verify_neither_enumerates_the_basis_nor_eliminates(
+    count_calls, capsys, tmp_path
+):
+    from almostdirect.exterior import CohomologyRing
+
+    basis = count_calls(CohomologyRing, "basis")
+    rank = count_calls(homology.H2Matrix, "has_full_row_rank")
+    images = tmp_path / "images.spec"
+    images.write_text(INCONSISTENT)
+    for ref, code in (("builtin:purebraid:5", 0), (str(images), 2)):
+        rc, out, err = run(capsys, ["verify", ref, "--porcelain"])
+        assert rc == code
+        assert "verify matrix-rank ok" in out.splitlines()
+    assert basis == [] and rank == []
 
 
 def test_verify_round_trip_parses_the_spec_text_once(count_calls, capsys, tmp_path):

@@ -1,6 +1,11 @@
 import random
+from pathlib import Path
+
+import pytest
 
 from almostdirect.adp import (
+    Presentation,
+    Relation,
     build_presentation,
     partial_pure_braid,
     pure_braid,
@@ -19,10 +24,13 @@ from almostdirect.homology import (
     verify_chain_map,
     wedge,
 )
+from almostdirect.cli import load_spec
 from almostdirect.laurent import LaurentPoly, t
+from almostdirect.words import Word, commutator, x
 
 
 ONE = LaurentPoly.constant(1)
+GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
 
 
 def test_generator_pairs_order():
@@ -98,13 +106,52 @@ def test_h2_matrix_full_row_rank_on_builtins():
 
 
 def test_chain_a2_augments_to_matrix_row():
-    pres = build_presentation(pure_braid(4))
-    m = h2_matrix(pres)
-    for key, rel in pres.relations.items():
-        row = m.row(key)
-        aug = {pair: poly.augment() for pair, poly in chain_a2(rel).items()}
-        aug = {pair: c for pair, c in aug.items() if c}
-        assert aug == {pair: c for pair, c in row.items() if c}
+    # the matrix is read off exponent sums; the augmented Laurent chain map,
+    # which verify_chain_map checks against the presentation, must agree
+    specs = [pure_braid(4)]
+    specs += [
+        load_spec(str(path))
+        for path in sorted(GOLDEN_SPECS.glob("longword-*.spec"))
+    ]
+    rng = random.Random(5)
+    specs += [random_spec(rng) for _ in range(20)]
+    assert len(specs) == 23
+    for spec in specs:
+        pres = build_presentation(spec)
+        m = h2_matrix(pres)
+        for key, rel in pres.relations.items():
+            row = m.row(key)
+            aug = {pair: poly.augment() for pair, poly in chain_a2(rel).items()}
+            aug = {pair: c for pair, c in aug.items() if c}
+            assert aug == {pair: c for pair, c in row.items() if c}, key
+
+
+def _one_relation(pairs):
+    # x(2,1) x(1,1) = x(1,1) x(2,1) w, w the product of the given pairs
+    word = Word()
+    for u, v in pairs:
+        word = word * commutator(u, v)
+    rel = Relation(1, 2, 1, 1, word, pairs)
+    return Presentation((1, 2), {(1, 2, 1, 1): rel})
+
+
+def test_h2_matrix_rejects_entries_outside_the_blocks():
+    # [x(1,1), x(2,2)] puts a mixed entry into a column of another row
+    pres = _one_relation(((x(1, 1), x(2, 2)),))
+    with pytest.raises(ValueError) as info:
+        h2_matrix(pres)
+    assert str((1, 2, 1, 1)) in str(info.value)
+    assert str(((1, 1), (2, 2))) in str(info.value)
+
+
+def test_h2_matrix_rejects_a_row_without_its_unit():
+    # [x(1,1), x(2,1)] adds 1 to the row's own mixed entry
+    pres = _one_relation(((x(1, 1), x(2, 1)),))
+    with pytest.raises(ValueError, match="lacks its unit mixed entry"):
+        h2_matrix(pres)
+    # a pair inside block 2 is allowed
+    m = h2_matrix(_one_relation(((x(2, 1), x(2, 2)),)))
+    assert m.row((1, 2, 1, 1)) == {((1, 1), (2, 1)): 1, ((2, 1), (2, 2)): 1}
 
 
 def test_kernel_basis_two_strand_oracle():

@@ -153,3 +153,15 @@ def test_ia_word_rejects_out_of_range():
         IAWord(2, ((beta(1, 3), 1),))
     with pytest.raises(ValueError):
         IAWord(2, ((theta(1, 2, 3), 1),))
+
+
+def test_apply_builds_one_word(count_calls):
+    ia = IAWord(3, [(beta(1, 2), 1), (theta(2, 1, 3), -1), (beta(3, 1), 1)])
+    w = x(4, 1) * x(4, 2, -1) * x(4, 3) * x(4, 1)
+    expected = w
+    for factor in ia.factors:
+        expected = IAWord(3, [factor]).apply(expected)
+    calls = count_calls(Word, "__init__")
+    assert ia.apply(w) == expected
+    # the letters are reduced after each factor, the Word built once
+    assert len(calls) == 1
