@@ -2,7 +2,8 @@
 
 Each file under ``tests/golden/`` holds the porcelain output of every call
 in :data:`CALLS` on one spec (``present`` for both pairings, ``verify``,
-``cohomology``, ``hilbert --check``, ``zcl`` and ``tc --torus 1``), each
+``cohomology``, ``hilbert --check``, ``zcl``, ``tc --torus 1``, ``lcs`` and
+``zcl --torus 1``), each
 after a ``$`` line naming the call and an ``rc`` line with its exit code.
 The specs are the builtins through five blocks and the spec files in
 ``tests/golden/specs/``: two magnus specs with relators of 80-100 letters
@@ -40,6 +41,8 @@ CALLS = (
     ("hilbert", "--check", "--porcelain"),
     ("zcl", "--porcelain"),
     ("tc", "--porcelain", "--torus", "1"),
+    ("lcs", "--porcelain"),
+    ("zcl", "--porcelain", "--torus", "1"),
 )
 
 
