@@ -525,7 +525,9 @@ def cmd_verify(args):
 
     pres = build_presentation(spec)
     report = verify_chain_map(pres)
-    results.append(("chain-map", report.ok, ""))
+    # a failure names the key i j p q of its first failing relation
+    detail = "" if report.ok else " ".join(map(str, report.failures[0][0]))
+    results.append(("chain-map", report.ok, detail))
 
     # h2_matrix raises unless each row has a unit in its own mixed column
     # and its other entries in same-block columns of block j, so the rows

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .adp import build_presentation
 from .homology import h2_matrix, kernel_basis
@@ -211,6 +211,7 @@ class CohomologyRing:
                             % (j, p, q)
                         )
         self._memo = {}
+        self._times = {}
 
     def _structure_key(self):
         return (
@@ -309,6 +310,27 @@ class CohomologyRing:
             stack.extend(m2 for m2, _ in parts if m2 not in memo)
         return memo[mono]
 
+    def times(self, g, mono):
+        """Normal form of ``e_g * mono`` as a tuple of ``(monomial, coeff)``.
+
+        ``g`` is a generator and ``mono`` a normal monomial.  Each entry of
+        this per-ring table is filled once, from :meth:`reduce_mono` of the
+        merged monomial, so it agrees term for term with :meth:`mul`.
+        """
+        key = (g, mono)
+        out = self._times.get(key)
+        if out is None:
+            signed = mono_mul((g,), mono)
+            if signed is None:
+                out = ()
+            else:
+                sign, merged = signed
+                out = tuple(
+                    (m, sign * c) for m, c in self.reduce_mono(merged).items()
+                )
+            self._times[key] = out
+        return out
+
     def normal_form(self, f, strategy="leftmost"):
         """The unique representative of ``f`` with no same-block pairs."""
         terms = {}
@@ -343,7 +365,15 @@ class CohomologyRing:
         return sorted(monos, key=deg_lex_key)
 
     def dimension(self, k):
-        return len(self.basis(k))
+        """Number of normal monomials of degree ``k``, i.e. ``len(basis(k))``.
+
+        A normal monomial picks one generator from each of ``k`` blocks, so
+        the count is the sum of ``prod(n_j)`` over the ``k``-subsets of
+        blocks; no monomial is built.
+        """
+        if k < 0:
+            return 0
+        return sum(map(prod, combinations(self.ranks, k)))
 
     def xi(self, subsets):
         """The triangular basis element attached to one index set per block.

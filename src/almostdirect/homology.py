@@ -165,8 +165,10 @@ class H2Matrix:
         ]
 
     def has_full_row_rank(self):
-        rows = [self.row(r) for r in self.row_labels]
-        return span_rank(rows) == len(self.row_labels)
+        rows = {r: {} for r in self.row_labels}
+        for (r, col), v in self.entries.items():
+            rows[r][col] = v
+        return span_rank(list(rows.values())) == len(self.row_labels)
 
 
 def h2_matrix(pres):

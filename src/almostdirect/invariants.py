@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from .adp import extend_with_torus
-from .exterior import ExtElem, CohomologyRing, cohomology_ring, e, mono_mul
+from .exterior import ExtElem, CohomologyRing, cohomology_ring, mono_mul
 from .sparse import Sparse
 
 __all__ = [
@@ -218,6 +218,34 @@ class ZclWitness:
     element: TensorElem
 
 
+def _zero_divisor_times(ring, g, x):
+    """``(1 (x) e_g - e_g (x) 1) x`` through the generator table of ``ring``.
+
+    On a term ``a (x) b`` the factor gives
+    ``(-1)^{|a|} a (x) e_g b - e_g a (x) b``.
+    """
+    times = ring.times
+    terms = {}
+    get = terms.get
+    for (a, b), c in x.terms.items():
+        ca = -c if len(a) & 1 else c
+        for m, cm in times(g, b):
+            key = (a, m)
+            s = get(key, 0) + ca * cm
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+        for m, cm in times(g, a):
+            key = (m, b)
+            s = get(key, 0) - c * cm
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+    return TensorElem(ring, terms)
+
+
 def zcl_witness(ring):
     """Multiply the standard zero divisors, longest nonzero suffix first.
 
@@ -225,25 +253,24 @@ def zcl_witness(ring):
     ``u = e(j,1), e(j,2)`` when the rank is at least two and just
     ``u = e(j,1)`` for rank one, taken in block order.  Suffix products are
     monotone (zero stays zero), so the longest nonzero one is well defined;
-    it is the full product whenever that is nonzero.
+    it is the full product whenever that is nonzero.  Each factor is
+    multiplied onto the running suffix product term by term through
+    :meth:`~almostdirect.exterior.CohomologyRing.times`, which gives the
+    same element as the product of :func:`zero_divisor` factors.
     """
-    factors = []
+    gens = []
     for j, n in enumerate(ring.ranks, start=1):
-        factors.append(zero_divisor(ring, e(j, 1)))
+        gens.append((j, 1))
         if n >= 2:
-            factors.append(zero_divisor(ring, e(j, 2)))
-    suffixes = []
-    cur = TensorElem.one(ring)
-    for f in reversed(factors):
-        cur = f * cur
-        suffixes.append(cur)
+            gens.append((j, 2))
     length = 0
-    element = TensorElem.one(ring)
-    for r, prod in enumerate(suffixes, start=1):
-        if not prod.is_zero():
-            length = r
-            element = prod
-    return ZclWitness(length, len(factors), element)
+    element = cur = TensorElem.one(ring)
+    for r, g in enumerate(reversed(gens), start=1):
+        cur = _zero_divisor_times(ring, g, cur)
+        if not cur:
+            break
+        length, element = r, cur
+    return ZclWitness(length, len(gens), element)
 
 
 def claim_expansion(ring):

@@ -26,6 +26,7 @@ from almostdirect.cli import (
     main,
     parse_spec,
 )
+from almostdirect.words import x
 
 # two rank-1 blocks acting on a rank-2 block by non-commuting conjugations:
 # every action line is IA on its own, but the pair violates the commutation
@@ -287,3 +288,30 @@ def test_verify_round_trip_parses_the_spec_text_once(count_calls, capsys, tmp_pa
         assert "verify round-trip ok" in out.splitlines()
         # one parse to load the file, one of the text format_spec writes
         assert len(calls) == 2
+
+
+def test_verify_chain_map_names_the_first_failing_relation(monkeypatch, capsys):
+    import almostdirect.cli as cli
+    from dataclasses import replace
+
+    spec = pure_braid(4)
+    tampered = build_presentation(spec).keys()[4]
+
+    def tamper(spec, pairing="first"):
+        pres = build_presentation(spec, pairing)
+        rel = pres.relations[tampered]
+        # one extra letter in w breaks d2 o a2 = delta2 on this relation only
+        pres.relations[tampered] = replace(rel, word=rel.word * x(1, 1))
+        return pres
+
+    monkeypatch.setattr(cli, "build_presentation", tamper)
+    rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
+    assert rc == 2
+    failed = [line for line in out.splitlines() if " fail" in line]
+    assert failed == [
+        "verify chain-map fail %d %d %d %d" % tampered,
+        "verify-summary fail",
+    ]
+    rc, out, err = run(capsys, ["verify", "builtin:purebraid:4"])
+    assert rc == 2
+    assert "(%d %d %d %d)" % tampered in out

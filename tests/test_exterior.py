@@ -5,8 +5,15 @@ from itertools import combinations
 
 import pytest
 
-from almostdirect.adp import pure_braid, random_spec, upper_mccool
-from almostdirect.cli import parse_spec
+from almostdirect.adp import (
+    extend_with_torus,
+    pure_braid,
+    pure_braid_mod_center,
+    random_spec,
+    upper_mccool,
+    upper_mccool_mod_center,
+)
+from almostdirect.cli import main, parse_spec
 from almostdirect.exterior import (
     CohomologyRing,
     ExtElem,
@@ -19,6 +26,19 @@ from almostdirect.exterior import (
 from almostdirect.linalg import span_rank
 from test_acceptance import ring_of, specs_under_test
 from test_cli import INCONSISTENT
+
+
+def table_specs():
+    """Specs of the table and count tests: every spec under test, 20 seeded
+    random specs, two builtins times a circle and the inconsistent table,
+    whose relations are not a Groebner basis."""
+    rng = random.Random(7)
+    specs = specs_under_test() + [random_spec(rng) for _ in range(20)]
+    specs += [
+        extend_with_torus(pure_braid_mod_center(5), 1),
+        extend_with_torus(upper_mccool_mod_center(5), 1),
+    ]
+    return specs + [parse_spec(INCONSISTENT)]
 
 
 def test_deg_lex_order():
@@ -130,6 +150,35 @@ def test_dimensions_match_rank_polynomial():
             assert ring.dimension(k) == coeff
     assert [cohomology_ring(pure_braid(3)).dimension(k) for k in range(4)] == [1, 3, 2, 0]
     assert [cohomology_ring(pure_braid(4)).dimension(k) for k in range(4)] == [1, 6, 11, 6]
+
+
+def test_dimension_counts_the_basis():
+    for spec in table_specs():
+        ring = ring_of(spec)
+        for k in range(-1, len(spec.ranks) + 2):
+            assert ring.dimension(k) == len(ring.basis(k))
+
+
+def test_hilbert_check_does_not_list_the_basis(count_calls, capsys, tmp_path):
+    basis = count_calls(CohomologyRing, "basis")
+    images = tmp_path / "images.spec"
+    images.write_text(INCONSISTENT)
+    for ref in ("builtin:purebraid:5", str(images)):
+        assert main(["hilbert", ref, "--check", "--porcelain"]) == 0
+        assert "dim 1" in capsys.readouterr().out
+    assert basis == []
+
+
+def test_times_is_the_normal_form_of_one_generator_product():
+    for spec in (pure_braid(4), parse_spec(INCONSISTENT)):
+        ring = cohomology_ring(spec)
+        for g in ring.gens:
+            for k in range(len(spec.ranks) + 1):
+                for mono in ring.basis(k):
+                    entry = ring.times(g, mono)
+                    expect = ring.mul(e(*g), ExtElem.monomial(mono))
+                    assert ExtElem(dict(entry)) == expect
+                    assert ring.times(g, mono) is entry
 
 
 def test_product_in_quotient_is_reduced():

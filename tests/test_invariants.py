@@ -11,8 +11,9 @@ from almostdirect.adp import (
     random_spec,
     upper_mccool_mod_center,
 )
-from almostdirect.exterior import ExtElem, cohomology_ring, e
+from almostdirect.exterior import CohomologyRing, ExtElem, cohomology_ring, e
 from almostdirect.invariants import (
+    TensorElem,
     claim_expansion,
     lcs_identity_holds,
     lcs_ranks,
@@ -24,6 +25,8 @@ from almostdirect.invariants import (
     zcl_witness,
     zero_divisor,
 )
+from test_acceptance import ring_of
+from test_exterior import table_specs
 
 
 def test_poincare_vector():
@@ -97,6 +100,47 @@ def test_rank_one_blocks_contribute_single_factors():
     wit = zcl_witness(ring)
     assert wit.length == 3
     assert not wit.element.is_zero()
+
+
+def suffix_product_witness(ring):
+    """``zcl_witness`` as the product of :func:`zero_divisor` factors."""
+    factors = [
+        zero_divisor(ring, e(j, p))
+        for j, n in enumerate(ring.ranks, start=1)
+        for p in range(1, min(n, 2) + 1)
+    ]
+    length, element = 0, TensorElem.one(ring)
+    cur = TensorElem.one(ring)
+    for r, f in enumerate(reversed(factors), start=1):
+        cur = f * cur
+        if cur:
+            length, element = r, cur
+    return length, len(factors), element
+
+
+def test_zcl_witness_matches_the_zero_divisor_product():
+    for spec in table_specs():
+        ring = ring_of(spec)
+        wit = zcl_witness(ring)
+        assert (wit.length, wit.num_factors, wit.element) == (
+            suffix_product_witness(ring)
+        )
+
+
+def test_zcl_witness_multiplies_through_the_generator_table(count_calls):
+    products = count_calls(TensorElem, "__mul__")
+    for spec in (pure_braid(5), upper_mccool_mod_center(5)):
+        assert zcl_witness(cohomology_ring(spec)).length > 0
+    assert products == []
+
+
+def test_zcl_witness_fills_each_table_entry_once(count_calls):
+    ring = cohomology_ring(pure_braid(9))
+    reduced = count_calls(CohomologyRing, "reduce_mono")
+    looked_up = count_calls(CohomologyRing, "times")
+    zcl_witness(ring)
+    entries = {args[1:] for args in looked_up}
+    assert 0 < len(reduced) <= len(entries) < len(looked_up)
 
 
 def test_claim_matches_direct_product():
