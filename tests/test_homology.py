@@ -15,6 +15,7 @@ from almostdirect.adp import (
     upper_mccool_mod_center,
 )
 from almostdirect.homology import (
+    H2Matrix,
     chain_a2,
     generator_pairs,
     h2_matrix,
@@ -103,6 +104,19 @@ def test_h2_matrix_two_strand_oracle():
 def test_h2_matrix_full_row_rank_on_builtins():
     for spec in (pure_braid(4), upper_mccool(4), partial_pure_braid(2, 2)):
         assert h2_matrix(build_presentation(spec)).has_full_row_rank()
+
+
+def test_full_row_rank_fails_on_dependent_or_empty_rows():
+    rows = [(1, 2, 1, 1), (1, 2, 1, 2)]
+    cols = generator_pairs((1, 2))
+    a, b = cols[0], cols[2]
+
+    def rank_ok(entries):
+        return H2Matrix((1, 2), rows, cols, entries).has_full_row_rank()
+
+    assert rank_ok({(rows[0], a): 1, (rows[1], b): 1})
+    assert not rank_ok({(rows[0], a): 1, (rows[0], b): 2, (rows[1], a): 2, (rows[1], b): 4})
+    assert not rank_ok({(rows[1], a): 1, (rows[1], b): 1})
 
 
 def test_chain_a2_augments_to_matrix_row():
