@@ -23,6 +23,7 @@ from almostdirect.exterior import (
     e,
     mono_mul,
 )
+from almostdirect.homology import KernelElement
 from almostdirect.linalg import span_rank
 from test_acceptance import ring_of, specs_under_test
 from test_cli import INCONSISTENT
@@ -100,29 +101,63 @@ def test_normal_form_is_idempotent_and_linear():
         assert ring.normal_form(el + el) == nf + nf
 
 
-def test_reduction_strategies_agree():
-    # confluence check: leftmost rewriting and largest-monomial rewriting
-    # land on the same normal form
+def test_products_in_the_quotient_associate():
+    # confluence check: with a Groebner basis both bracketings rewrite to
+    # the one normal form of the triple product
     rng = random.Random(29)
     specs = [pure_braid(4), upper_mccool(4)] + [random_spec(rng) for _ in range(8)]
     for spec in specs:
         ring = cohomology_ring(spec)
-        gens = [
-            e(b, p)
-            for b, n in enumerate(ring.ranks, start=1)
-            for p in range(1, n + 1)
-        ]
+        gens = [e(*g) for g in ring.gens]
         if len(gens) < 2:
             continue
+
+        def word():
+            return math.prod(
+                (rng.choice(gens) for _ in range(rng.randint(1, 2))),
+                start=ExtElem.one(),
+            )
+
         for _ in range(10):
-            el = ExtElem.one()
-            for _ in range(rng.randint(2, min(4, len(gens)))):
-                el = el * rng.choice(gens)
-            left = ring.normal_form(el, strategy="leftmost")
-            big = ring.normal_form(el, strategy="deglexmax")
-            assert left == big
-    with pytest.raises(ValueError):
-        cohomology_ring(pure_braid(3)).reduce_mono(((2, 1), (2, 2)), strategy="bogus")
+            a, b, c = word(), word(), word()
+            assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+
+
+def rank_three_block_ring():
+    """A ring on ranks ``(1, 1, 3)`` with seeded kappas in ``{0, 1, -1}``.
+
+    Its relations are no Groebner basis, so a monomial with two same-block
+    pairs rewrites differently depending on which pair goes first.
+    """
+    rng = random.Random(0)
+    relations = []
+    for p, q in ((1, 2), (1, 3), (2, 3)):
+        kappa = []
+        for i in (1, 2):
+            for s in (1, 2, 3):
+                c = rng.choice((0, 1, -1))
+                if c:
+                    kappa.append(((i, 1, s), c))
+        relations.append(KernelElement(3, p, q, tuple(kappa)))
+    return CohomologyRing((1, 1, 3), relations)
+
+
+def test_rewriting_takes_the_leftmost_same_block_pair():
+    ring = rank_three_block_ring()
+    assert ring.critical_pair_verify() is not None
+    # e(3,1) e(3,2) is rewritten first
+    assert ring.reduce_mono(((3, 1), (3, 2), (3, 3))) == {
+        ((1, 1), (2, 1), (3, 1)): -1,
+        ((1, 1), (2, 1), (3, 2)): -2,
+        ((1, 1), (2, 1), (3, 3)): -1,
+    }
+    # rewriting e(3,2) e(3,3) first gives another normal form, so the
+    # bracketings of the associativity check disagree on this ring
+    a, b, c = e(3, 1), e(3, 2), e(3, 3)
+    assert ring.mul(a, ring.mul(b, c)) == ExtElem(
+        {((1, 1), (2, 1), (3, 1)): -2, ((1, 1), (2, 1), (3, 3)): -1}
+    )
+    assert ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c))
 
 
 def test_normal_monomials_have_at_most_one_generator_per_block():
