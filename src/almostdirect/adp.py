@@ -26,6 +26,7 @@ from .words import IAWord, Word, beta, commutator_decompose, theta, x
 
 __all__ = [
     "AdpSpec",
+    "generators",
     "Relation",
     "Presentation",
     "build_presentation",
@@ -41,6 +42,11 @@ __all__ = [
 
 MAGNUS = "magnus"
 IMAGES = "images"
+
+
+def generators(ranks):
+    """The generators ``(block, index)`` of the given ranks, block first."""
+    return [(i, p) for i, n in enumerate(ranks, start=1) for p in range(1, n + 1)]
 
 
 class AdpSpec:
@@ -133,13 +139,6 @@ class AdpSpec:
         certifies that they define an invertible endomorphism.
         """
         return any(kind == IMAGES for kind, _ in self.actions.values())
-
-    def generators(self):
-        return [
-            (i, p)
-            for i, n in enumerate(self.ranks, start=1)
-            for p in range(1, n + 1)
-        ]
 
     def action_image(self, i, j, p, q):
         """The image of ``x(j,q)`` under the action of ``x(i,p)``."""

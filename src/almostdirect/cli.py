@@ -40,6 +40,7 @@ from .adp import (
     AdpSpec,
     build_presentation,
     extend_with_torus,
+    generators,
 )
 from .exterior import CohomologyRing, cohomology_ring
 from .homology import h2_matrix, kernel_basis, verify_chain_map
@@ -55,7 +56,7 @@ from .words import IAWord, Word, x
 __all__ = ["SpecFileError", "parse_spec", "format_spec", "load_spec", "main"]
 
 
-class SpecFileError(Exception):
+class SpecFileError(ValueError):
     """A syntax or validation error with a source position."""
 
     def __init__(self, line, col, message):
@@ -293,21 +294,12 @@ def format_spec(spec):
 def load_spec(argument):
     """Load a spec from a path or an inline ``builtin:NAME:ARG`` reference."""
     if argument.startswith("builtin:"):
-        parts = argument.split(":")
-        name = parts[1] if len(parts) > 1 else ""
-        if name not in BUILTINS:
-            raise ValueError(
-                "unknown builtin %r (choose from %s)"
-                % (name, ", ".join(sorted(BUILTINS)))
-            )
-        fn, nargs = BUILTINS[name]
-        raw = parts[2:]
-        if len(raw) != nargs:
-            raise ValueError(
-                "builtin %s takes %d argument(s), got %d"
-                % (name, nargs, len(raw))
-            )
-        return fn(*[int(a) for a in raw])
+        tokens = [(part, 0) for part in argument.split(":")]
+        try:
+            return _parse_builtin(0, tokens)
+        except SpecFileError as err:
+            # an inline reference has no line or column to point at
+            raise ValueError(err.message) from None
     text = Path(argument).read_text(encoding="utf-8")
     return parse_spec(text)
 
@@ -358,7 +350,7 @@ def cmd_present(args):
                     % (i, j, p, q, k, word_token(u), word_token(v))
                 )
     else:
-        gens = " ".join("x(%d,%d)" % g for g in spec.generators())
+        gens = " ".join("x(%d,%d)" % g for g in generators(spec.ranks))
         out.append("generators: " + gens)
         out.append("relations: %d" % len(pres))
         for key in pres.keys():
@@ -657,9 +649,6 @@ def main(argv=None):
         return err.code if isinstance(err.code, int) else 1
     try:
         return args.func(args)
-    except SpecFileError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 1
     except (OSError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1

@@ -10,9 +10,13 @@ ideal is generated by one kernel element
 per same-block pair, which rewrites every monomial containing two
 generators of one block into strictly smaller monomials.  Iterating the
 rewrite computes a normal form supported on monomials with at most one
-generator per block.  The relations are a quadratic Groebner basis, so the
-normal form is the unique representative modulo the ideal and the ring is
-Koszul; two certificates of that are provided.
+generator per block.  The rewrite always takes the leftmost same-block pair:
+a block's generators sit next to each other in a sorted monomial, so that
+pair is adjacent, and moving two adjacent generators to the front is an
+even permutation, so the rewrite carries no sign.  The relations are a
+quadratic Groebner basis, so the normal form is the unique representative
+modulo the ideal and the ring is Koszul; two certificates of that are
+provided.
 
 :meth:`CohomologyRing.critical_pair_verify`, the one ``verify`` runs, checks
 the Buchberger criterion for exterior algebras (T. Stokes, J. Automated
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, prod
 
-from .adp import build_presentation
+from .adp import build_presentation, generators
 from .homology import h2_matrix, kernel_basis
 from .linalg import span_rank
 from .sparse import Sparse
@@ -186,11 +190,7 @@ class CohomologyRing:
     def __init__(self, ranks, relations):
         self.ranks = tuple(ranks)
         self.relations = list(relations)
-        self.gens = [
-            (i, p)
-            for i, n in enumerate(self.ranks, start=1)
-            for p in range(1, n + 1)
-        ]
+        self.gens = generators(self.ranks)
         self._eta = {}
         self._rules = {}
         for k in self.relations:
@@ -248,29 +248,17 @@ class CohomologyRing:
         blocks = [g[0] for g in mono]
         return len(blocks) == len(set(blocks))
 
-    def _find_pair(self, mono, strategy):
-        pairs = [
-            (a, b)
-            for k, a in enumerate(mono)
-            for b in mono[k + 1 :]
-            if a[0] == b[0]
-        ]
-        if not pairs:
-            return None
-        if strategy == "leftmost":
-            return pairs[0]
-        if strategy == "deglexmax":
-            return max(pairs)
-        raise ValueError("unknown strategy %r" % (strategy,))
-
-    def reduce_mono(self, mono, strategy="leftmost"):
+    def reduce_mono(self, mono):
         """Normal form of one monomial as a ``{monomial: coefficient}`` dict.
 
-        Each step rewrites a same-block pair using its kernel element; the
-        replacement monomials are strictly smaller in deg-lex order, so the
-        rewriting terminates.  Memoized per strategy.
+        Each step rewrites the leftmost same-block pair using its kernel
+        element; the replacement monomials are strictly smaller in deg-lex
+        order, so the rewriting terminates.  Monomials are sorted block
+        first, so that pair is two adjacent generators, at positions ``k``
+        and ``k + 1``, and moving it to the front takes ``2k``
+        transpositions: an even permutation, with sign ``+1``.  Memoized.
         """
-        memo = self._memo.setdefault(strategy, {})
+        memo = self._memo
         pending = {}
         stack = [mono]
         while stack:
@@ -279,11 +267,10 @@ class CohomologyRing:
                 stack.pop()
                 continue
             if cur in pending:
-                sign, parts = pending.pop(cur)
                 out = {}
-                for child, coeff in parts:
+                for child, coeff in pending.pop(cur):
                     for m, c in memo[child].items():
-                        s = out.get(m, 0) + sign * coeff * c
+                        s = out.get(m, 0) + coeff * c
                         if s:
                             out[m] = s
                         else:
@@ -291,22 +278,22 @@ class CohomologyRing:
                 memo[cur] = out
                 stack.pop()
                 continue
-            pair = self._find_pair(cur, strategy)
-            if pair is None:
+            for k in range(len(cur) - 1):
+                if cur[k][0] == cur[k + 1][0]:
+                    break
+            else:
                 memo[cur] = {cur: 1}
                 stack.pop()
                 continue
-            rest = tuple(g for g in cur if g not in pair)
-            sign, merged = mono_mul(pair, rest)
-            assert merged == cur
+            rest = cur[:k] + cur[k + 2 :]
             parts = []
-            for rep, c in self._rules[pair].items():
+            for rep, c in self._rules[cur[k : k + 2]].items():
                 prod = mono_mul(rep, rest)
                 if prod is None:
                     continue
                 s2, m2 = prod
                 parts.append((m2, s2 * c))
-            pending[cur] = (sign, parts)
+            pending[cur] = parts
             stack.extend(m2 for m2, _ in parts if m2 not in memo)
         return memo[mono]
 
@@ -331,11 +318,11 @@ class CohomologyRing:
             self._times[key] = out
         return out
 
-    def normal_form(self, f, strategy="leftmost"):
+    def normal_form(self, f):
         """The unique representative of ``f`` with no same-block pairs."""
         terms = {}
         for mono, coeff in f.terms.items():
-            for m, c in self.reduce_mono(mono, strategy).items():
+            for m, c in self.reduce_mono(mono).items():
                 s = terms.get(m, 0) + coeff * c
                 if s:
                     terms[m] = s
@@ -490,9 +477,9 @@ class CohomologyRing:
         return report
 
 
-def cohomology_ring(spec, pairing="first"):
+def cohomology_ring(spec):
     """Build the cohomology ring of an almost-direct product spec."""
-    pres = build_presentation(spec, pairing)
+    pres = build_presentation(spec)
     return CohomologyRing(spec.ranks, kernel_basis(h2_matrix(pres)))
 
 

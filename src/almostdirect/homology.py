@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from .fox import abel_gradient
 from .laurent import LaurentPoly, t
 from .linalg import span_rank
-from .adp import relation_sort_key
+from .adp import generators
 from .sparse import add_scaled
 
 __all__ = [
@@ -69,11 +69,7 @@ def pair_sort_key(pair):
 
 def generator_pairs(ranks):
     """All products of two distinct generators, in column order."""
-    gens = [
-        (i, p)
-        for i, n in enumerate(ranks, start=1)
-        for p in range(1, n + 1)
-    ]
+    gens = generators(ranks)
     pairs = [
         (g1, g2) for k, g1 in enumerate(gens) for g2 in gens[k + 1 :]
     ]
@@ -183,7 +179,7 @@ def h2_matrix(pres):
     an identity minor (full row rank) and makes each element of
     :func:`kernel_basis` annihilate every row.
     """
-    row_labels = sorted(pres.relations, key=relation_sort_key)
+    row_labels = pres.keys()
     col_labels = generator_pairs(pres.ranks)
     entries = {}
     for key in row_labels:

@@ -9,6 +9,7 @@ from almostdirect.adp import (
     AdpSpec,
     build_presentation,
     extend_with_torus,
+    generators,
     partial_pure_braid,
     pure_braid,
     pure_braid_mod_center,
@@ -78,7 +79,7 @@ def test_action_image_defaults_to_identity():
 
 def test_generators_order():
     spec = AdpSpec((2, 1))
-    assert spec.generators() == [(1, 1), (1, 2), (2, 1)]
+    assert generators(spec.ranks) == [(1, 1), (1, 2), (2, 1)]
 
 
 def test_pure_braid_smallest_relations():

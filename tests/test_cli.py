@@ -243,6 +243,19 @@ def test_load_spec_builtin_reference():
         load_spec("builtin:purebraid:x")
 
 
+def test_builtin_reference_errors_read_like_the_file_form(capsys, tmp_path):
+    # one parser for both forms; the inline one has no position to name
+    rc, out, err = run(capsys, ["present", "builtin:purebraid:x"])
+    assert (rc, err) == (1, "error: expected builtin argument, got 'x'\n")
+    path = tmp_path / "bad.spec"
+    path.write_text("builtin purebraid x\n")
+    rc, out, err = run(capsys, ["present", str(path)])
+    assert (rc, err) == (
+        1,
+        "error: line 1, column 19: expected builtin argument, got 'x'\n",
+    )
+
+
 def test_verify_computes_chain_a2_once_per_relation(count_calls, capsys):
     calls = count_calls(homology, "chain_a2")
     magnus = Path(__file__).parent / "golden" / "specs" / "longword-1-3.spec"

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from almostdirect.adp import (
+    build_presentation,
     extend_with_torus,
     pure_braid,
     pure_braid_mod_center,
@@ -23,7 +24,7 @@ from almostdirect.exterior import (
     e,
     mono_mul,
 )
-from almostdirect.homology import KernelElement
+from almostdirect.homology import KernelElement, h2_matrix, kernel_basis
 from almostdirect.linalg import span_rank
 from test_acceptance import ring_of, specs_under_test
 from test_cli import INCONSISTENT
@@ -299,8 +300,9 @@ def test_groebner_verify_through_degree():
 
 def test_ring_pairing_choice_does_not_change_the_rules():
     for spec in (pure_braid(4), upper_mccool(4)):
-        first = cohomology_ring(spec, pairing="first")
-        last = cohomology_ring(spec, pairing="last")
+        first = cohomology_ring(spec)
+        pres = build_presentation(spec, "last")
+        last = CohomologyRing(spec.ranks, kernel_basis(h2_matrix(pres)))
         assert [el.terms for el in first.eta_elements()] == [
             el.terms for el in last.eta_elements()
         ]
