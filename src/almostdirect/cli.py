@@ -21,14 +21,20 @@ Subcommands: ``present``, ``cohomology``, ``hilbert``, ``lcs``, ``zcl``,
 ``tc`` and ``verify``.  Each takes the spec as a file path or an inline
 ``builtin:NAME:ARG...`` reference, and ``--porcelain`` switches to a
 stable line-based format (first token is the record type; words, monomials
-and ring elements are single space-free tokens).  Exit codes: 0 on
-success, 1 on usage, parse or validation errors, 2 when a verification
-fails.
+and ring elements are single space-free tokens).  ``zcl`` and ``tc`` take
+``--torus M``, which multiplies the spec by ``Z^M`` before the header
+record is printed, so the header lists the extended blocks.  Exit codes:
+0 on success, 1 on usage, parse or validation errors, 2 when a
+verification fails.  When the reader closes standard output early, the
+command ends without an error message and with the exit code it would
+have had.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import re
 import sys
 from pathlib import Path
@@ -324,19 +330,8 @@ def elem_token(elem):
     return "".join(parts)
 
 
-def _spec_header(spec, porcelain):
-    if porcelain:
-        return ["ranks " + " ".join(str(n) for n in spec.ranks)]
-    label = spec.name or "spec"
-    return [
-        "%s: blocks %s" % (label, " ".join(str(n) for n in spec.ranks)),
-    ]
-
-
-def cmd_present(args):
-    spec = load_spec(args.spec)
+def cmd_present(spec, args, out):
     pres = build_presentation(spec, pairing=args.pairing)
-    out = _spec_header(spec, args.porcelain)
     if args.porcelain:
         for key in pres.keys():
             rel = pres[key]
@@ -364,14 +359,11 @@ def cmd_present(args):
                     "[%s, %s]" % (u, v) for u, v in rel.pairs
                 )
                 out.append("    w as commutators: " + pairs)
-    print("\n".join(out))
     return 0
 
 
-def cmd_cohomology(args):
-    spec = load_spec(args.spec)
+def cmd_cohomology(spec, args, out):
     ring = cohomology_ring(spec)
-    out = _spec_header(spec, args.porcelain)
     if args.porcelain:
         out.append("generators " + " ".join(mono_token((g,)) for g in ring.gens))
         for k in ring.relations:
@@ -398,14 +390,11 @@ def cmd_cohomology(args):
                 monos = ring.basis(deg)
                 shown = " ".join(mono_token(m) for m in monos) or "-"
                 out.append("H^%d basis (%d): %s" % (deg, len(monos), shown))
-    print("\n".join(out))
     return 0
 
 
-def cmd_hilbert(args):
-    spec = load_spec(args.spec)
+def cmd_hilbert(spec, args, out):
     betti = poincare_vector(spec.ranks)
-    out = _spec_header(spec, args.porcelain)
     if args.porcelain:
         out.append("poincare " + " ".join(str(b) for b in betti))
     else:
@@ -430,15 +419,12 @@ def cmd_hilbert(args):
                     "  H^%d: basis %d, poincare %d %s"
                     % (deg, actual, expected, "ok" if ok else "MISMATCH")
                 )
-    print("\n".join(out))
     return 2 if failed else 0
 
 
-def cmd_lcs(args):
-    spec = load_spec(args.spec)
+def cmd_lcs(spec, args, out):
     phi = lcs_ranks(spec.ranks, args.max_k)
     ok = lcs_identity_holds(spec.ranks, args.max_k)
-    out = _spec_header(spec, args.porcelain)
     if args.porcelain:
         for k, value in enumerate(phi, start=1):
             out.append("phi %d %d" % (k, value))
@@ -454,16 +440,11 @@ def cmd_lcs(args):
             "product identity through degree %d: %s"
             % (args.max_k, "ok" if ok else "MISMATCH")
         )
-    print("\n".join(out))
     return 0 if ok else 2
 
 
-def cmd_zcl(args):
-    spec = load_spec(args.spec)
-    ext = extend_with_torus(spec, args.torus)
-    ring = cohomology_ring(ext)
-    wit = zcl_witness(ring)
-    out = _spec_header(ext, args.porcelain)
+def cmd_zcl(spec, args, out):
+    wit = zcl_witness(cohomology_ring(spec))
     if args.porcelain:
         out.append("zcl-length %d" % wit.length)
         out.append("zcl-factors %d" % wit.num_factors)
@@ -474,14 +455,11 @@ def cmd_zcl(args):
             % (wit.length, wit.num_factors)
         )
         out.append("witness element: %s" % wit.element)
-    print("\n".join(out))
     return 0
 
 
-def cmd_tc(args):
-    ext = extend_with_torus(load_spec(args.spec), args.torus)
-    cert = tc_certificate(ext)
-    out = _spec_header(ext, args.porcelain)
+def cmd_tc(spec, args, out):
+    cert = tc_certificate(spec)
     if args.porcelain:
         out.append("tc-lower %d" % cert.lower_bound)
         out.append("tc-upper %d" % cert.upper_bound)
@@ -507,12 +485,10 @@ def cmd_tc(args):
                 "tc in [%d, %d] (bounds differ)"
                 % (cert.lower_bound, cert.upper_bound)
             )
-    print("\n".join(out))
     return 0
 
 
-def cmd_verify(args):
-    spec = load_spec(args.spec)
+def cmd_verify(spec, args, out):
     results = []
 
     pres = build_presentation(spec)
@@ -552,7 +528,6 @@ def cmd_verify(args):
         round_trip = round_trip and normalized == spec
     results.append(("round-trip", round_trip, ""))
 
-    out = _spec_header(spec, args.porcelain)
     if spec.has_uncertified_images and not args.porcelain:
         out.append(
             "note: images checked on the abelianization only;"
@@ -573,7 +548,6 @@ def cmd_verify(args):
         out.append("verify-summary %s" % ("fail" if failed else "ok"))
     else:
         out.append("summary: %s" % ("FAIL" if failed else "all checks passed"))
-    print("\n".join(out))
     return 2 if failed else 0
 
 
@@ -584,7 +558,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = _Parser(
         prog="almostdirect",
         description="Presentations, cohomology and topological complexity"
@@ -604,7 +580,8 @@ def build_parser():
             action="store_true",
             help="stable machine-readable output",
         )
-        p.set_defaults(func=func)
+        # main extends every spec by Z^torus; only zcl and tc take --torus
+        p.set_defaults(func=func, torus=0)
         return p
 
     p = add("present", cmd_present, "print the commutator presentation")
@@ -630,28 +607,45 @@ def build_parser():
         "--max-k", type=int, default=10, help="largest degree to print"
     )
     p = add("zcl", cmd_zcl, "print the zero-divisor cup length witness")
-    p.add_argument(
-        "--torus", type=int, default=0, help="multiply by Z^M first"
-    )
+    p.add_argument("--torus", type=int, help="multiply by Z^M first")
     p = add("tc", cmd_tc, "certify topological complexity")
-    p.add_argument(
-        "--torus", type=int, default=0, help="multiply by Z^M first"
-    )
+    p.add_argument("--torus", type=int, help="multiply by Z^M first")
     add("verify", cmd_verify, "run all internal consistency checks")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one subcommand and return its exit code.
+
+    The steps every subcommand shares happen here, once: load the spec,
+    apply ``--torus``, start ``out`` with the header record, and print
+    ``out``.  Each ``cmd_*(spec, args, out)`` appends its own records and
+    returns its exit code.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 1
     try:
-        return args.func(args)
+        spec = extend_with_torus(load_spec(args.spec), args.torus)
+        ranks = " ".join(str(n) for n in spec.ranks)
+        if args.porcelain:
+            out = ["ranks " + ranks]
+        else:
+            out = ["%s: blocks %s" % (spec.name or "spec", ranks)]
+        code = args.func(spec, args, out)
     except (OSError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
+    try:
+        print("\n".join(out), flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so that the
+        # flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

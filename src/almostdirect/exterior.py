@@ -199,8 +199,9 @@ class CohomologyRing:
             self._eta[(k.j, k.p, k.q)] = k
             terms = k.terms()
             lead = k.leading_pair()
+            # the merge in reduce_mono expects nonzero coefficients
             self._rules[lead] = {
-                m: -c for m, c in terms.items() if m != lead
+                m: -c for m, c in terms.items() if m != lead and c
             }
         for j, n in enumerate(self.ranks, start=1):
             for p in range(1, n + 1):

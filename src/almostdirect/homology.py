@@ -231,18 +231,13 @@ def kernel_basis(matrix):
     ``(j, p, q)`` has ``kappa(i, r, s)`` equal to minus the entry of row
     ``(i, j, r, s)`` in column ``(e(j,p), e(j,q))``.
     """
-    ranks = matrix.ranks
-    out = []
-    for j, n in enumerate(ranks, start=1):
-        for p in range(1, n + 1):
-            for q in range(p + 1, n + 1):
-                col = ((j, p), (j, q))
-                kappa = []
-                for i in range(1, j):
-                    for r in range(1, ranks[i - 1] + 1):
-                        for s in range(1, n + 1):
-                            c = matrix.entry((i, j, r, s), col)
-                            if c:
-                                kappa.append(((i, r, s), -c))
-                out.append(KernelElement(j, p, q, tuple(sorted(kappa))))
-    return out
+    kappa = {}
+    for ((i, j, r, s), ((a, p), (b, q))), c in matrix.entries.items():
+        if a == b == j and c:
+            kappa.setdefault((j, p, q), []).append(((i, r, s), -c))
+    return [
+        KernelElement(j, p, q, tuple(sorted(kappa.get((j, p, q), ()))))
+        for j, n in enumerate(matrix.ranks, start=1)
+        for p in range(1, n + 1)
+        for q in range(p + 1, n + 1)
+    ]

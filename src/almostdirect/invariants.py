@@ -221,13 +221,14 @@ class ZclWitness:
 def _zero_divisor_times(ring, g, x):
     """``(1 (x) e_g - e_g (x) 1) x`` through the generator table of ``ring``.
 
-    On a term ``a (x) b`` the factor gives
+    ``x`` and the result are term dicts of the tensor square, with nonzero
+    coefficients only.  On a term ``a (x) b`` the factor gives
     ``(-1)^{|a|} a (x) e_g b - e_g a (x) b``.
     """
     times = ring.times
     terms = {}
     get = terms.get
-    for (a, b), c in x.terms.items():
+    for (a, b), c in x.items():
         ca = -c if len(a) & 1 else c
         for m, cm in times(g, b):
             key = (a, m)
@@ -243,7 +244,7 @@ def _zero_divisor_times(ring, g, x):
                 terms[key] = s
             else:
                 del terms[key]
-    return TensorElem(ring, terms)
+    return terms
 
 
 def zcl_witness(ring):
@@ -264,13 +265,13 @@ def zcl_witness(ring):
         if n >= 2:
             gens.append((j, 2))
     length = 0
-    element = cur = TensorElem.one(ring)
+    element = cur = {TensorElem.UNIT: 1}
     for r, g in enumerate(reversed(gens), start=1):
         cur = _zero_divisor_times(ring, g, cur)
         if not cur:
             break
         length, element = r, cur
-    return ZclWitness(length, len(gens), element)
+    return ZclWitness(length, len(gens), TensorElem(ring, element))
 
 
 def claim_expansion(ring):

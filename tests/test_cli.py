@@ -157,22 +157,57 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_python_dash_m_runs_the_cli():
+def test_negative_torus_is_an_error(capsys):
+    for command in ("zcl", "tc"):
+        argv = [command, "builtin:purebraid:3", "--torus", "-1"]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out, err) == (1, "", "error: torus rank must be nonnegative\n")
+
+
+def test_main_builds_the_parser_once(count_calls, capsys):
+    import argparse
+
+    main(["lcs", "builtin:purebraid:3"])
+    built = count_calls(argparse.ArgumentParser, "__init__")
+    assert main(["lcs", "builtin:purebraid:3"]) == 0
+    assert main(["tc", "builtin:purebraid:3", "--porcelain"]) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def module_argv(*args):
+    """The argv and environment that run ``python -m almostdirect``."""
     src = str(Path(almostdirect.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return [sys.executable, "-m", "almostdirect", *args], env
+
+
+def test_python_dash_m_runs_the_cli():
+    argv, env = module_argv("--help")
     proc = subprocess.run(
-        [sys.executable, "-m", "almostdirect", "--help"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
+        argv, env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0
     assert "usage: almostdirect" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_closed_stdout_ends_quietly():
+    # about 1.3 MB of output, far more than a pipe buffer holds, so the
+    # write is still blocked when the reader closes its end
+    argv, env = module_argv("cohomology", "builtin:purebraid:8", "--basis")
+    with subprocess.Popen(
+        argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=60)
+    assert first == b"purebraid 8: blocks 1 2 3 4 5 6 7\n"
+    assert (rc, err) == (0, b"")
 
 
 def test_parse_spec_round_trips_magnus():

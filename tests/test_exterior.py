@@ -161,6 +161,13 @@ def test_rewriting_takes_the_leftmost_same_block_pair():
     assert ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c))
 
 
+def test_zero_kappa_coefficients_are_dropped():
+    zero = KernelElement(2, 1, 2, (((1, 1, 1), 0),))
+    ring = CohomologyRing((1, 2), [zero])
+    assert ring == CohomologyRing((1, 2), [replace(zero, kappa=())])
+    assert ring.normal_form(e(2, 1) * e(2, 2)) == 0
+
+
 def test_normal_monomials_have_at_most_one_generator_per_block():
     ring = cohomology_ring(pure_braid(4))
     for k in range(4):
