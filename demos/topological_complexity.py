@@ -8,6 +8,7 @@ circle.
 """
 
 from almostdirect.adp import (
+    extend_with_torus,
     partial_pure_braid,
     pure_braid,
     pure_braid_mod_center,
@@ -26,7 +27,7 @@ def show(label, cert):
 def main():
     print("pure braid groups, certified via the quotient by the center:")
     for l in range(3, 7):
-        cert = tc_certificate(pure_braid_mod_center(l), torus_rank=1)
+        cert = tc_certificate(extend_with_torus(pure_braid_mod_center(l), 1))
         show("%d strands" % l, cert)
 
     print("\nthe direct certificate on the braid group itself is loose,")
@@ -40,7 +41,7 @@ def main():
 
     print("\nupper McCool groups via their center quotient:")
     for n in (4, 5, 6):
-        cert = tc_certificate(upper_mccool_mod_center(n), torus_rank=1)
+        cert = tc_certificate(extend_with_torus(upper_mccool_mod_center(n), 1))
         show("n = %d" % n, cert)
 
     # the lower bound comes from an explicit nonzero product of zero

@@ -128,10 +128,6 @@ class AdpSpec:
         return len(self.ranks)
 
     @property
-    def num_generators(self):
-        return sum(self.ranks)
-
-    @property
     def has_uncertified_images(self):
         """True when some action is given by raw images.
 
@@ -237,8 +233,9 @@ def build_presentation(spec, pairing="first"):
 
     For each acting generator ``x(i,p)`` and each ``x(j,q)`` in a later
     block, ``w = x(j,q)^-1 alpha(x(j,q))`` where ``alpha`` is the action of
-    ``x(i,p)`` on block ``j``.  Every ``w`` has vanishing exponent sums and
-    is decomposed into commutators of subwords of block ``j``.
+    ``x(i,p)`` on block ``j``.  Every ``w`` has vanishing exponent sums,
+    because :class:`AdpSpec` admits only IA actions, and is decomposed into
+    commutators of subwords of block ``j``.
     """
     l = len(spec.ranks)
     relations = {}
@@ -248,11 +245,6 @@ def build_presentation(spec, pairing="first"):
                 for q in range(1, spec.ranks[j - 1] + 1):
                     image = spec.action_image(i, j, p, q)
                     w = ~x(j, q) * image
-                    if w.exponent_sums():
-                        raise ValueError(
-                            "action of x(%d,%d) on x(%d,%d) is not IA"
-                            % (i, p, j, q)
-                        )
                     pairs = tuple(commutator_decompose(w, pairing))
                     relations[(i, j, p, q)] = Relation(i, j, p, q, w, pairs)
     return Presentation(spec.ranks, relations)

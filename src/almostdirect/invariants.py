@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .adp import extend_with_torus
 from .exterior import ExtElem, CohomologyRing, cohomology_ring, mono_mul
 from .sparse import Sparse
 
@@ -76,6 +75,8 @@ def lcs_ranks(ranks, max_k):
     >>> lcs_ranks((1, 2), 3)
     (3, 1, 2)
     """
+    if max_k < 1:
+        raise ValueError("max_k must be at least 1")
     out = []
     for k in range(1, max_k + 1):
         total = 0
@@ -359,17 +360,16 @@ class TcCertificate:
     torus_blocks: int
 
 
-def tc_certificate(spec, torus_rank=0):
-    """Certify topological complexity of the product with ``Z^torus_rank``."""
-    ext = extend_with_torus(spec, torus_rank)
-    ring = cohomology_ring(ext)
+def tc_certificate(spec):
+    """Bracket TC of ``spec``; for ``G x Z^m`` pass ``extend_with_torus``."""
+    ring = cohomology_ring(spec)
     wit = zcl_witness(ring)
     torus_blocks = sum(
         1
-        for j, n in enumerate(ext.ranks, start=1)
-        if n == 1 and ext.acts_trivially_beyond(j)
+        for j, n in enumerate(spec.ranks, start=1)
+        if n == 1 and spec.acts_trivially_beyond(j)
     )
-    free_blocks = len(ext.ranks) - torus_blocks
+    free_blocks = len(spec.ranks) - torus_blocks
     lower = wit.length + 1
     upper = 2 * free_blocks + torus_blocks + 1
     if lower > upper:

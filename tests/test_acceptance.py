@@ -11,6 +11,7 @@ from itertools import combinations
 
 from almostdirect.adp import (
     build_presentation,
+    extend_with_torus,
     partial_pure_braid,
     pure_braid,
     pure_braid_mod_center,
@@ -199,7 +200,7 @@ def test_criterion_07_lcs_formula():
 
 def test_criterion_08_tc_closed_forms():
     braid = {
-        l: tc_certificate(pure_braid_mod_center(l), torus_rank=1).exact
+        l: tc_certificate(extend_with_torus(pure_braid_mod_center(l), 1)).exact
         for l in (3, 4, 5, 6)
     }
     braid_ok = all(braid[l] == 2 * l - 2 for l in braid)
@@ -217,7 +218,7 @@ def test_criterion_08_tc_closed_forms():
         spec = random_spec(rng, max_blocks=3, min_rank=2, max_rank=3)
         l = len(spec.ranks)
         for m in range(4):
-            cert = tc_certificate(spec, torus_rank=m)
+            cert = tc_certificate(extend_with_torus(spec, m))
             random_ok = random_ok and cert.exact == 2 * l + m + 1
 
     # TC = 2l + m + 1 for l free blocks of rank >= 2 times Z^m; both center
@@ -226,7 +227,7 @@ def test_criterion_08_tc_closed_forms():
         upper_mccool_mod_center(n).ranks == tuple(range(2, n)) for n in (4, 5, 6)
     )
     mccool = {
-        n: tc_certificate(upper_mccool_mod_center(n), torus_rank=1).exact
+        n: tc_certificate(extend_with_torus(upper_mccool_mod_center(n), 1)).exact
         for n in (4, 5, 6)
     }
     mccool_ok = all(mccool[n] == 2 * n - 2 for n in mccool)

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -164,6 +165,22 @@ def test_negative_torus_is_an_error(capsys):
         assert (rc, out, err) == (1, "", "error: torus rank must be nonnegative\n")
 
 
+def test_lcs_max_k_below_one_is_an_error(capsys):
+    for value in ("0", "-2"):
+        argv = ["lcs", "builtin:purebraid:3", "--max-k", value]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out, err) == (1, "", "error: max_k must be at least 1\n")
+
+
+def test_spec_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.spec"
+    path.write_bytes(b"\xef\xbb\xbfranks = 1 2\naction 2 1 1 = B(1,2)\n")
+    assert load_spec(str(path)) == parse_spec("ranks = 1 2\naction 2 1 1 = B(1,2)\n")
+    rc, out, err = run(capsys, ["verify", str(path), "--porcelain"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "ranks 1 2"
+
+
 def test_main_builds_the_parser_once(count_calls, capsys):
     import argparse
 
@@ -299,8 +316,8 @@ def test_verify_computes_chain_a2_once_per_relation(count_calls, capsys):
         del calls[:]
         rc, out, err = run(capsys, ["verify", ref, "--porcelain"])
         assert rc == 0
-        # only the chain-map check needs a2, on the first pairing; both
-        # matrices are read off exponent sums
+        # only the chain-map check needs a2; the one matrix is read off
+        # exponent sums
         relations = [args[0] for args in calls]
         assert Counter(relations) == Counter(first)
         assert len(calls) == len(first)
@@ -363,3 +380,32 @@ def test_verify_chain_map_names_the_first_failing_relation(monkeypatch, capsys):
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4"])
     assert rc == 2
     assert "(%d %d %d %d)" % tampered in out
+
+
+def test_verify_builds_one_presentation_and_one_matrix(count_calls, capsys):
+    import almostdirect.adp as adp
+    import almostdirect.cli as cli
+
+    built = count_calls(cli, "build_presentation")
+    matrices = count_calls(cli, "h2_matrix")
+    decomposed = count_calls(adp, "commutator_decompose")
+    rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
+    assert rc == 0
+    assert "verify pairing-independence ok" in out.splitlines()
+    assert len(built) == 1 and len(matrices) == 1
+    # one decomposition per relation, none of them with the last pairing
+    assert [args[1:] for args in decomposed] == [("first",)] * 11
+
+
+def test_readme_lists_the_records_verify_prints(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("### What the records of `verify` prove", 1)[1]
+    section = section.split("\n#", 1)[0]
+    documented = re.findall(r"^- `([a-z-]+)`:", section, flags=re.M)
+    rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
+    assert rc == 0
+    printed = [
+        line.split()[1] for line in out.splitlines() if line.startswith("verify ")
+    ]
+    assert documented == printed

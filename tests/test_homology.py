@@ -140,6 +140,26 @@ def test_chain_a2_augments_to_matrix_row():
             assert aug == {pair: c for pair, c in row.items() if c}, key
 
 
+def test_both_pairings_reassemble_the_long_relators():
+    # verify derives pairing-independence from this: the pairs of either
+    # pairing multiply back to w, so both give the same matrix row
+    names = ("longword-1-3.spec", "longword-2-2.spec", "inconsistent.spec")
+    longest = 0
+    for name in names:
+        spec = load_spec(str(GOLDEN_SPECS / name))
+        first = build_presentation(spec, "first")
+        last = build_presentation(spec, "last")
+        for pres in (first, last):
+            for key, rel in pres.relations.items():
+                word = Word()
+                for u, v in rel.pairs:
+                    word = word * commutator(u, v)
+                assert word == rel.word, (name, key)
+                longest = max(longest, len(rel.word))
+        assert h2_matrix(first).entries == h2_matrix(last).entries, name
+    assert longest >= 80
+
+
 def _one_relation(pairs):
     # x(2,1) x(1,1) = x(1,1) x(2,1) w, w the product of the given pairs
     word = Word()

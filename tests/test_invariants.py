@@ -49,6 +49,14 @@ def test_lcs_identity():
         assert lcs_identity_holds(ranks, 12)
 
 
+def test_lcs_needs_at_least_one_degree():
+    for max_k in (0, -2):
+        with pytest.raises(ValueError, match="max_k must be at least 1"):
+            lcs_ranks((1, 2), max_k)
+        with pytest.raises(ValueError, match="max_k must be at least 1"):
+            lcs_identity_holds((1, 2), max_k)
+
+
 def test_tensor_sign_rule():
     ring = cohomology_ring(AdpSpec((2,)))
     u, v = e(1, 1), e(1, 2)
@@ -190,7 +198,7 @@ def test_tc_certificate_pure_braid_family():
     # the center contributes the circle factor, so the braid group itself
     # is certified through its quotient times a line
     for l in (3, 4, 5, 6):
-        cert = tc_certificate(pure_braid_mod_center(l), torus_rank=1)
+        cert = tc_certificate(extend_with_torus(pure_braid_mod_center(l), 1))
         assert cert.exact == 2 * l - 2
     # directly on the braid group the upper bound counts the rank-1 block
     # as free and overshoots by one
@@ -203,7 +211,7 @@ def test_tc_certificate_pure_braid_family():
 def test_tc_certificate_upper_mccool_family():
     # the quotient by the center has n - 2 blocks of ranks 2..n-1
     for n in (4, 5, 6):
-        cert = tc_certificate(upper_mccool_mod_center(n), torus_rank=1)
+        cert = tc_certificate(extend_with_torus(upper_mccool_mod_center(n), 1))
         assert cert.exact == 2 * n - 2
 
 
@@ -217,12 +225,10 @@ def test_tc_certificate_partial_braid_family():
 def test_tc_certificate_counts_torus_blocks():
     base = pure_braid_mod_center(3)
     for m in (0, 1, 2, 3):
-        via_argument = tc_certificate(base, torus_rank=m)
-        via_spec = tc_certificate(extend_with_torus(base, m))
-        assert via_argument == via_spec
-        assert via_argument.exact == 2 + m + 1
-        assert via_argument.torus_blocks == m
-        assert via_argument.free_blocks == 1
+        cert = tc_certificate(extend_with_torus(base, m))
+        assert cert.exact == 2 + m + 1
+        assert cert.torus_blocks == m
+        assert cert.free_blocks == 1
 
 
 def test_tc_certificate_free_group():
