@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import IAWord, Word, beta, commutator_decompose, theta, x
+from .words import IAWord, Word, _reduce, beta, commutator_decompose, theta, x
 
 __all__ = [
     "AdpSpec",
@@ -186,6 +186,21 @@ class Relation:
     q: int
     word: Word
     pairs: tuple
+
+    def reassembles(self):
+        """True when the commutators of ``pairs`` multiply to ``word``.
+
+        One free reduction of the letters of every ``u v u^-1 v^-1`` in turn.
+        By Fox calculus this implies the chain-map identity of
+        :func:`~almostdirect.homology.verify_chain_map`, and it is stronger.
+        """
+        letters = []
+        for u, v in self.pairs:
+            letters += u.letters
+            letters += v.letters
+            letters += [(g, -e) for g, e in reversed(u.letters)]
+            letters += [(g, -e) for g, e in reversed(v.letters)]
+        return _reduce(letters) == self.word.letters
 
     def relator(self):
         """The relation as a trivial word of the group."""

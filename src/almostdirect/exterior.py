@@ -18,22 +18,77 @@ quadratic Groebner basis, so the normal form is the unique representative
 modulo the ideal and the ring is Koszul; two certificates of that are
 provided.
 
-:meth:`CohomologyRing.critical_pair_verify`, the one ``verify`` runs, checks
-the Buchberger criterion for exterior algebras (T. Stokes, J. Automated
-Reasoning 6 (1990); Aramova, Herzog and Hibi, J. Algebra 191 (1997), Sec. 1):
-a homogeneous generating set is a Groebner basis iff every S-polynomial
-``S(f, g)`` and every product ``x f`` with ``x`` a generator dividing the
-leading monomial of ``f`` reduce to zero.  Leading monomials are the
-same-block pairs, so these are the degree-three products ``e(j,p) eta`` and
-``e(j,q) eta``, the degree-three S-polynomials of leads sharing a
-generator, and the degree-four S-polynomials of disjoint leads.  The
-commutative coprime criterion is not used: a tail times a lead can vanish
-in the exterior algebra, so disjoint leads are checked too.  Each check is
-exact, because every rewriting step subtracts a monomial multiple of one
-relation whose leading term is the rewritten monomial, so a rewrite to
-zero is a standard representation; conversely, modulo a Groebner basis
-every element of the ideal rewrites to zero, so a nonzero normal form
-refutes the basis.  There are ``O(#eta^2)`` checks.
+The certificate that ``verify`` runs is
+:meth:`CohomologyRing.critical_pair_verify`.  It proves that the relations
+are a Groebner basis in every degree, that is ``E_k = N_k + J_k`` (a direct
+sum) for every ``k``, where ``E`` is the exterior algebra, ``J`` the ideal
+of the ``eta`` and ``N_k`` the span of the normal monomials of degree ``k``.
+It rewrites ``2 #eta + 3 sum_j C(n_j, 3)`` products of degree three, and
+the argument has three steps.
+
+*Normal form.*  Write ``NF`` for the normal form of :meth:`normal_form`.  A
+rewriting step replaces ``lead(eta) rest`` by ``-tail(eta) rest`` and so
+subtracts ``eta rest``, an element of ``J``.  Hence ``NF`` is linear,
+``NF(f) = f`` modulo ``J``, and ``NF`` fixes normal monomials.  So
+``J_k`` meets ``N_k`` only in 0 iff ``NF`` vanishes on ``J_k``: an element
+of both is its own normal form, and ``NF(f)`` lies in both when ``f`` is
+in ``J_k``.  Every monomial rewrites into ``N_k``, so the sum is then all
+of ``E_k``.
+
+*Degree three.*  ``J_3`` is spanned by the products ``e_g eta``.  Let
+``eta`` lead with ``e(j,p) e(j,q)``.  When the first rewrite of the merged
+monomial of ``g`` and the lead uses ``eta`` itself, ``NF(e_g eta) = 0`` by
+the step above.  That is the case when ``g`` lies in another block (the
+lead is then the only same-block pair) and when ``g = e(j,r)`` with
+``r > q`` (the lead is then the leftmost pair).  Two kinds of product
+remain:
+
+- ``g`` in the lead: the square products ``e(j,p) eta`` and
+  ``e(j,q) eta``, ``2 #eta`` of them;
+- ``g = e(j,r)``, ``r < q``, ``r != p``.  For indices ``a < b < c`` of
+  block ``j`` these are ``e_b eta(a,c)`` and ``e_a eta(b,c)``.  The
+  S-polynomial of ``eta(a,b)`` and ``eta(a,c)`` is ``e_c eta(a,b) +
+  e_b eta(a,c)``, whose first term vanishes, and the S-polynomial of
+  ``eta(a,b)`` and ``eta(b,c)`` likewise carries ``e_a eta(b,c)``.  The
+  third S-polynomial of the triple, of ``eta(a,c)`` and ``eta(b,c)``, is
+  a sum of the two products and is checked too.  These are the pairs of
+  leads that share a generator, ``3 C(n_j, 3)`` in block ``j``.
+
+So ``NF`` vanishes on ``J_3`` iff every check of :meth:`critical_pairs`
+rewrites to zero.  These are the checks of degree three of the exterior
+Buchberger criterion (T. Stokes, J. Automated Reasoning 6 (1990);
+Aramova, Herzog and Hibi, J. Algebra 191 (1997), Sec. 1), truncated at
+degree three: the criterion also lists the S-polynomials of disjoint
+leads, in degree four.  The commutative coprime criterion does not
+dismiss those (a tail times a lead can vanish in an exterior algebra);
+the next step does.
+
+*All degrees.*  The quotient ``A = E/J`` is also ``T(V)/(R)``, with ``R``
+spanned by the anticommutators ``x_b x_a + x_a x_b`` (``b > a``), the
+squares ``x_a x_a`` and each ``eta`` lifted to a sum of ascending words.
+Order the words of the tensor algebra deg-lex, letters by ``(block,
+index)``: a semigroup order with the descending chain condition.  The
+leading words of ``R`` are the descending pairs, the squares and the pairs
+``e(j,p) e(j,q)``, ``p < q``; the other words of ``eta``,
+``e(i,r) e(j,s)`` with ``i < j``, start with a smaller letter (the
+constructor refuses a ``kappa`` outside the earlier blocks).  Reducing
+each leading word to minus the rest of its relation is a reduction system
+whose irreducible words are the ascending words with at most one letter
+per block: the normal monomials.  The leading words have length two and
+are distinct, so its only ambiguities are overlaps ``x y z`` of length
+three.  If ``N_3`` meets ``J_3`` only in 0, the normal monomials are
+independent in ``A_3 = E_3 / J_3``, and every overlap resolves: two
+complete reductions of it end in normal combinations that agree in
+``A_3``, hence agree.  Bergman's diamond lemma (Adv. Math. 29 (1978),
+Thm. 1.2) then makes the irreducible words a basis of ``A`` in every
+degree, which is ``E_k = N_k + J_k`` for every ``k``.  Polishchuk and
+Positselski (*Quadratic Algebras*, 2005, Ch. 4) state this as the PBW
+criterion: a quadratic algebra whose normal words are independent in
+degree three has them as a basis.
+
+Conversely, modulo a Groebner basis ``NF`` vanishes on all of ``J``, so a
+check that does not rewrite to zero refutes the basis.  The certificate is
+exact both ways, and a quadratic Groebner basis makes the ring Koszul.
 
 :meth:`CohomologyRing.groebner_verify` is the independent oracle: it
 rank-computes the span of the ideal in every degree through ``l + 1`` by
@@ -196,6 +251,18 @@ class CohomologyRing:
         for k in self.relations:
             if not (1 <= k.j <= len(self.ranks) and k.p < k.q):
                 raise ValueError("bad kernel element label %r" % ((k.j, k.p, k.q),))
+            for (i, r, s), _ in k.kappa:
+                # the leading pair is e(j,p)e(j,q) only for tails e(i,r)e(j,s)
+                # with i < j
+                if not (
+                    1 <= i < k.j
+                    and 1 <= r <= self.ranks[i - 1]
+                    and 1 <= s <= self.ranks[k.j - 1]
+                ):
+                    raise ValueError(
+                        "kappa %r of eta(%d;%d,%d) is outside the earlier blocks"
+                        % ((i, r, s), k.j, k.p, k.q)
+                    )
             self._eta[(k.j, k.p, k.q)] = k
             terms = k.terms()
             lead = k.leading_pair()
@@ -398,15 +465,23 @@ class CohomologyRing:
         """The checks of :meth:`critical_pair_verify`, as ``(lead, other)``.
 
         ``other`` is either a generator ``(g,)`` of ``lead``, standing for
-        the product ``e_g eta``, or the leading pair of a later relation,
-        standing for the S-polynomial of the two relations.  The square
-        products come first, then the pairs of relations in order.
+        the product ``e_g eta``, or the leading pair of a later relation of
+        the same block that shares a generator with ``lead``, standing for
+        the S-polynomial of the two relations.  The square products come
+        first, then the pairs in relation order: ``2 #eta + 3 sum C(n_j, 3)``
+        checks, all of degree three (see the module docstring).
         """
         leads = [k.leading_pair() for k in self.relations]
         for lead in leads:
             for g in lead:
                 yield lead, (g,)
-        yield from combinations(leads, 2)
+        by_block = {}
+        for lead in leads:
+            by_block.setdefault(lead[0][0], []).append(lead)
+        for block in by_block.values():
+            for a, b in combinations(block, 2):
+                if a[0] in b or a[1] in b:
+                    yield a, b
 
     def _eta_of(self, lead):
         (j, p), (_, q) = lead
@@ -429,9 +504,10 @@ class CohomologyRing:
         """Certify the kernel elements are a Groebner basis from critical pairs.
 
         Returns None when every product of :meth:`critical_pairs` has normal
-        form zero, which by the Buchberger criterion for exterior algebras
-        (see the module docstring) proves the relations a Groebner basis in
-        every degree.  Otherwise returns the first failing ``(lead, other)``.
+        form zero, which by the degree-three criterion of the module
+        docstring proves the relations a Groebner basis in every degree.
+        Otherwise returns the first failing ``(lead, other)``, which refutes
+        the basis.
 
         >>> from almostdirect.adp import pure_braid
         >>> cohomology_ring(pure_braid(4)).critical_pair_verify() is None

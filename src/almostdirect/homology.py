@@ -17,16 +17,31 @@ and :func:`verify_chain_map` confirms ``d2(a2(r))`` equals the abelianized
 Fox gradient of the relator ``x(j,q) x(i,p) w^-1 x(j,q)^-1 x(i,p)^-1``,
 which is exactly the degree-two differential of the presentation.
 
+That identity follows from the words alone.  Fox's fundamental formula
+gives ``d1(grad u) = ab(u) - 1`` for any word ``u``, ``ab`` its abelianized
+monomial, so ``d2(grad u ^ grad v) = -grad [u, v]``.  The gradient of a
+product of commutators is the sum of their gradients, because each prefix
+abelianizes to 1.  So when the commutators of the pairs multiply to ``w``
+in the free group, ``d2(a2(r))`` and the gradient of the relator agree
+term by term.  ``verify`` therefore checks
+:meth:`~almostdirect.adp.Relation.reassembles`, one free reduction per
+relation, and keeps :func:`verify_chain_map` as the Laurent oracle of the
+tests.  Word equality is the stronger check: abelianized Fox derivatives
+see a word only through ``F/F''`` (the Magnus embedding), so appending an
+element of ``F''`` such as ``[[a, b], [a^2, b]]`` to ``w`` passes the
+oracle and fails the reassembly.
+
 Applying the augmentation (every ``t -> 1``) to ``a2`` gives an integer
 matrix ``A`` whose rows are indexed by relations and columns by products of
 two generators.  The augmentation is a ring map and the wedge is bilinear,
 so row ``r`` is ``e(i,p) e(j,q) + sum_k eps(grad u_k) ^ eps(grad v_k)``;
 by Fox's fundamental formula the augmented gradient ``eps(grad u)`` is the
 exponent-sum vector of ``u``.  :func:`h2_matrix` builds the rows that way,
-without the Laurent chain map.  Each row has a single 1 in its mixed column
-and its other entries in the columns of the acted-on block, so ``A`` always
-has full row rank, and the kernel of right multiplication by ``A`` is
-spanned by one element per same-block pair of generators:
+without the Laurent chain map.  It raises :class:`RowStructureError`
+unless each row has a single 1 in its mixed column and its other entries
+in the columns of the acted-on block.  Then ``A`` has full row rank, and
+the kernel of right multiplication by ``A`` is spanned by one element per
+same-block pair of generators:
 
     eta(j; p, q) = e(j,p) e(j,q) + sum kappa e(i,r) e(j,s)
 
@@ -52,6 +67,7 @@ __all__ = [
     "verify_chain_map",
     "ChainMapReport",
     "H2Matrix",
+    "RowStructureError",
     "h2_matrix",
     "KernelElement",
     "kernel_basis",
@@ -167,15 +183,25 @@ class H2Matrix:
         return span_rank(list(rows.values())) == len(self.row_labels)
 
 
+class RowStructureError(ValueError):
+    """A row of :func:`h2_matrix` off its structure, at key ``row`` and
+    column ``col``."""
+
+    def __init__(self, row, col, message):
+        super().__init__(message)
+        self.row = row
+        self.col = col
+
+
 def h2_matrix(pres):
     """The augmented chain map over all relations, as one integer matrix.
 
     Row ``(i, j, p, q)`` is the unit mixed entry ``e(i,p) e(j,q)`` plus
     ``sum_k ab(u_k) ^ ab(v_k)`` over the commutator pairs of the relation,
     ``ab`` the exponent-sum vector: the augmentation of :func:`chain_a2`,
-    by Fox's fundamental formula.  Raises ``ValueError``, naming the row
-    and column, unless the mixed entry is 1 and every other entry sits in
-    a same-block column of block ``j``.  That structure gives the matrix
+    by Fox's fundamental formula.  Raises :class:`RowStructureError`,
+    naming the row and column, unless the mixed entry is 1 and every other
+    entry sits in a same-block column of block ``j``.  That structure gives the matrix
     an identity minor (full row rank) and makes each element of
     :func:`kernel_basis` annihilate every row.
     """
@@ -190,13 +216,16 @@ def h2_matrix(pres):
             add_scaled(row, wedge(u.exponent_sums(), v.exponent_sums()))
         for pair, c in row.items():
             if pair != mixed and not (pair[0][0] == pair[1][0] == rel.j):
-                raise ValueError(
-                    "row %s has an entry outside its blocks at %s"
-                    % (key, pair)
+                raise RowStructureError(
+                    key,
+                    pair,
+                    "row %s has an entry outside its blocks at %s" % (key, pair),
                 )
             entries[(key, pair)] = c
         if row.get(mixed) != 1:
-            raise ValueError("row %s lacks its unit mixed entry" % (key,))
+            raise RowStructureError(
+                key, mixed, "row %s lacks its unit mixed entry" % (key,)
+            )
     return H2Matrix(pres.ranks, row_labels, col_labels, entries)
 
 

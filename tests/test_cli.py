@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import re
@@ -122,7 +123,7 @@ def test_verify_names_the_failing_critical_pair(tmp_path, capsys):
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
     assert "verify groebner ok" in out.splitlines()
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4"])
-    assert "groebner               ok (14 critical pairs)" in out
+    assert "groebner               ok (11 critical pairs)" in out
 
 
 def test_verify_hilbert_fails_with_the_groebner_check(tmp_path, capsys):
@@ -308,19 +309,38 @@ def test_builtin_reference_errors_read_like_the_file_form(capsys, tmp_path):
     )
 
 
-def test_verify_computes_chain_a2_once_per_relation(count_calls, capsys):
-    calls = count_calls(homology, "chain_a2")
+def test_verify_makes_no_laurent_or_fox_call(count_calls, capsys):
+    from almostdirect import fox
+    from almostdirect.laurent import LaurentPoly
+
+    calls = [
+        count_calls(homology, "chain_a2"),
+        count_calls(homology, "koszul_d2"),
+        count_calls(homology, "abel_gradient"),
+        count_calls(fox, "abel_gradient"),
+        count_calls(LaurentPoly, "__init__"),
+    ]
     magnus = Path(__file__).parent / "golden" / "specs" / "longword-1-3.spec"
     for ref in ("builtin:purebraid:4", "builtin:uppermccoolbar:5", str(magnus)):
-        first = build_presentation(load_spec(ref))
-        del calls[:]
         rc, out, err = run(capsys, ["verify", ref, "--porcelain"])
         assert rc == 0
-        # only the chain-map check needs a2; the one matrix is read off
-        # exponent sums
-        relations = [args[0] for args in calls]
-        assert Counter(relations) == Counter(first)
-        assert len(calls) == len(first)
+        # chain-map reassembles the relation words instead
+        assert "verify chain-map ok" in out.splitlines()
+    assert calls == [[]] * 5
+
+
+def test_verify_reaches_fourteen_strands(count_calls, capsys):
+    from almostdirect.exterior import CohomologyRing
+
+    products = count_calls(CohomologyRing, "critical_product")
+    rings = count_calls(CohomologyRing, "__init__")
+    rc, out, err = run(capsys, ["verify", "builtin:purebraid:14", "--porcelain"])
+    assert rc == 0
+    assert out.splitlines()[-1] == "verify-summary ok"
+    # 2 #eta square products and 3 C(n_j, 3) shared-lead S-polynomials per
+    # block, where all pairs of the 364 relations would be 66,430 more
+    assert len(products) == 2 * 364 + 3 * math.comb(14, 4) == 3731
+    assert len(rings) == 1
 
 
 def test_verify_neither_enumerates_the_basis_nor_eliminates(
@@ -355,21 +375,28 @@ def test_verify_round_trip_parses_the_spec_text_once(count_calls, capsys, tmp_pa
         assert len(calls) == 2
 
 
-def test_verify_chain_map_names_the_first_failing_relation(monkeypatch, capsys):
+def tamper_relation(monkeypatch, key, **changes):
+    # verify then sees the presentation of purebraid 4 with one relation
+    # replaced
     import almostdirect.cli as cli
     from dataclasses import replace
 
-    spec = pure_braid(4)
-    tampered = build_presentation(spec).keys()[4]
-
-    def tamper(spec, pairing="first"):
+    def tampered(spec, pairing="first"):
         pres = build_presentation(spec, pairing)
-        rel = pres.relations[tampered]
-        # one extra letter in w breaks d2 o a2 = delta2 on this relation only
-        pres.relations[tampered] = replace(rel, word=rel.word * x(1, 1))
+        rel = pres.relations[key]
+        pres.relations[key] = replace(
+            rel, **{name: make(rel) for name, make in changes.items()}
+        )
         return pres
 
-    monkeypatch.setattr(cli, "build_presentation", tamper)
+    monkeypatch.setattr(cli, "build_presentation", tampered)
+    return tampered(pure_braid(4))
+
+
+def test_verify_chain_map_names_the_first_failing_relation(monkeypatch, capsys):
+    tampered = build_presentation(pure_braid(4)).keys()[4]
+    # one extra letter in w breaks d2 o a2 = delta2 on this relation only
+    tamper_relation(monkeypatch, tampered, word=lambda rel: rel.word * x(1, 1))
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
     assert rc == 2
     failed = [line for line in out.splitlines() if " fail" in line]
@@ -380,6 +407,59 @@ def test_verify_chain_map_names_the_first_failing_relation(monkeypatch, capsys):
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4"])
     assert rc == 2
     assert "(%d %d %d %d)" % tampered in out
+
+
+def test_verify_chain_map_sees_past_the_metabelian_quotient(monkeypatch, capsys):
+    from almostdirect.homology import verify_chain_map
+    from almostdirect.words import commutator
+
+    key = (1, 3, 1, 2)
+    a, b = x(3, 1), x(3, 2)
+    # [[a, b], [a^2, b]] lies in F'' and is not trivial
+    extra = commutator(commutator(a, b), commutator(a**2, b))
+    assert len(extra) == 16 and extra.exponent_sums() == {}
+    pres = tamper_relation(monkeypatch, key, word=lambda rel: rel.word * extra)
+    # the Laurent chain map sees words through F/F'' only, so it passes
+    assert verify_chain_map(pres).ok
+    assert [k for k, rel in pres.relations.items() if not rel.reassembles()] == [key]
+    rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
+    assert rc == 2
+    failed = [line for line in out.splitlines() if " fail" in line]
+    assert failed == ["verify chain-map fail 1 3 1 2", "verify-summary fail"]
+
+
+def test_verify_matrix_rank_names_the_row_and_column(monkeypatch, capsys):
+    from almostdirect.homology import verify_chain_map
+    from almostdirect.words import commutator
+
+    key = (1, 3, 1, 2)
+    # the extra pair reassembles, but puts an entry in column e(1,1)e(2,1),
+    # outside block 3
+    u, v = x(1, 1), x(2, 1)
+    pres = tamper_relation(
+        monkeypatch,
+        key,
+        word=lambda rel: rel.word * commutator(u, v),
+        pairs=lambda rel: rel.pairs + ((u, v),),
+    )
+    assert all(rel.reassembles() for rel in pres)
+    assert verify_chain_map(pres).ok
+    rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
+    assert (rc, err) == (2, "")
+    assert out.splitlines()[1:] == [
+        "verify chain-map ok",
+        "verify matrix-rank fail 1 3 1 2 e(1,1)e(2,1)",
+        "verify kernel fail",
+        "verify pairing-independence ok",
+        "verify groebner fail",
+        "verify hilbert fail",
+        "verify lcs-identity ok",
+        "verify round-trip ok",
+        "verify-summary fail",
+    ]
+    rc, out, err = run(capsys, ["verify", "builtin:purebraid:4"])
+    assert rc == 2
+    assert "  matrix-rank            fail (1 3 1 2 e(1,1)e(2,1))" in out.splitlines()
 
 
 def test_verify_builds_one_presentation_and_one_matrix(count_calls, capsys):

@@ -8,6 +8,7 @@ import pytest
 from almostdirect.adp import (
     build_presentation,
     extend_with_torus,
+    partial_pure_braid,
     pure_braid,
     pure_braid_mod_center,
     random_spec,
@@ -341,6 +342,95 @@ def test_critical_pairs_reject_a_perturbed_relation():
     assert bad.normal_form(bad.critical_product(*witness))
 
 
+def all_pairs_verify(ring):
+    """The all-pairs oracle of the degree-three certificate.
+
+    It rewrites every check of the exterior Buchberger criterion: the
+    square products, then the S-polynomial of every two relations,
+    disjoint leads (degree four) included.  Returns the first failing
+    ``(lead, other)``, or None.
+    """
+    leads = [k.leading_pair() for k in ring.relations]
+    checks = [(lead, (g,)) for lead in leads for g in lead]
+    checks += combinations(leads, 2)
+    for lead, other in checks:
+        if ring.normal_form(ring.critical_product(lead, other)):
+            return lead, other
+    return None
+
+
+def genuine_rings():
+    """Fifteen rings of genuine products: 14 builtins and a random spec."""
+    specs = [pure_braid(l) for l in (3, 4, 5)]
+    specs += [upper_mccool(n) for n in (3, 4, 5)]
+    specs += [pure_braid_mod_center(l) for l in (4, 5)]
+    specs += [upper_mccool_mod_center(n) for n in (4, 5)]
+    specs += [partial_pure_braid(l, k) for l, k in ((2, 2), (2, 3), (3, 1), (3, 2))]
+    rng = random.Random(3)
+    spec = random_spec(rng, max_blocks=4, min_rank=2, max_rank=3)
+    while len(spec.ranks) < 3:
+        spec = random_spec(rng, max_blocks=4, min_rank=2, max_rank=3)
+    return [ring_of(spec) for spec in specs + [spec]]
+
+
+def perturbed_rings(per_ring=60):
+    """Each genuine ring with one to three ``kappa`` entries moved by +-1."""
+    rng = random.Random(1)
+    out = []
+    for ring in genuine_rings():
+        for _ in range(per_ring):
+            relations = list(ring.relations)
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(len(relations))
+                eta = relations[k]
+                keys = [
+                    (i, r, s)
+                    for i in range(1, eta.j)
+                    for r in range(1, ring.ranks[i - 1] + 1)
+                    for s in range(1, ring.ranks[eta.j - 1] + 1)
+                ]
+                if not keys:
+                    # the first block has no earlier block to pair with
+                    continue
+                key = rng.choice(keys)
+                kappa = dict(eta.kappa)
+                kappa[key] = kappa.get(key, 0) + rng.choice((1, -1))
+                kappa = tuple(sorted((kk, c) for kk, c in kappa.items() if c))
+                relations[k] = replace(eta, kappa=kappa)
+            out.append(CohomologyRing(ring.ranks, relations))
+    return out
+
+
+def test_degree_three_certificate_agrees_with_all_pairs():
+    rings = [ring_of(spec) for spec in specs_under_test()]
+    rings += [cohomology_ring(parse_spec(INCONSISTENT)), rank_three_block_ring()]
+    rings += perturbed_rings()
+    assert len(rings) == len(specs_under_test()) + 2 + 900
+    first_disjoint = []
+    for ring in rings:
+        witness = ring.critical_pair_verify()
+        full = all_pairs_verify(ring)
+        assert (witness is None) == (full is None), ring.relations
+        if len(ring.gens) <= 9:
+            assert ring.groebner_verify().ok == (witness is None)
+        if full is not None and not (set(full[0]) & set(full[1])):
+            first_disjoint.append((full, witness))
+    # a ring that all pairs reject first at two disjoint leads, in degree
+    # four, fails in degree three as well
+    assert first_disjoint == [
+        (
+            (((4, 1), (4, 2)), ((4, 3), (4, 4))),
+            (((4, 2), (4, 3)), ((4, 2), (4, 4))),
+        )
+    ]
+
+
+def test_ring_refuses_kappa_outside_the_earlier_blocks():
+    for key in ((2, 1, 1), (1, 2, 1), (1, 1, 3)):
+        with pytest.raises(ValueError, match="outside the earlier blocks"):
+            CohomologyRing((1, 2), [KernelElement(2, 1, 2, ((key, 1),))])
+
+
 def test_critical_pairs_certify_nine_strands():
     # far past the reach of groebner_verify, whose degree-10 rows number
     # C(36, 8) times 84
@@ -348,4 +438,4 @@ def test_critical_pairs_certify_nine_strands():
     assert len(ring.relations) == math.comb(9, 3)
     assert ring.critical_pair_verify() is None
     pairs = list(ring.critical_pairs())
-    assert len(pairs) == 2 * 84 + math.comb(84, 2)
+    assert len(pairs) == 2 * 84 + 3 * sum(math.comb(j, 3) for j in range(1, 9))

@@ -16,6 +16,7 @@ from almostdirect.adp import (
 )
 from almostdirect.homology import (
     H2Matrix,
+    RowStructureError,
     chain_a2,
     generator_pairs,
     h2_matrix,
@@ -160,6 +161,31 @@ def test_both_pairings_reassemble_the_long_relators():
     assert longest >= 80
 
 
+def test_reassembly_agrees_with_the_laurent_chain_map():
+    # verify checks that the pairs reassemble to w; the Laurent chain map
+    # is its oracle, on every spec under test and every golden spec file
+    from test_acceptance import specs_under_test
+
+    specs = specs_under_test()
+    specs += [load_spec(str(path)) for path in sorted(GOLDEN_SPECS.glob("*.spec"))]
+    assert len(specs) == len(specs_under_test()) + 3
+    for spec in specs:
+        pres = build_presentation(spec)
+        assert verify_chain_map(pres).ok, spec
+        assert all(rel.reassembles() for rel in pres), spec
+
+
+def test_reassembly_and_the_chain_map_reject_a_stray_letter():
+    pres = build_presentation(pure_braid(4))
+    key = pres.keys()[4]
+    rel = pres.relations[key]
+    pres.relations[key] = Relation(
+        rel.i, rel.j, rel.p, rel.q, rel.word * x(1, 1), rel.pairs
+    )
+    assert [k for k, r in pres.relations.items() if not r.reassembles()] == [key]
+    assert [failure[0] for failure in verify_chain_map(pres).failures] == [key]
+
+
 def _one_relation(pairs):
     # x(2,1) x(1,1) = x(1,1) x(2,1) w, w the product of the given pairs
     word = Word()
@@ -176,6 +202,9 @@ def test_h2_matrix_rejects_entries_outside_the_blocks():
         h2_matrix(pres)
     assert str((1, 2, 1, 1)) in str(info.value)
     assert str(((1, 1), (2, 2))) in str(info.value)
+    # verify prints the same row and column as its matrix-rank witness
+    assert isinstance(info.value, RowStructureError)
+    assert (info.value.row, info.value.col) == ((1, 2, 1, 1), ((1, 1), (2, 2)))
 
 
 def test_h2_matrix_rejects_a_row_without_its_unit():
