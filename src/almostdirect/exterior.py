@@ -106,7 +106,7 @@ from math import comb, prod
 from .adp import build_presentation, generators
 from .homology import h2_matrix, kernel_basis
 from .linalg import span_rank
-from .sparse import Sparse
+from .sparse import Sparse, add_scaled
 
 __all__ = [
     "deg_lex_key",
@@ -370,19 +370,25 @@ class CohomologyRing:
 
         ``g`` is a generator and ``mono`` a normal monomial.  Each entry of
         this per-ring table is filled once, from :meth:`reduce_mono` of the
-        merged monomial, so it agrees term for term with :meth:`mul`.
+        merged monomial, so it agrees term for term with :meth:`mul`.  When
+        ``g`` lies in a block past the last block of ``mono`` the product
+        ``(-1)^{|mono|} mono e_g`` is already normal and is stored as it is.
         """
         key = (g, mono)
         out = self._times.get(key)
         if out is None:
-            signed = mono_mul((g,), mono)
-            if signed is None:
-                out = ()
+            if not mono or mono[-1][0] < g[0]:
+                out = ((mono + (g,), -1 if len(mono) & 1 else 1),)
             else:
-                sign, merged = signed
-                out = tuple(
-                    (m, sign * c) for m, c in self.reduce_mono(merged).items()
-                )
+                signed = mono_mul((g,), mono)
+                if signed is None:
+                    out = ()
+                else:
+                    sign, merged = signed
+                    out = tuple(
+                        (m, sign * c)
+                        for m, c in self.reduce_mono(merged).items()
+                    )
             self._times[key] = out
         return out
 
@@ -483,22 +489,32 @@ class CohomologyRing:
                 if a[0] in b or a[1] in b:
                     yield a, b
 
-    def _eta_of(self, lead):
-        (j, p), (_, q) = lead
-        return self.eta(j, p, q)
+    def _multiple(self, cofactor, lead):
+        """``e_cofactor eta`` for the relation leading with ``lead``.
 
-    def _lead_multiple(self, lead, union):
-        # the multiple of the relation with leading term +union
-        cofactor = tuple(g for g in union if g not in lead)
-        sign, _ = mono_mul(cofactor, lead)
-        return ExtElem.monomial(cofactor, sign) * self._eta_of(lead)
+        A term dict with one merge of ``cofactor`` into each monomial of
+        ``eta``; distinct monomials merge into distinct products.
+        """
+        (j, p), (_, q) = lead
+        out = {}
+        for mono, c in self._eta[(j, p, q)].terms().items():
+            prod = mono_mul(cofactor, mono)
+            if prod is not None:
+                out[prod[1]] = prod[0] * c
+        return out
 
     def critical_product(self, lead, other):
         """The element that a critical pair must rewrite to zero."""
         if len(other) == 1:
-            return e(*other[0]) * self._eta_of(lead)
+            return ExtElem(self._multiple(other, lead))
         union = tuple(sorted(set(lead) | set(other)))
-        return self._lead_multiple(lead, union) - self._lead_multiple(other, union)
+        out = {}
+        for rel, k in ((lead, 1), (other, -1)):
+            # the multiple of the relation with leading term +union
+            cofactor = tuple(g for g in union if g not in rel)
+            sign, _ = mono_mul(cofactor, rel)
+            add_scaled(out, self._multiple(cofactor, rel), k * sign)
+        return ExtElem(out)
 
     def critical_pair_verify(self):
         """Certify the kernel elements are a Groebner basis from critical pairs.

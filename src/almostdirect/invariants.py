@@ -209,9 +209,10 @@ def zero_divisor(ring, u):
 class ZclWitness:
     """A maximal nonzero product of the standard zero divisors.
 
-    ``length`` counts the factors used; ``num_factors`` is ``2 a + b``
-    where ``a`` blocks have rank at least two and ``b`` have rank one.
-    The two agree whenever the full product is nonzero.
+    ``length`` counts the factors of the longest nonzero prefix of the
+    product, taken in block order; ``num_factors`` is ``2 a + b`` where
+    ``a`` blocks have rank at least two and ``b`` have rank one.  The two
+    agree whenever the full product is nonzero.
     """
 
     length: int
@@ -219,28 +220,31 @@ class ZclWitness:
     element: TensorElem
 
 
-def _zero_divisor_times(ring, g, x):
-    """``(1 (x) e_g - e_g (x) 1) x`` through the generator table of ``ring``.
+def _times_zero_divisor(ring, x, g):
+    """``x (1 (x) e_g - e_g (x) 1)`` through the generator table of ``ring``.
 
     ``x`` and the result are term dicts of the tensor square, with nonzero
     coefficients only.  On a term ``a (x) b`` the factor gives
-    ``(-1)^{|a|} a (x) e_g b - e_g a (x) b``.
+    ``a (x) b e_g - (-1)^{|b|} a e_g (x) b``, and ``m e_g = (-1)^{|m|} e_g m``
+    turns both right products into entries of
+    :meth:`~almostdirect.exterior.CohomologyRing.times`.
     """
     times = ring.times
     terms = {}
     get = terms.get
     for (a, b), c in x.items():
-        ca = -c if len(a) & 1 else c
+        cb = -c if len(b) & 1 else c
         for m, cm in times(g, b):
             key = (a, m)
-            s = get(key, 0) + ca * cm
+            s = get(key, 0) + cb * cm
             if s:
                 terms[key] = s
             else:
                 del terms[key]
+        ca = -cb if len(a) & 1 else cb
         for m, cm in times(g, a):
             key = (m, b)
-            s = get(key, 0) - c * cm
+            s = get(key, 0) - ca * cm
             if s:
                 terms[key] = s
             else:
@@ -249,16 +253,25 @@ def _zero_divisor_times(ring, g, x):
 
 
 def zcl_witness(ring):
-    """Multiply the standard zero divisors, longest nonzero suffix first.
+    """Multiply the standard zero divisors, longest nonzero prefix first.
 
     Per block ``j`` the factors are ``1 (x) u - u (x) 1`` for
     ``u = e(j,1), e(j,2)`` when the rank is at least two and just
-    ``u = e(j,1)`` for rank one, taken in block order.  Suffix products are
+    ``u = e(j,1)`` for rank one, taken in block order.  Prefix products are
     monotone (zero stays zero), so the longest nonzero one is well defined;
-    it is the full product whenever that is nonzero.  Each factor is
-    multiplied onto the running suffix product term by term through
+    it is the full product whenever that is nonzero.  When the full
+    product is zero its length may differ from that of the longest nonzero
+    suffix, and either is a lower bound.
+
+    Each factor is multiplied onto the right of the running prefix product,
+    term by term through
     :meth:`~almostdirect.exterior.CohomologyRing.times`, which gives the
-    same element as the product of :func:`zero_divisor` factors.
+    same element as the product of :func:`zero_divisor` factors.  A rewrite
+    ``e(j,p) e(j,q) -> -sum kappa e(i,r) e(j,s)`` only moves terms into
+    earlier blocks, so the normal monomials of blocks ``1..j`` span a
+    subring: the cohomology ring of the quotient group on those blocks.
+    The prefix through block ``j`` is therefore that quotient's own
+    witness.
     """
     gens = []
     for j, n in enumerate(ring.ranks, start=1):
@@ -267,8 +280,8 @@ def zcl_witness(ring):
             gens.append((j, 2))
     length = 0
     element = cur = {TensorElem.UNIT: 1}
-    for r, g in enumerate(reversed(gens), start=1):
-        cur = _zero_divisor_times(ring, g, cur)
+    for r, g in enumerate(gens, start=1):
+        cur = _times_zero_divisor(ring, cur, g)
         if not cur:
             break
         length, element = r, cur

@@ -425,6 +425,41 @@ def test_degree_three_certificate_agrees_with_all_pairs():
     ]
 
 
+def critical_product_oracle(ring, lead, other):
+    """``critical_product`` built through ``ExtElem`` products."""
+
+    def eta(lead):
+        (j, p), (_, q) = lead
+        return ring.eta(j, p, q)
+
+    def lead_multiple(lead, union):
+        cofactor = tuple(g for g in union if g not in lead)
+        sign, _ = mono_mul(cofactor, lead)
+        return ExtElem.monomial(cofactor, sign) * eta(lead)
+
+    if len(other) == 1:
+        return ExtElem.monomial(other) * eta(lead)
+    union = tuple(sorted(set(lead) | set(other)))
+    return lead_multiple(lead, union) - lead_multiple(other, union)
+
+
+def test_critical_product_matches_the_exterior_product():
+    rings = [ring_of(spec) for spec in specs_under_test()]
+    rings += [cohomology_ring(parse_spec(INCONSISTENT))]
+    rings += perturbed_rings()
+    checks = 0
+    for ring in rings:
+        leads = [k.leading_pair() for k in ring.relations]
+        # the degree-three checks, then every pair of relations, disjoint
+        # leads included
+        pairs = list(ring.critical_pairs()) + list(combinations(leads, 2))
+        for lead, other in pairs:
+            expect = critical_product_oracle(ring, lead, other)
+            assert ring.critical_product(lead, other) == expect
+            checks += 1
+    assert checks > len(rings)
+
+
 def test_ring_refuses_kappa_outside_the_earlier_blocks():
     for key in ((2, 1, 1), (1, 2, 1), (1, 1, 3)):
         with pytest.raises(ValueError, match="outside the earlier blocks"):

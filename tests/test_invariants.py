@@ -9,11 +9,19 @@ from almostdirect.adp import (
     pure_braid,
     pure_braid_mod_center,
     random_spec,
+    upper_mccool,
     upper_mccool_mod_center,
 )
-from almostdirect.exterior import CohomologyRing, ExtElem, cohomology_ring, e
+from almostdirect.exterior import (
+    CohomologyRing,
+    ExtElem,
+    cohomology_ring,
+    e,
+    mono_mul,
+)
 from almostdirect.invariants import (
     TensorElem,
+    _times_zero_divisor,
     claim_expansion,
     lcs_identity_holds,
     lcs_ranks,
@@ -135,6 +143,76 @@ def test_zcl_witness_matches_the_zero_divisor_product():
         )
 
 
+def block_order_witness(ring):
+    """``zcl_witness`` as :func:`zero_divisor` factors multiplied in block
+    order, each on the right of the running product."""
+    factors = [
+        zero_divisor(ring, e(j, p))
+        for j, n in enumerate(ring.ranks, start=1)
+        for p in range(1, min(n, 2) + 1)
+    ]
+    length, element = 0, TensorElem.one(ring)
+    cur = TensorElem.one(ring)
+    for r, f in enumerate(factors, start=1):
+        cur = cur * f
+        if not cur:
+            break
+        length, element = r, cur
+    return length, len(factors), element
+
+
+def test_zcl_witness_is_the_block_order_product():
+    # table_specs ends with the inconsistent table
+    for spec in table_specs():
+        ring = ring_of(spec)
+        wit = zcl_witness(ring)
+        assert (wit.length, wit.num_factors, wit.element) == (
+            block_order_witness(ring)
+        )
+
+
+def truncate(spec, j):
+    """The quotient of ``spec`` on its first ``j`` blocks."""
+    actions = {
+        key: action for key, action in spec.actions.items() if key[1] <= j
+    }
+    return AdpSpec(spec.ranks[:j], actions)
+
+
+def prefix_witnesses(ring):
+    """Per block ``j``: the longest nonzero prefix among the factors of
+    blocks ``1..j``, as ``(length, num_factors, terms)``."""
+    length, num_factors = 0, 0
+    element = cur = {TensorElem.UNIT: 1}
+    out = []
+    for j, n in enumerate(ring.ranks, start=1):
+        for p in range(1, min(n, 2) + 1):
+            num_factors += 1
+            if cur:
+                cur = _times_zero_divisor(ring, cur, (j, p))
+                if cur:
+                    length, element = num_factors, cur
+        out.append((length, num_factors, element))
+    return out
+
+
+def test_each_block_prefix_is_the_witness_of_its_quotient():
+    specs = table_specs()
+    specs += [pure_braid(7), upper_mccool(7)]
+    specs += [pure_braid_mod_center(8), upper_mccool_mod_center(8)]
+    rng = random.Random(5)
+    specs += [random_spec(rng, max_blocks=5) for _ in range(200)]
+    cases = 0
+    for spec in specs:
+        ring = ring_of(spec)
+        for j, prefix in enumerate(prefix_witnesses(ring), start=1):
+            wit = zcl_witness(ring_of(truncate(spec, j)))
+            assert (wit.length, wit.num_factors, wit.element.terms) == prefix
+            cases += 1
+    # one case per block of every spec
+    assert cases == 851
+
+
 def test_zcl_witness_multiplies_through_the_generator_table(count_calls):
     products = count_calls(TensorElem, "__mul__")
     for spec in (pure_braid(5), upper_mccool_mod_center(5)):
@@ -149,6 +227,26 @@ def test_zcl_witness_fills_each_table_entry_once(count_calls):
     zcl_witness(ring)
     entries = {args[1:] for args in looked_up}
     assert 0 < len(reduced) <= len(entries) < len(looked_up)
+
+
+def test_appended_table_entries_are_normal_forms(count_calls):
+    for spec in (pure_braid(7), upper_mccool_mod_center(6)):
+        ring = cohomology_ring(spec)
+        reduced = count_calls(CohomologyRing, "reduce_mono")
+        zcl_witness(ring)
+        merged = {args[1] for args in reduced}
+        appended = 0
+        for (g, mono), entry in ring._times.items():
+            if mono and mono[-1][0] >= g[0]:
+                continue
+            sign, product = mono_mul((g,), mono)
+            assert product not in merged
+            expect = tuple(
+                (m, sign * c) for m, c in ring.reduce_mono(product).items()
+            )
+            assert entry == expect
+            appended += 1
+        assert 0 < appended < len(ring._times)
 
 
 def test_claim_matches_direct_product():
