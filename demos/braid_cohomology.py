@@ -24,7 +24,7 @@ def main():
         if not rel.word.is_identity():
             print("  x(%d,%d) x(%d,%d): w = %s" % (rel.j, rel.q, rel.i, rel.p, rel.word))
 
-    # the integral pairing matrix has one row per relation; its kernel
+    # the integral H2 matrix has one row per relation; its kernel
     # gives the quadratic relations of the cohomology ring
     matrix = h2_matrix(pres)
     print("\nmatrix: %d rows, %d columns, full row rank: %s"

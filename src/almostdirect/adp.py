@@ -174,28 +174,31 @@ class AdpSpec:
 
 @dataclass(frozen=True)
 class Relation:
-    """One commutation relation ``x(j,q) x(i,p) = x(i,p) x(j,q) w``.
-
-    ``pairs`` is the commutator decomposition of ``w``: an ordered tuple of
-    ``(u, v)`` with ``w`` equal to the product of the ``[u, v]``.
-    """
+    """One commutation relation ``x(j,q) x(i,p) = x(i,p) x(j,q) w``."""
 
     i: int
     j: int
     p: int
     q: int
     word: Word
-    pairs: tuple
+
+    def pairs(self, pairing="first"):
+        """An ordered tuple of ``(u, v)`` whose ``[u, v]`` multiply to ``w``.
+
+        Decomposed on each call by
+        :func:`~almostdirect.words.commutator_decompose` under ``pairing``.
+        """
+        return tuple(commutator_decompose(self.word, pairing))
 
     def reassembles(self):
-        """True when the commutators of ``pairs`` multiply to ``word``.
+        """True when the commutators of :meth:`pairs` multiply to ``word``.
 
         One free reduction of the letters of every ``u v u^-1 v^-1`` in turn.
         By Fox calculus this implies the chain-map identity of
         :func:`~almostdirect.homology.verify_chain_map`, and it is stronger.
         """
         letters = []
-        for u, v in self.pairs:
+        for u, v in self.pairs():
             letters += u.letters
             letters += v.letters
             letters += [(g, -e) for g, e in reversed(u.letters)]
@@ -243,14 +246,15 @@ def relation_sort_key(key):
     return (j, i, p, q)
 
 
-def build_presentation(spec, pairing="first"):
+def build_presentation(spec):
     """Compute the commutator presentation of an almost-direct product.
 
     For each acting generator ``x(i,p)`` and each ``x(j,q)`` in a later
     block, ``w = x(j,q)^-1 alpha(x(j,q))`` where ``alpha`` is the action of
     ``x(i,p)`` on block ``j``.  Every ``w`` has vanishing exponent sums,
-    because :class:`AdpSpec` admits only IA actions, and is decomposed into
-    commutators of subwords of block ``j``.
+    because :class:`AdpSpec` admits only IA actions, so it lies in the
+    commutator subgroup of block ``j``; :meth:`Relation.pairs` writes it as
+    a product of commutators on demand.
     """
     l = len(spec.ranks)
     relations = {}
@@ -260,8 +264,7 @@ def build_presentation(spec, pairing="first"):
                 for q in range(1, spec.ranks[j - 1] + 1):
                     image = spec.action_image(i, j, p, q)
                     w = ~x(j, q) * image
-                    pairs = tuple(commutator_decompose(w, pairing))
-                    relations[(i, j, p, q)] = Relation(i, j, p, q, w, pairs)
+                    relations[(i, j, p, q)] = Relation(i, j, p, q, w)
     return Presentation(spec.ranks, relations)
 
 
@@ -332,47 +335,26 @@ def upper_mccool(n):
     """
     if n < 2:
         raise ValueError("upper McCool needs n >= 2")
-    ranks = tuple(range(1, n))
-    actions = {}
-    for (a, b, p), images in _mccool_images(ranks):
-        actions[(a, b, p)] = (IMAGES, images)
-    spec = AdpSpec(ranks, actions)
+    spec = _mccool_spec(ranks=tuple(range(1, n)), shift=0)
     spec.name = "uppermccool %d" % n
     return spec
 
 
-def _mccool_images(ranks):
+def _mccool_spec(ranks, shift):
+    # Internal block a is McCool block a + shift; x(a,p) conjugates
+    # x(b, a + shift + 1) by x(b,p) in every later block b.
+    actions = {}
     l = len(ranks)
     for a in range(1, l + 1):
+        s = a + shift + 1
         for b in range(a + 1, l + 1):
             for p in range(1, ranks[a - 1] + 1):
                 images = tuple(
-                    _conjugate(x(b, p), x(b, q)) if q == a + 1 else x(b, q)
+                    _conjugate(x(b, p), x(b, q)) if q == s else x(b, q)
                     for q in range(1, ranks[b - 1] + 1)
                 )
-                yield (a, b, p), images
-
-
-def _drop_first_block(spec, name):
-    if len(spec.ranks) < 2:
-        raise ValueError("cannot drop the only block")
-    if spec.ranks[0] != 1:
-        raise ValueError("first block must have rank 1")
-    actions = {}
-    for (i, j, p), action in spec.actions.items():
-        if i == 1:
-            continue
-        kind, payload = action
-        if kind == IMAGES:
-            payload = tuple(_shift_block_down(w) for w in payload)
-        actions[(i - 1, j - 1, p)] = (kind, payload)
-    out = AdpSpec(spec.ranks[1:], actions)
-    out.name = name
-    return out
-
-
-def _shift_block_down(w):
-    return Word(tuple(((b - 1, index), e) for (b, index), e in w.letters))
+                actions[(a, b, p)] = (IMAGES, images)
+    return AdpSpec(ranks, actions)
 
 
 def pure_braid_mod_center(l):
@@ -383,14 +365,18 @@ def pure_braid_mod_center(l):
     """
     if l < 3:
         raise ValueError("central quotient needs l >= 3")
-    return _drop_first_block(pure_braid(l), "purebraidbar %d" % l)
+    spec = _braid_block_spec(ranks=tuple(range(2, l)), shift=1)
+    spec.name = "purebraidbar %d" % l
+    return spec
 
 
 def upper_mccool_mod_center(n):
     """The upper McCool group on ``n`` strands modulo its center."""
     if n < 3:
         raise ValueError("central quotient needs n >= 3")
-    return _drop_first_block(upper_mccool(n), "uppermccoolbar %d" % n)
+    spec = _mccool_spec(ranks=tuple(range(2, n)), shift=1)
+    spec.name = "uppermccoolbar %d" % n
+    return spec
 
 
 def extend_with_torus(spec, m):

@@ -337,12 +337,7 @@ class CohomologyRing:
             if cur in pending:
                 out = {}
                 for child, coeff in pending.pop(cur):
-                    for m, c in memo[child].items():
-                        s = out.get(m, 0) + coeff * c
-                        if s:
-                            out[m] = s
-                        else:
-                            del out[m]
+                    add_scaled(out, memo[child], coeff)
                 memo[cur] = out
                 stack.pop()
                 continue
@@ -396,12 +391,7 @@ class CohomologyRing:
         """The unique representative of ``f`` with no same-block pairs."""
         terms = {}
         for mono, coeff in f.terms.items():
-            for m, c in self.reduce_mono(mono).items():
-                s = terms.get(m, 0) + coeff * c
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
+            add_scaled(terms, self.reduce_mono(mono), coeff)
         return ExtElem(terms)
 
     def mul(self, a, b):

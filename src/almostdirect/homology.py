@@ -34,14 +34,21 @@ oracle and fails the reassembly.
 Applying the augmentation (every ``t -> 1``) to ``a2`` gives an integer
 matrix ``A`` whose rows are indexed by relations and columns by products of
 two generators.  The augmentation is a ring map and the wedge is bilinear,
-so row ``r`` is ``e(i,p) e(j,q) + sum_k eps(grad u_k) ^ eps(grad v_k)``;
-by Fox's fundamental formula the augmented gradient ``eps(grad u)`` is the
-exponent-sum vector of ``u``.  :func:`h2_matrix` builds the rows that way,
-without the Laurent chain map.  It raises :class:`RowStructureError`
-unless each row has a single 1 in its mixed column and its other entries
-in the columns of the acted-on block.  Then ``A`` has full row rank, and
-the kernel of right multiplication by ``A`` is spanned by one element per
-same-block pair of generators:
+so row ``r`` is ``e(i,p) e(j,q) + sum_k ab(u_k) ^ ab(v_k)``, ``ab`` the
+exponent-sum vector (Fox's fundamental formula).  That pair formula belongs
+to the oracle.  When the pairs multiply to ``w``, the sum is the class of
+``w`` in ``gamma2 F / gamma3 F = Lambda^2 H`` (Magnus-Karrass-Solitar,
+*Combinatorial Group Theory*, Ch. 5), which depends on ``w`` alone, and
+:func:`h2_matrix` reads that class off the letters ``g_1^eps_1 ...
+g_m^eps_m`` of ``w``: its coefficient on ``e_a e_b``, ``a < b``, is the
+degree-two Magnus coefficient
+
+    c_ab(w) = sum eps_k eps_l  over k < l with g_k = a, g_l = b.
+
+It raises :class:`RowStructureError` unless each row has a single 1 in its
+mixed column and its other entries in the columns of the acted-on block.
+Then ``A`` has full row rank, and the kernel of right multiplication by
+``A`` is spanned by one element per same-block pair of generators:
 
     eta(j; p, q) = e(j,p) e(j,q) + sum kappa e(i,r) e(j,s)
 
@@ -109,7 +116,7 @@ def chain_a2(rel):
     """The degree-two chain map on one relation, over the Laurent ring."""
     terms = {((rel.i, rel.p), (rel.j, rel.q)): LaurentPoly.constant(1)}
     scale = t(rel.i, rel.p) * t(rel.j, rel.q)
-    for u, v in rel.pairs:
+    for u, v in rel.pairs():
         add_scaled(terms, wedge(abel_gradient(u), abel_gradient(v)), scale)
     return terms
 
@@ -197,13 +204,14 @@ def h2_matrix(pres):
     """The augmented chain map over all relations, as one integer matrix.
 
     Row ``(i, j, p, q)`` is the unit mixed entry ``e(i,p) e(j,q)`` plus
-    ``sum_k ab(u_k) ^ ab(v_k)`` over the commutator pairs of the relation,
-    ``ab`` the exponent-sum vector: the augmentation of :func:`chain_a2`,
-    by Fox's fundamental formula.  Raises :class:`RowStructureError`,
-    naming the row and column, unless the mixed entry is 1 and every other
-    entry sits in a same-block column of block ``j``.  That structure gives the matrix
-    an identity minor (full row rank) and makes each element of
-    :func:`kernel_basis` annihilate every row.
+    ``sum_{a<b} c_ab(w) e_a e_b``, the degree-two Magnus coefficients of the
+    relation word ``w`` (see the module docstring), summed in one pass over
+    its letters with running exponent sums.  Raises
+    :class:`RowStructureError`, naming the row and column, unless the mixed
+    entry is 1 and every other entry sits in a same-block column of block
+    ``j``.  That structure gives the matrix an identity minor (full row
+    rank) and makes each element of :func:`kernel_basis` annihilate every
+    row.
     """
     row_labels = pres.keys()
     col_labels = generator_pairs(pres.ranks)
@@ -212,9 +220,15 @@ def h2_matrix(pres):
         rel = pres[key]
         mixed = ((rel.i, rel.p), (rel.j, rel.q))
         row = {mixed: 1}
-        for u, v in rel.pairs:
-            add_scaled(row, wedge(u.exponent_sums(), v.exponent_sums()))
+        sums = {}  # exponent sums of the letters read so far
+        for b, eps in rel.word.letters:
+            for a, s in sums.items():
+                if a < b and s:
+                    row[(a, b)] = row.get((a, b), 0) + s * eps
+            sums[b] = sums.get(b, 0) + eps
         for pair, c in row.items():
+            if not c:
+                continue
             if pair != mixed and not (pair[0][0] == pair[1][0] == rel.j):
                 raise RowStructureError(
                     key,

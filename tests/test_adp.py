@@ -127,6 +127,29 @@ def test_mod_center_ranks():
         upper_mccool_mod_center(2)
 
 
+def drop_first_block(spec):
+    # the central quotient as the spec of the full group with its rank-1
+    # first block removed and every later block index shifted down by one
+    def shift_down(w):
+        return Word(tuple(((b - 1, q), e) for (b, q), e in w.letters))
+
+    actions = {}
+    for i, j, p in spec.actions:
+        if i > 1:
+            images = tuple(
+                shift_down(spec.action_image(i, j, p, q))
+                for q in range(1, spec.ranks[j - 1] + 1)
+            )
+            actions[(i - 1, j - 1, p)] = (IMAGES, images)
+    return AdpSpec(spec.ranks[1:], actions)
+
+
+def test_central_quotients_drop_the_first_block():
+    for n in range(3, 13):
+        assert pure_braid_mod_center(n) == drop_first_block(pure_braid(n))
+        assert upper_mccool_mod_center(n) == drop_first_block(upper_mccool(n))
+
+
 def test_mod_center_keeps_the_action():
     # dropping the central rank-1 block shifts every block index down one
     full = build_presentation(pure_braid(4))
@@ -276,8 +299,8 @@ def test_magnus_spec_applies_each_action_once_per_generator(count_calls):
     assert len(calls) == 2 * 3 * 3
     assert set(spec.actions) == {(1, 3, 1), (2, 3, 1)}
     del calls[:]
-    build_presentation(spec)
-    build_presentation(spec, pairing="last")
+    for rel in build_presentation(spec):
+        rel.pairs("last")
     for key in all_keys(spec):
         spec.action_image(*key)
     assert spec == twin and hash(spec) == hash(twin)

@@ -14,6 +14,7 @@ import almostdirect
 from almostdirect import homology
 from almostdirect.adp import (
     AdpSpec,
+    Relation,
     build_presentation,
     extend_with_torus,
     partial_pure_braid,
@@ -375,28 +376,41 @@ def test_verify_round_trip_parses_the_spec_text_once(count_calls, capsys, tmp_pa
         assert len(calls) == 2
 
 
-def tamper_relation(monkeypatch, key, **changes):
-    # verify then sees the presentation of purebraid 4 with one relation
-    # replaced
+def tamper_word(monkeypatch, key, extra):
+    # verify then sees the presentation of purebraid 4 with the word of one
+    # relation multiplied by extra; its pairs are decomposed from that word
     import almostdirect.cli as cli
     from dataclasses import replace
 
-    def tampered(spec, pairing="first"):
-        pres = build_presentation(spec, pairing)
+    def tampered(spec):
+        pres = build_presentation(spec)
         rel = pres.relations[key]
-        pres.relations[key] = replace(
-            rel, **{name: make(rel) for name, make in changes.items()}
-        )
+        pres.relations[key] = replace(rel, word=rel.word * extra)
         return pres
 
     monkeypatch.setattr(cli, "build_presentation", tampered)
     return tampered(pure_braid(4))
 
 
+def tamper_pairs(monkeypatch, key, extra):
+    # Relation.pairs appends the pairs extra to those of one relation, so
+    # that they no longer multiply to its word; the word stays as it is
+    pairs = Relation.pairs
+
+    def tampered(rel, pairing="first"):
+        out = pairs(rel, pairing)
+        if (rel.i, rel.j, rel.p, rel.q) == key:
+            out += extra
+        return out
+
+    monkeypatch.setattr(Relation, "pairs", tampered)
+
+
 def test_verify_chain_map_names_the_first_failing_relation(monkeypatch, capsys):
     tampered = build_presentation(pure_braid(4)).keys()[4]
-    # one extra letter in w breaks d2 o a2 = delta2 on this relation only
-    tamper_relation(monkeypatch, tampered, word=lambda rel: rel.word * x(1, 1))
+    # one extra commutator among the pairs breaks d2 o a2 = delta2 on this
+    # relation only
+    tamper_pairs(monkeypatch, tampered, ((x(1, 1), x(3, 1)),))
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
     assert rc == 2
     failed = [line for line in out.splitlines() if " fail" in line]
@@ -416,9 +430,11 @@ def test_verify_chain_map_sees_past_the_metabelian_quotient(monkeypatch, capsys)
     key = (1, 3, 1, 2)
     a, b = x(3, 1), x(3, 2)
     # [[a, b], [a^2, b]] lies in F'' and is not trivial
-    extra = commutator(commutator(a, b), commutator(a**2, b))
+    u, v = commutator(a, b), commutator(a**2, b)
+    extra = commutator(u, v)
     assert len(extra) == 16 and extra.exponent_sums() == {}
-    pres = tamper_relation(monkeypatch, key, word=lambda rel: rel.word * extra)
+    tamper_pairs(monkeypatch, key, ((u, v),))
+    pres = build_presentation(pure_braid(4))
     # the Laurent chain map sees words through F/F'' only, so it passes
     assert verify_chain_map(pres).ok
     assert [k for k, rel in pres.relations.items() if not rel.reassembles()] == [key]
@@ -433,15 +449,9 @@ def test_verify_matrix_rank_names_the_row_and_column(monkeypatch, capsys):
     from almostdirect.words import commutator
 
     key = (1, 3, 1, 2)
-    # the extra pair reassembles, but puts an entry in column e(1,1)e(2,1),
-    # outside block 3
-    u, v = x(1, 1), x(2, 1)
-    pres = tamper_relation(
-        monkeypatch,
-        key,
-        word=lambda rel: rel.word * commutator(u, v),
-        pairs=lambda rel: rel.pairs + ((u, v),),
-    )
+    # the extra commutator reassembles, but puts an entry in column
+    # e(1,1)e(2,1), outside block 3
+    pres = tamper_word(monkeypatch, key, commutator(x(1, 1), x(2, 1)))
     assert all(rel.reassembles() for rel in pres)
     assert verify_chain_map(pres).ok
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
@@ -475,6 +485,42 @@ def test_verify_builds_one_presentation_and_one_matrix(count_calls, capsys):
     assert len(built) == 1 and len(matrices) == 1
     # one decomposition per relation, none of them with the last pairing
     assert [args[1:] for args in decomposed] == [("first",)] * 11
+
+
+def test_only_present_and_reassembly_decompose_words(count_calls, capsys):
+    import almostdirect.adp as adp
+
+    decomposed = count_calls(adp, "commutator_decompose")
+    for argv in (
+        ["cohomology"],
+        ["zcl"],
+        ["tc", "--torus", "1"],
+        ["hilbert", "--check"],
+    ):
+        assert main([argv[0], "builtin:purebraid:5", *argv[1:]]) == 0
+    assert decomposed == []
+    # present decomposes each of the 35 relations once, with its pairing
+    assert main(["present", "builtin:purebraid:5", "--pairing", "last"]) == 0
+    assert [args[1:] for args in decomposed] == [("last",)] * 35
+    capsys.readouterr()
+
+
+def test_hilbert_check_fails_without_a_groebner_basis(capsys, tmp_path):
+    # the counts agree with prod (1 + n_j t), but the critical pairs refute
+    # the relations, so no count is certified
+    path = tmp_path / "inconsistent.spec"
+    path.write_text(INCONSISTENT)
+    rc, out, err = run(capsys, ["hilbert", str(path), "--check", "--porcelain"])
+    assert (rc, err) == (2, "")
+    assert out.splitlines()[2:] == [
+        "dim 0 1 1 fail",
+        "dim 1 4 4 fail",
+        "dim 2 5 5 fail",
+        "dim 3 2 2 fail",
+    ]
+    rc, out, err = run(capsys, ["hilbert", str(path), "--check"])
+    assert rc == 2
+    assert "  H^1: basis 4, poincare 4 UNCERTIFIED" in out.splitlines()
 
 
 def test_readme_lists_the_records_verify_prints(capsys):

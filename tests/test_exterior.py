@@ -25,9 +25,9 @@ from almostdirect.exterior import (
     e,
     mono_mul,
 )
-from almostdirect.homology import KernelElement, h2_matrix, kernel_basis
+from almostdirect.homology import KernelElement, kernel_basis
 from almostdirect.linalg import span_rank
-from test_acceptance import ring_of, specs_under_test
+from test_acceptance import pair_matrix, ring_of, specs_under_test
 from test_cli import INCONSISTENT
 
 
@@ -207,8 +207,8 @@ def test_hilbert_check_does_not_list_the_basis(count_calls, capsys, tmp_path):
     basis = count_calls(CohomologyRing, "basis")
     images = tmp_path / "images.spec"
     images.write_text(INCONSISTENT)
-    for ref in ("builtin:purebraid:5", str(images)):
-        assert main(["hilbert", ref, "--check", "--porcelain"]) == 0
+    for ref, code in (("builtin:purebraid:5", 0), (str(images), 2)):
+        assert main(["hilbert", ref, "--check", "--porcelain"]) == code
         assert "dim 1" in capsys.readouterr().out
     assert basis == []
 
@@ -307,13 +307,16 @@ def test_groebner_verify_through_degree():
 
 
 def test_ring_pairing_choice_does_not_change_the_rules():
+    # the ring of the word rows against rings of the pair formula
     for spec in (pure_braid(4), upper_mccool(4)):
-        first = cohomology_ring(spec)
-        pres = build_presentation(spec, "last")
-        last = CohomologyRing(spec.ranks, kernel_basis(h2_matrix(pres)))
-        assert [el.terms for el in first.eta_elements()] == [
-            el.terms for el in last.eta_elements()
-        ]
+        ring = cohomology_ring(spec)
+        pres = build_presentation(spec)
+        for pairing in ("first", "last"):
+            matrix = pair_matrix(pres, pairing)
+            paired = CohomologyRing(spec.ranks, kernel_basis(matrix))
+            assert [el.terms for el in ring.eta_elements()] == [
+                el.terms for el in paired.eta_elements()
+            ]
 
 
 def test_critical_pairs_agree_with_the_rank_oracle():

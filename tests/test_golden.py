@@ -7,7 +7,8 @@ in :data:`CALLS` on one spec (``present`` for both pairings, ``verify``,
 after a ``$`` line naming the call and an ``rc`` line with its exit code.
 The specs are the builtins through five blocks and the spec files in
 ``tests/golden/specs/``: two magnus specs with relators of 80-100 letters
-and an inconsistent images table, on which ``verify`` fails.  A change
+and an inconsistent images table, on which ``verify`` and
+``hilbert --check`` fail.  A change
 that keeps the output keeps these files; regenerate them only for an
 intended change of output, with::
 
