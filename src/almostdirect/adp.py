@@ -22,7 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import IAWord, Word, _reduce, beta, commutator_decompose, theta, x
+from .words import (
+    IAWord,
+    Word,
+    _reduce,
+    _word,
+    beta,
+    commutator_decompose,
+    theta,
+    x,
+)
 
 __all__ = [
     "AdpSpec",
@@ -76,7 +85,10 @@ class AdpSpec:
         for (i, j, p), action in (actions or {}).items():
             self._check_key(i, j, p)
             images = self._check_action(j, action)
-            if any(w != x(j, q) for q, w in enumerate(images, start=1)):
+            if any(
+                w.letters != (((j, q), 1),)
+                for q, w in enumerate(images, start=1)
+            ):
                 if action[0] == IMAGES:
                     action = (IMAGES, images)
                 self.actions[(i, j, p)] = action
@@ -110,6 +122,8 @@ class AdpSpec:
                     "need %d images for block %d, got %d" % (n, j, len(images))
                 )
             for q, w in enumerate(images, start=1):
+                if w.letters == (((j, q), 1),):
+                    continue  # a fixed generator passes both checks
                 for (b, index), _ in w.letters:
                     if b != j or not (1 <= index <= n):
                         raise ValueError(
@@ -254,22 +268,30 @@ def build_presentation(spec):
     ``x(i,p)`` on block ``j``.  Every ``w`` has vanishing exponent sums,
     because :class:`AdpSpec` admits only IA actions, so it lies in the
     commutator subgroup of block ``j``; :meth:`Relation.pairs` writes it as
-    a product of commutators on demand.
+    a product of commutators on demand.  A generator the action fixes gets
+    the identity word without any word arithmetic.
     """
     l = len(spec.ranks)
+    identity = Word()
     relations = {}
     for j in range(2, l + 1):
         for i in range(1, j):
             for p in range(1, spec.ranks[i - 1] + 1):
+                images = spec._images.get((i, j, p))
                 for q in range(1, spec.ranks[j - 1] + 1):
-                    image = spec.action_image(i, j, p, q)
-                    w = ~x(j, q) * image
+                    image = None if images is None else images[q - 1]
+                    if image is None or image.letters == (((j, q), 1),):
+                        w = identity
+                    else:
+                        w = x(j, q, -1) * image
                     relations[(i, j, p, q)] = Relation(i, j, p, q, w)
     return Presentation(spec.ranks, relations)
 
 
-def _conjugate(a, w):
-    return a * w * ~a
+def _conjugate(c, g):
+    # the word c x(g) c^-1 for a letter tuple c that does not end in x(g)^+-1,
+    # so that the letters are already freely reduced
+    return _word(c + ((g, 1),) + tuple((h, -e) for h, e in reversed(c)))
 
 
 def pure_braid(l):
@@ -304,24 +326,22 @@ def partial_pure_braid(l, k):
 def _braid_block_spec(ranks, shift):
     # Internal block a is braid block a + shift; x(a,p) crosses strand p
     # over strand a + shift + 1.  Images follow the band generator tables.
+    # Each moved image is c x(b,q) c^-1 where c ends in x(b,s)^+-1 and
+    # q != s, or c = x(b,p) and q = s > p: no image needs reducing.
     actions = {}
     l = len(ranks)
     for a in range(1, l + 1):
         s = a + shift + 1  # strand pulled over by block a
         for b in range(a + 1, l + 1):
+            fixed = [x(b, q) for q in range(1, ranks[b - 1] + 1)]
             for p in range(1, ranks[a - 1] + 1):
-                images = []
-                for q in range(1, ranks[b - 1] + 1):
-                    if q == p:
-                        conj = x(b, p) * x(b, s)
-                        images.append(_conjugate(conj, x(b, q)))
-                    elif p < q < s:
-                        conj = x(b, p) * x(b, s) * ~x(b, p) * ~x(b, s)
-                        images.append(_conjugate(conj, x(b, q)))
-                    elif q == s:
-                        images.append(_conjugate(x(b, p), x(b, q)))
-                    else:
-                        images.append(x(b, q))
+                xp, xs = ((b, p), 1), ((b, s), 1)
+                images = list(fixed)
+                images[p - 1] = _conjugate((xp, xs), (b, p))
+                band = (xp, xs, ((b, p), -1), ((b, s), -1))
+                for q in range(p + 1, s):
+                    images[q - 1] = _conjugate(band, (b, q))
+                images[s - 1] = _conjugate((xp,), (b, s))
                 actions[(a, b, p)] = (IMAGES, tuple(images))
     return AdpSpec(ranks, actions)
 
@@ -348,11 +368,10 @@ def _mccool_spec(ranks, shift):
     for a in range(1, l + 1):
         s = a + shift + 1
         for b in range(a + 1, l + 1):
+            fixed = tuple(x(b, q) for q in range(1, ranks[b - 1] + 1))
             for p in range(1, ranks[a - 1] + 1):
-                images = tuple(
-                    _conjugate(x(b, p), x(b, q)) if q == s else x(b, q)
-                    for q in range(1, ranks[b - 1] + 1)
-                )
+                moved = _conjugate((((b, p), 1),), (b, s))
+                images = fixed[: s - 1] + (moved,) + fixed[s:]
                 actions[(a, b, p)] = (IMAGES, images)
     return AdpSpec(ranks, actions)
 

@@ -290,7 +290,7 @@ def format_spec(spec):
         for i, j, p in keys:
             for q in range(1, spec.ranks[j - 1] + 1):
                 image = spec.action_image(i, j, p, q)
-                if image != x(j, q):
+                if image.letters != (((j, q), 1),):
                     lines.append(
                         "action %d %d %d : %d -> %s" % (j, i, p, q, image)
                     )

@@ -40,6 +40,28 @@ def _reduce(letters):
     return tuple(out)
 
 
+def _seam(left, right):
+    # the product of two freely reduced letter tuples: only the run where the
+    # tail of ``left`` inverts the head of ``right`` can cancel
+    k = 0
+    n = min(len(left), len(right))
+    while k < n:
+        g, e = left[-1 - k]
+        h, f = right[k]
+        if g != h or e != -f:
+            break
+        k += 1
+    return left[: len(left) - k] + right[k:]
+
+
+def _word(letters):
+    # a Word from a letter tuple that is already freely reduced: no
+    # validation, no reduction
+    w = object.__new__(Word)
+    w.letters = letters
+    return w
+
+
 _LETTER_RE = re.compile(r"x\((\d+),(\d+)\)(?:\^(-?\d+))?")
 
 
@@ -66,12 +88,20 @@ class Word:
         self.letters = _reduce(letters)
 
     def __mul__(self, other):
+        """The product; letters cancel only at the seam of the two words.
+
+        >>> u = Word.parse("x(1,1) x(1,2)")
+        >>> print(u * Word.parse("x(1,2)^-1 x(1,3)"))
+        x(1,1) x(1,3)
+        >>> print(u * Word.parse("x(1,2)^-1 x(1,1)^-1 x(1,3)"))
+        x(1,3)
+        """
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        return _word(_seam(self.letters, other.letters))
 
     def __invert__(self):
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return _word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, n):
         if n < 0:
@@ -156,6 +186,8 @@ class Word:
             if m is None:
                 raise ValueError("bad word syntax at %r" % text[pos:])
             block, index = int(m.group(1)), int(m.group(2))
+            if block < 1 or index < 1:
+                raise ValueError("generator indices start at 1")
             power = int(m.group(3)) if m.group(3) else 1
             letters.extend(x_letters(block, index, power))
             pos = m.end()
@@ -176,7 +208,7 @@ def x(block, index, power=1):
     """
     if block < 1 or index < 1:
         raise ValueError("generator indices start at 1")
-    return Word(x_letters(block, index, power))
+    return _word((((block, index), 1 if power > 0 else -1),) * abs(power))
 
 
 def commutator(u, v):
@@ -198,22 +230,27 @@ def commutator_decompose(w, pairing="first"):
     >>> w = commutator(x(2, 1), x(2, 2))
     >>> commutator_decompose(w)
     [(x(2,1), x(2,2))]
+    >>> w = commutator(x(2, 1), x(2, 2)) * commutator(x(2, 1), x(2, 3))
+    >>> commutator_decompose(w, pairing="last")
+    [(x(2,1), x(2,2) x(2,1)^-1 x(2,2)^-1 x(2,1) x(2,3)), (x(2,2), x(2,1)^-1)]
     """
     if pairing not in ("first", "last"):
         raise ValueError("pairing must be 'first' or 'last'")
     if w.exponent_sums():
         raise ValueError("exponent sums do not vanish: %s" % w)
     pairs = []
-    while w.letters:
-        g, e = w.letters[0]
-        positions = [
-            k for k, let in enumerate(w.letters) if k > 0 and let == (g, -e)
-        ]
-        k = positions[0] if pairing == "first" else positions[-1]
-        a = Word(w.letters[1:k])
-        b = Word(w.letters[k + 1 :])
-        pairs.append((Word(((g, e),)), a))
-        w = a * b
+    letters = w.letters
+    while letters:
+        first = letters[0]
+        inverse = (first[0], -first[1])
+        if pairing == "first":
+            k = letters.index(inverse, 1)
+        else:
+            k = len(letters) - 1 - letters[::-1].index(inverse)
+        # slices of a reduced word are reduced
+        a = letters[1:k]
+        pairs.append((_word((first,)), _word(a)))
+        letters = _seam(a, letters[k + 1 :])
     return pairs
 
 

@@ -305,3 +305,106 @@ def test_magnus_spec_applies_each_action_once_per_generator(count_calls):
         spec.action_image(*key)
     assert spec == twin and hash(spec) == hash(twin)
     assert calls == []
+
+
+def conjugate(a, w):
+    return a * w * ~a
+
+
+def braid_block_oracle(ranks, shift):
+    # the band generator images built by Word conjugation, as the builtins
+    # did before they wrote each image as one reduced letter tuple
+    actions = {}
+    l = len(ranks)
+    for a in range(1, l + 1):
+        s = a + shift + 1
+        for b in range(a + 1, l + 1):
+            for p in range(1, ranks[a - 1] + 1):
+                images = []
+                for q in range(1, ranks[b - 1] + 1):
+                    if q == p:
+                        conj = x(b, p) * x(b, s)
+                        images.append(conjugate(conj, x(b, q)))
+                    elif p < q < s:
+                        conj = x(b, p) * x(b, s) * ~x(b, p) * ~x(b, s)
+                        images.append(conjugate(conj, x(b, q)))
+                    elif q == s:
+                        images.append(conjugate(x(b, p), x(b, q)))
+                    else:
+                        images.append(x(b, q))
+                actions[(a, b, p)] = (IMAGES, tuple(images))
+    return AdpSpec(ranks, actions)
+
+
+def mccool_oracle(ranks, shift):
+    actions = {}
+    l = len(ranks)
+    for a in range(1, l + 1):
+        s = a + shift + 1
+        for b in range(a + 1, l + 1):
+            for p in range(1, ranks[a - 1] + 1):
+                images = tuple(
+                    conjugate(x(b, p), x(b, q)) if q == s else x(b, q)
+                    for q in range(1, ranks[b - 1] + 1)
+                )
+                actions[(a, b, p)] = (IMAGES, images)
+    return AdpSpec(ranks, actions)
+
+
+def test_builtin_images_equal_word_conjugation():
+    pairs = [
+        (pure_braid(l), braid_block_oracle(tuple(range(1, l)), 0))
+        for l in range(2, 13)
+    ]
+    pairs += [
+        (partial_pure_braid(l, k), braid_block_oracle(tuple(range(k, k + l)), k - 1))
+        for l in range(1, 5)
+        for k in range(1, 5)
+    ]
+    pairs += [
+        (pure_braid_mod_center(l), braid_block_oracle(tuple(range(2, l)), 1))
+        for l in range(3, 13)
+    ]
+    pairs += [
+        (upper_mccool(n), mccool_oracle(tuple(range(1, n)), 0))
+        for n in range(2, 11)
+    ]
+    pairs += [
+        (upper_mccool_mod_center(n), mccool_oracle(tuple(range(2, n)), 1))
+        for n in range(3, 11)
+    ]
+    for spec, oracle in pairs:
+        assert spec == oracle, spec.name
+        for key in all_keys(spec):
+            letters = spec.action_image(*key).letters
+            assert letters == oracle.action_image(*key).letters
+            assert Word(letters).letters == letters  # freely reduced
+
+
+def test_presentation_words_equal_full_reduction():
+    from test_acceptance import specs_under_test
+    from test_cli import INCONSISTENT
+
+    from almostdirect.cli import parse_spec
+
+    rng = random.Random(3)
+    specs = specs_under_test() + [parse_spec(INCONSISTENT)]
+    specs += [random_spec(rng, max_factors=8) for _ in range(200)]
+    for spec in specs:
+        pres = build_presentation(spec)
+        assert pres.keys() == list(all_keys(spec))
+        for i, j, p, q in all_keys(spec):
+            image = spec.action_image(i, j, p, q)
+            # one full free reduction of x(j,q)^-1 followed by the image
+            expect = Word((((j, q), -1),) + image.letters)
+            assert pres[(i, j, p, q)].word.letters == expect.letters
+
+
+def test_fixed_generators_take_no_word_product(count_calls):
+    spec = upper_mccool(10)
+    calls = count_calls(Word, "__mul__")
+    pres = build_presentation(spec)
+    moved = sum(1 for rel in pres if rel.word)
+    # 870 relations, of which 120 have a moved image: one product each
+    assert (len(pres), moved) == (870, 120)
+    assert len(calls) <= 120

@@ -282,6 +282,20 @@ def test_parse_errors_carry_positions():
         parse_spec("builtin wat 3\n")
 
 
+def test_images_payload_with_index_zero_points_at_the_payload():
+    head = "ranks = 1 2\nmode = images\n"
+    with pytest.raises(SpecFileError) as syntax:
+        parse_spec(head + "action 2 1 1 : 2 -> y(2,1)\n")
+    for word in ("x(2,0)", "x(2,2) x(0,1)^2 x(2,1)"):
+        with pytest.raises(SpecFileError) as info:
+            parse_spec(head + "action 2 1 1 : 2 -> %s\n" % word)
+        # the column of the payload, as for a syntax error in it, and not
+        # the action line's first column
+        assert (info.value.line, info.value.col) == (3, syntax.value.col)
+        assert info.value.col == 20
+        assert info.value.message == "generator indices start at 1"
+
+
 def test_action_validation_points_at_the_action_line():
     with pytest.raises(SpecFileError) as info:
         parse_spec("ranks = 1 2\naction 2 1 1 = B(9,1)\n")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from almostdirect.words import (
@@ -165,3 +167,93 @@ def test_apply_builds_one_word(count_calls):
     assert ia.apply(w) == expected
     # the letters are reduced after each factor, the Word built once
     assert len(calls) == 1
+
+
+def test_parse_rejects_generator_index_zero():
+    # the same guard as x(): no generator has index 0
+    for text in ("x(0,1)", "x(1,0)^2", "x(2,1) x(0,3)^-1"):
+        with pytest.raises(ValueError, match="generator indices start at 1"):
+            Word.parse(text)
+    with pytest.raises(ValueError, match="generator indices start at 1"):
+        x(0, 1)
+
+
+def is_freely_reduced(letters):
+    return all(
+        a[0] != b[0] or a[1] != -b[1] for a, b in zip(letters, letters[1:])
+    )
+
+
+def random_reduced_word(rng, gens):
+    letters = []
+    for _ in range(rng.randint(0, 12)):
+        letter = (rng.choice(gens), rng.choice((1, -1)))
+        if letters and letters[-1] == (letter[0], -letter[1]):
+            continue
+        letters.append(letter)
+    assert is_freely_reduced(letters)
+    return Word(letters)
+
+
+def test_seam_products_equal_full_reduction():
+    rng = random.Random(14)
+    for rank in (2, 3):
+        gens = [(1, k) for k in range(1, rank + 1)]
+        for _ in range(400):
+            u = random_reduced_word(rng, gens)
+            v = random_reduced_word(rng, gens)
+            for left, right in ((u, v), (u, ~u), (u, ~(v * u)), (v * u, ~u)):
+                product = (left * right).letters
+                assert product == Word(left.letters + right.letters).letters
+            assert (u * ~u).letters == ()
+            assert u * ~(v * u) == ~v
+            inverse = (~u).letters
+            assert is_freely_reduced(inverse)
+            assert Word(inverse).letters == inverse
+    for block, index in ((1, 1), (3, 2)):
+        for k in range(-3, 4):
+            letters = x(block, index, k).letters
+            e = 1 if k > 0 else -1
+            assert letters == Word([((block, index), e)] * abs(k)).letters
+            assert is_freely_reduced(letters) and len(letters) == abs(k)
+
+
+def listed_positions_decompose(w, pairing):
+    # the decomposition by a list of every matching position, each subword
+    # rebuilt and fully reduced: the oracle for commutator_decompose
+    pairs = []
+    while w.letters:
+        g, e = w.letters[0]
+        positions = [
+            k for k, let in enumerate(w.letters) if k > 0 and let == (g, -e)
+        ]
+        k = positions[0] if pairing == "first" else positions[-1]
+        a = Word(w.letters[1:k])
+        b = Word(w.letters[k + 1 :])
+        pairs.append((Word(((g, e),)), a))
+        w = Word(a.letters + b.letters)
+    return pairs
+
+
+def test_commutator_decompose_matches_listed_positions():
+    from test_acceptance import specs_under_test
+    from test_homology import GOLDEN_SPECS
+
+    from almostdirect.adp import build_presentation
+    from almostdirect.cli import parse_spec
+
+    specs = specs_under_test() + [
+        parse_spec((GOLDEN_SPECS / name).read_text())
+        for name in ("longword-1-3.spec", "longword-2-2.spec")
+    ]
+    words = 0
+    for spec in specs:
+        for rel in build_presentation(spec):
+            for pairing in ("first", "last"):
+                pairs = commutator_decompose(rel.word, pairing)
+                expected = listed_positions_decompose(rel.word, pairing)
+                assert [(u.letters, v.letters) for u, v in pairs] == [
+                    (u.letters, v.letters) for u, v in expected
+                ]
+            words += bool(rel.word)
+    assert words > 400
