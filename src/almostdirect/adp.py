@@ -34,6 +34,7 @@ from .words import (
 )
 
 __all__ = [
+    "ActionError",
     "AdpSpec",
     "generators",
     "Relation",
@@ -58,6 +59,14 @@ def generators(ranks):
     return [(i, p) for i, n in enumerate(ranks, start=1) for p in range(1, n + 1)]
 
 
+class ActionError(ValueError):
+    """An invalid action of an :class:`AdpSpec`, at action key ``key``."""
+
+    def __init__(self, key, message):
+        super().__init__(message)
+        self.key = key
+
+
 class AdpSpec:
     """Ranks plus the IA actions of earlier blocks on later blocks.
 
@@ -65,11 +74,14 @@ class AdpSpec:
     ``("magnus", IAWord)`` or ``("images", (w_1, ..., w_{n_j}))`` where
     ``w_q`` is the image of ``x(j,q)``.  Actions that turn out to be trivial
     are dropped, so specs compare equal iff they define the same product.
+    An invalid action raises :class:`ActionError`, naming its key.
 
-    A spec holds its image table: the tuple of image words of every action,
-    computed once here.  A magnus action applies its ``IAWord`` to each
-    generator of the target block; an images action is its own table.
-    :meth:`action_image`, ``==`` and ``hash`` read the table.
+    A spec holds its image table, computed once here: the image of
+    ``x(j,q)`` under ``x(i,p)``, keyed ``(i, j, p, q)``, for every generator
+    the action moves.  A magnus action applies its ``IAWord`` to each
+    generator of the target block; an images action lists its images.
+    :meth:`action_image`, :func:`build_presentation`, ``==`` and ``hash``
+    read the table.
     """
 
     __slots__ = ("ranks", "actions", "name", "_images")
@@ -83,16 +95,21 @@ class AdpSpec:
         self.actions = {}
         self._images = {}
         for (i, j, p), action in (actions or {}).items():
-            self._check_key(i, j, p)
-            images = self._check_action(j, action)
-            if any(
-                w.letters != (((j, q), 1),)
+            try:
+                self._check_key(i, j, p)
+                images = self._check_action(j, action)
+            except ValueError as err:
+                raise ActionError((i, j, p), str(err)) from None
+            moved = {
+                (i, j, p, q): w
                 for q, w in enumerate(images, start=1)
-            ):
+                if w.letters != (((j, q), 1),)
+            }
+            if moved:
                 if action[0] == IMAGES:
                     action = (IMAGES, images)
                 self.actions[(i, j, p)] = action
-                self._images[(i, j, p)] = images
+                self._images.update(moved)
 
     def _check_key(self, i, j, p):
         l = len(self.ranks)
@@ -138,10 +155,6 @@ class AdpSpec:
         raise ValueError("unknown action kind %r" % (kind,))
 
     @property
-    def num_blocks(self):
-        return len(self.ranks)
-
-    @property
     def has_uncertified_images(self):
         """True when some action is given by raw images.
 
@@ -155,27 +168,24 @@ class AdpSpec:
         self._check_key(i, j, p)
         if not (1 <= q <= self.ranks[j - 1]):
             raise ValueError("index %d exceeds rank of block %d" % (q, j))
-        images = self._images.get((i, j, p))
-        return x(j, q) if images is None else images[q - 1]
+        image = self._images.get((i, j, p, q))
+        return x(j, q) if image is None else image
 
     def acts_trivially_beyond(self, i):
         """True when block ``i`` acts trivially on every later block."""
         return not any(key[0] == i for key in self.actions)
 
-    def _image_table(self):
-        # canonical form: every action as its tuple of image words, so the
-        # magnus and images encodings of the same product compare equal
-        return tuple(sorted(self._images.items()))
-
     def __eq__(self, other):
+        # the image table is the canonical form: the magnus and images
+        # encodings of the same product compare equal
         return (
             isinstance(other, AdpSpec)
             and self.ranks == other.ranks
-            and self._image_table() == other._image_table()
+            and self._images == other._images
         )
 
     def __hash__(self):
-        return hash((self.ranks, self._image_table()))
+        return hash((self.ranks, frozenset(self._images.items())))
 
     def __repr__(self):
         label = self.name or "adp"
@@ -227,20 +237,18 @@ class Relation:
 
 
 class Presentation:
-    """All commutation relations of a spec, in a fixed order.
+    """All commutation relations of a spec, keyed ``(i, j, p, q)``.
 
-    Relation keys ``(i, j, p, q)`` are ordered by block pair first, the
-    pairs ``(i, j)`` sorted by ``(j, i)``, then lexicographically by
-    ``(p, q)``.
+    Relations keep the order they are given in.  :func:`build_presentation`
+    makes them in relation order: block pair first, the pairs ``(i, j)``
+    sorted by ``(j, i)``, then lexicographically by ``(p, q)``.
     """
 
     __slots__ = ("ranks", "relations")
 
     def __init__(self, ranks, relations):
         self.ranks = ranks
-        self.relations = dict(
-            sorted(relations.items(), key=lambda kv: relation_sort_key(kv[0]))
-        )
+        self.relations = relations
 
     def keys(self):
         return list(self.relations)
@@ -255,11 +263,6 @@ class Presentation:
         return iter(self.relations.values())
 
 
-def relation_sort_key(key):
-    i, j, p, q = key
-    return (j, i, p, q)
-
-
 def build_presentation(spec):
     """Compute the commutator presentation of an almost-direct product.
 
@@ -268,22 +271,21 @@ def build_presentation(spec):
     ``x(i,p)`` on block ``j``.  Every ``w`` has vanishing exponent sums,
     because :class:`AdpSpec` admits only IA actions, so it lies in the
     commutator subgroup of block ``j``; :meth:`Relation.pairs` writes it as
-    a product of commutators on demand.  A generator the action fixes gets
-    the identity word without any word arithmetic.
+    a product of commutators on demand.  A generator the action fixes has no
+    entry in the spec's image table and gets the identity word without any
+    word arithmetic.  Relations are made in relation order (see
+    :class:`Presentation`).
     """
     l = len(spec.ranks)
     identity = Word()
+    moved = spec._images
     relations = {}
     for j in range(2, l + 1):
         for i in range(1, j):
             for p in range(1, spec.ranks[i - 1] + 1):
-                images = spec._images.get((i, j, p))
                 for q in range(1, spec.ranks[j - 1] + 1):
-                    image = None if images is None else images[q - 1]
-                    if image is None or image.letters == (((j, q), 1),):
-                        w = identity
-                    else:
-                        w = x(j, q, -1) * image
+                    image = moved.get((i, j, p, q))
+                    w = identity if image is None else x(j, q, -1) * image
                     relations[(i, j, p, q)] = Relation(i, j, p, q, w)
     return Presentation(spec.ranks, relations)
 

@@ -43,6 +43,7 @@ from .adp import (
     BUILTINS,
     IMAGES,
     MAGNUS,
+    ActionError,
     AdpSpec,
     build_presentation,
     extend_with_torus,
@@ -142,9 +143,8 @@ def parse_spec(text):
         actions[(i, j, p)] = (IMAGES, images)
     try:
         return AdpSpec(ranks, actions)
-    except ValueError as err:
-        line, col = min(first_line.values(), default=(1, 1))
-        _fail(line, col, str(err))
+    except ActionError as err:
+        _fail(*first_line[err.key], str(err))
 
 
 def _expect_int(lineno, token, col, minimum=None, what="integer"):
@@ -540,9 +540,7 @@ def cmd_verify(spec, args, out):
 
     text = format_spec(spec)
     normalized = parse_spec(text)
-    round_trip = format_spec(normalized) == text
-    if {kind for kind, _ in spec.actions.values()} <= {MAGNUS}:
-        round_trip = round_trip and normalized == spec
+    round_trip = normalized == spec and format_spec(normalized) == text
     results.append(("round-trip", round_trip, ""))
 
     if spec.has_uncertified_images and not args.porcelain:

@@ -239,7 +239,9 @@ class CohomologyRing:
     Elements are kept in normal form: no monomial carries two generators of
     the same block.  ``relations`` is the list of
     :class:`~almostdirect.homology.KernelElement` produced by
-    :func:`~almostdirect.homology.kernel_basis`.
+    :func:`~almostdirect.homology.kernel_basis`.  The ring stores the terms
+    of each eta once, as a dict from monomials to nonzero integers keyed by
+    its leading pair, and every method that reads an eta reads that table.
     """
 
     def __init__(self, ranks, relations):
@@ -251,7 +253,9 @@ class CohomologyRing:
         for k in self.relations:
             if not (1 <= k.j <= len(self.ranks) and k.p < k.q):
                 raise ValueError("bad kernel element label %r" % ((k.j, k.p, k.q),))
-            for (i, r, s), _ in k.kappa:
+            lead = k.leading_pair()
+            terms = {lead: 1}
+            for (i, r, s), c in k.kappa:
                 # the leading pair is e(j,p)e(j,q) only for tails e(i,r)e(j,s)
                 # with i < j
                 if not (
@@ -263,13 +267,10 @@ class CohomologyRing:
                         "kappa %r of eta(%d;%d,%d) is outside the earlier blocks"
                         % ((i, r, s), k.j, k.p, k.q)
                     )
-            self._eta[(k.j, k.p, k.q)] = k
-            terms = k.terms()
-            lead = k.leading_pair()
-            # the merge in reduce_mono expects nonzero coefficients
-            self._rules[lead] = {
-                m: -c for m, c in terms.items() if m != lead and c
-            }
+                if c:  # the merge in reduce_mono expects nonzero coefficients
+                    terms[((i, r), (k.j, s))] = c
+            self._eta[lead] = terms
+            self._rules[lead] = {m: -c for m, c in terms.items() if m != lead}
         for j, n in enumerate(self.ranks, start=1):
             for p in range(1, n + 1):
                 for q in range(p + 1, n + 1):
@@ -307,10 +308,10 @@ class CohomologyRing:
 
     def eta(self, j, p, q):
         """The kernel element for pair ``(p, q)`` of block ``j``, as an element."""
-        return ExtElem(self._eta[(j, p, q)].terms())
+        return ExtElem(self._eta[((j, p), (j, q))])
 
     def eta_elements(self):
-        return [ExtElem(k.terms()) for k in self.relations]
+        return [ExtElem(terms) for terms in self._eta.values()]
 
     def is_normal(self, mono):
         blocks = [g[0] for g in mono]
@@ -467,12 +468,11 @@ class CohomologyRing:
         first, then the pairs in relation order: ``2 #eta + 3 sum C(n_j, 3)``
         checks, all of degree three (see the module docstring).
         """
-        leads = [k.leading_pair() for k in self.relations]
-        for lead in leads:
+        for lead in self._eta:
             for g in lead:
                 yield lead, (g,)
         by_block = {}
-        for lead in leads:
+        for lead in self._eta:
             by_block.setdefault(lead[0][0], []).append(lead)
         for block in by_block.values():
             for a, b in combinations(block, 2):
@@ -485,9 +485,8 @@ class CohomologyRing:
         A term dict with one merge of ``cofactor`` into each monomial of
         ``eta``; distinct monomials merge into distinct products.
         """
-        (j, p), (_, q) = lead
         out = {}
-        for mono, c in self._eta[(j, p, q)].terms().items():
+        for mono, c in self._eta[lead].items():
             prod = mono_mul(cofactor, mono)
             if prod is not None:
                 out[prod[1]] = prod[0] * c
@@ -537,7 +536,7 @@ class CohomologyRing:
         """
         n_total = len(self.gens)
         top = through_degree or len(self.ranks) + 1
-        etas = [k.terms() for k in self.relations]
+        etas = list(self._eta.values())
         report = GroebnerReport()
         for k in range(2, top + 1):
             rows = []

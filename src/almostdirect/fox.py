@@ -13,10 +13,9 @@ letters and is built once, as the word it already is.
 
 Abelianizing coefficients (each generator ``x(i,p)`` becomes the Laurent
 variable ``t(i,p)``) gives the gradients used by the degree-two chain map.
-:func:`abel_gradient` computes them in one scan without building any word
-or group ring element: it keeps the exponent sums of the prefix read so far,
-and a letter ``g`` adds ``+t^(prefix)`` to the gradient of ``g`` while
-``g^-1`` adds ``-t^(prefix - e_g)``.
+:func:`abel_gradient` is that composition, :func:`abelianize` applied to
+:func:`fox_gradient`: the reference algorithm, used only by the Laurent
+oracle of :mod:`~almostdirect.homology`.
 
 :class:`GroupRingElem` builds on :class:`~almostdirect.sparse.Sparse`.
 """
@@ -106,21 +105,8 @@ def abel_gradient(w):
     >>> print(grad[(2, 1)], "|", grad[(2, 2)])
     1 - t(2,2) | -1 + t(2,1)
     """
-    exps = {}
-    grad = {}
-    for g, e in w.letters:
-        if e == -1:
-            exps[g] = exps.get(g, 0) - 1
-        mono = monomial(exps)
-        terms = grad.setdefault(g, {})
-        s = terms.get(mono, 0) + e
-        if s:
-            terms[mono] = s
-        else:
-            del terms[mono]
-        if e == 1:
-            exps[g] = exps.get(g, 0) + 1
-    return {g: LaurentPoly(terms) for g, terms in grad.items() if terms}
+    grad = {g: abelianize(d) for g, d in fox_gradient(w).items()}
+    return {g: poly for g, poly in grad.items() if poly}
 
 
 if __name__ == "__main__":

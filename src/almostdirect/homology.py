@@ -62,7 +62,6 @@ from dataclasses import dataclass, field
 from .fox import abel_gradient
 from .laurent import LaurentPoly, t
 from .linalg import span_rank
-from .adp import generators
 from .sparse import add_scaled
 
 __all__ = [
@@ -78,25 +77,23 @@ __all__ = [
     "h2_matrix",
     "KernelElement",
     "kernel_basis",
-    "pair_sort_key",
     "generator_pairs",
 ]
 
 
-def pair_sort_key(pair):
-    # Columns are grouped by block pair, ordered by (second block, first
-    # block), then lexicographically by the index pair.
-    (b1, p), (b2, q) = pair
-    return (b2, b1, p, q)
-
-
 def generator_pairs(ranks):
-    """All products of two distinct generators, in column order."""
-    gens = generators(ranks)
-    pairs = [
-        (g1, g2) for k, g1 in enumerate(gens) for g2 in gens[k + 1 :]
+    """All products of two distinct generators, in column order.
+
+    Columns are grouped by block pair, ordered by (second block, first
+    block), then lexicographically by the index pair.
+    """
+    return [
+        ((b1, p), (b2, q))
+        for b2, n2 in enumerate(ranks, start=1)
+        for b1 in range(1, b2 + 1)
+        for p in range(1, ranks[b1 - 1] + 1)
+        for q in range(p + 1 if b1 == b2 else 1, n2 + 1)
     ]
-    return sorted(pairs, key=pair_sort_key)
 
 
 def wedge(f, g):
@@ -161,33 +158,39 @@ def verify_chain_map(pres):
 
 
 class H2Matrix:
-    """The augmented chain map matrix, rows by relations, columns by pairs."""
+    """The augmented chain map matrix, rows by relations, columns by pairs.
 
-    __slots__ = ("ranks", "row_labels", "col_labels", "entries")
+    ``rows`` maps each relation key ``(i, j, p, q)`` to its row: a dict from
+    column pairs to nonzero integers.  The labels are read off when asked
+    for, the columns in the order of :func:`generator_pairs`.
+    """
 
-    def __init__(self, ranks, row_labels, col_labels, entries):
+    __slots__ = ("ranks", "rows")
+
+    def __init__(self, ranks, rows):
         self.ranks = ranks
-        self.row_labels = row_labels
-        self.col_labels = col_labels
-        self.entries = entries
+        self.rows = rows
+
+    @property
+    def row_labels(self):
+        return list(self.rows)
+
+    @property
+    def col_labels(self):
+        return generator_pairs(self.ranks)
 
     def entry(self, row, col):
-        return self.entries.get((row, col), 0)
+        return self.rows[row].get(col, 0)
 
     def row(self, row):
-        return {col: v for (r, col), v in self.entries.items() if r == row}
+        return dict(self.rows[row])
 
     def to_dense(self):
-        return [
-            [self.entry(r, c) for c in self.col_labels]
-            for r in self.row_labels
-        ]
+        cols = self.col_labels
+        return [[row.get(c, 0) for c in cols] for row in self.rows.values()]
 
     def has_full_row_rank(self):
-        rows = {r: {} for r in self.row_labels}
-        for (r, col), v in self.entries.items():
-            rows[r][col] = v
-        return span_rank(list(rows.values())) == len(self.row_labels)
+        return span_rank(list(self.rows.values())) == len(self.rows)
 
 
 class RowStructureError(ValueError):
@@ -213,11 +216,8 @@ def h2_matrix(pres):
     rank) and makes each element of :func:`kernel_basis` annihilate every
     row.
     """
-    row_labels = pres.keys()
-    col_labels = generator_pairs(pres.ranks)
-    entries = {}
-    for key in row_labels:
-        rel = pres[key]
+    rows = {}
+    for key, rel in pres.relations.items():
         mixed = ((rel.i, rel.p), (rel.j, rel.q))
         row = {mixed: 1}
         sums = {}  # exponent sums of the letters read so far
@@ -226,21 +226,20 @@ def h2_matrix(pres):
                 if a < b and s:
                     row[(a, b)] = row.get((a, b), 0) + s * eps
             sums[b] = sums.get(b, 0) + eps
-        for pair, c in row.items():
-            if not c:
-                continue
+        row = {pair: c for pair, c in row.items() if c}
+        for pair in row:
             if pair != mixed and not (pair[0][0] == pair[1][0] == rel.j):
                 raise RowStructureError(
                     key,
                     pair,
                     "row %s has an entry outside its blocks at %s" % (key, pair),
                 )
-            entries[(key, pair)] = c
         if row.get(mixed) != 1:
             raise RowStructureError(
                 key, mixed, "row %s lacks its unit mixed entry" % (key,)
             )
-    return H2Matrix(pres.ranks, row_labels, col_labels, entries)
+        rows[key] = row
+    return H2Matrix(pres.ranks, rows)
 
 
 @dataclass(frozen=True)
@@ -275,9 +274,10 @@ def kernel_basis(matrix):
     ``(i, j, r, s)`` in column ``(e(j,p), e(j,q))``.
     """
     kappa = {}
-    for ((i, j, r, s), ((a, p), (b, q))), c in matrix.entries.items():
-        if a == b == j and c:
-            kappa.setdefault((j, p, q), []).append(((i, r, s), -c))
+    for (i, j, r, s), row in matrix.rows.items():
+        for ((a, p), (b, q)), c in row.items():
+            if a == b == j:
+                kappa.setdefault((j, p, q), []).append(((i, r, s), -c))
     return [
         KernelElement(j, p, q, tuple(sorted(kappa.get((j, p, q), ()))))
         for j, n in enumerate(matrix.ranks, start=1)

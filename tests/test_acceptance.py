@@ -23,7 +23,6 @@ from almostdirect.exterior import cohomology_ring, e
 from almostdirect.fox import GroupRingElem, fox_gradient
 from almostdirect.homology import (
     H2Matrix,
-    generator_pairs,
     h2_matrix,
     verify_chain_map,
     wedge,
@@ -85,14 +84,13 @@ def pair_matrix(pres, pairing):
     Row ``(i, j, p, q)`` is the mixed unit plus ``sum ab(u) ^ ab(v)`` over
     the commutator pairs ``(u, v)`` of the relation under ``pairing``.
     """
-    entries = {}
+    rows = {}
     for key, rel in pres.relations.items():
         row = {((rel.i, rel.p), (rel.j, rel.q)): 1}
         for u, v in rel.pairs(pairing):
             add_scaled(row, wedge(u.exponent_sums(), v.exponent_sums()))
-        entries.update(((key, pair), c) for pair, c in row.items())
-    cols = generator_pairs(pres.ranks)
-    return H2Matrix(pres.ranks, pres.keys(), cols, entries)
+        rows[key] = row
+    return H2Matrix(pres.ranks, rows)
 
 
 def rows_of(elems):

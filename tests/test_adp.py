@@ -408,3 +408,20 @@ def test_fixed_generators_take_no_word_product(count_calls):
     # 870 relations, of which 120 have a moved image: one product each
     assert (len(pres), moved) == (870, 120)
     assert len(calls) <= 120
+
+
+def test_presentation_keys_come_in_relation_order():
+    # build_presentation makes the relations in (j, i, p, q) order, and the
+    # presentation keeps them so; every builtin through eight strands
+    from test_acceptance import specs_under_test
+
+    specs = specs_under_test()
+    for n in range(2, 9):
+        specs += [pure_braid(n), upper_mccool(n)]
+        specs += [partial_pure_braid(l, n - l) for l in range(1, n)]
+        if n >= 3:
+            specs += [pure_braid_mod_center(n), upper_mccool_mod_center(n)]
+    for spec in specs:
+        keys = build_presentation(spec).keys()
+        assert keys == sorted(keys, key=lambda k: (k[1], k[0], k[2], k[3]))
+        assert len(keys) == len(set(all_keys(spec)))

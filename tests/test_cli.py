@@ -13,6 +13,8 @@ import almostdirect
 
 from almostdirect import homology
 from almostdirect.adp import (
+    IMAGES,
+    ActionError,
     AdpSpec,
     Relation,
     build_presentation,
@@ -302,6 +304,49 @@ def test_action_validation_points_at_the_action_line():
     assert info.value.line == 2
 
 
+# a valid action on line 3, then an image on line 4 that is not IA
+NOT_IA_ON_LINE_4 = """\
+ranks = 1 1 2
+mode = images
+action 3 1 1 : 1 -> x(3,2)^-1 x(3,1) x(3,2)
+action 3 2 1 : 2 -> x(3,1) x(3,2) x(3,1)
+"""
+
+
+def test_action_errors_name_the_line_of_the_failing_action(capsys, tmp_path):
+    # the spec names the key of the action it refuses
+    with pytest.raises(ActionError) as info:
+        AdpSpec(
+            (1, 1, 2),
+            {(2, 3, 1): (IMAGES, (x(3, 1), x(3, 1) * x(3, 2) * x(3, 1)))},
+        )
+    assert info.value.key == (2, 3, 1)
+    path = tmp_path / "bad.spec"
+    path.write_text(NOT_IA_ON_LINE_4)
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: line 4, column 1: image of x(3,2) is not IA:"
+        " x(3,1) x(3,2) x(3,1)\n"
+    )
+
+
+def test_an_image_leaving_its_block_names_the_first_line_of_its_action():
+    text = (
+        "ranks = 1 1 2\n"
+        "mode = images\n"
+        "action 3 1 1 : 1 -> x(3,2)^-1 x(3,1) x(3,2)\n"
+        "action 3 2 1 : 1 -> x(3,1)\n"
+        "action 3 2 1 : 2 -> x(1,1) x(3,2) x(1,1)^-1\n"
+    )
+    with pytest.raises(SpecFileError) as info:
+        parse_spec(text)
+    assert (info.value.line, info.value.col) == (4, 1)
+    assert info.value.message == (
+        "image of x(3,2) leaves block 3: x(1,1) x(3,2) x(1,1)^-1"
+    )
+
+
 def test_load_spec_builtin_reference():
     assert load_spec("builtin:purebraid:4") == pure_braid(4)
     assert load_spec("builtin:partialpurebraid:2:3") == partial_pure_braid(2, 3)
@@ -388,6 +433,40 @@ def test_verify_round_trip_parses_the_spec_text_once(count_calls, capsys, tmp_pa
         assert "verify round-trip ok" in out.splitlines()
         # one parse to load the file, one of the text format_spec writes
         assert len(calls) == 2
+
+
+def test_verify_round_trip_compares_the_reread_images_spec(
+    monkeypatch, capsys
+):
+    import almostdirect.cli as cli
+
+    real = cli.format_spec
+
+    def without_images(spec):
+        # the text loses its mode line and every images action line, so it
+        # parses back to a trivial spec that writes the same text
+        lines = real(spec).splitlines(keepends=True)
+        return "".join(
+            line
+            for line in lines
+            if not line.startswith("mode") and " -> " not in line
+        )
+
+    monkeypatch.setattr(cli, "format_spec", without_images)
+    rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
+    assert rc == 2
+    assert "verify round-trip fail" in out.splitlines()
+
+
+def test_the_pipeline_lists_no_matrix_columns(count_calls, capsys):
+    # the rows of h2_matrix are keyed by relation and the kernel reads them
+    # by block; only H2Matrix.col_labels lists the columns
+    calls = count_calls(homology, "generator_pairs")
+    ref = "builtin:purebraid:6"
+    for argv in (["cohomology", ref], ["verify", ref], ["hilbert", ref, "--check"]):
+        rc, out, err = run(capsys, argv + ["--porcelain"])
+        assert rc == 0, argv
+    assert calls == []
 
 
 def tamper_word(monkeypatch, key, extra):

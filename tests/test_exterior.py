@@ -477,3 +477,11 @@ def test_critical_pairs_certify_nine_strands():
     assert ring.critical_pair_verify() is None
     pairs = list(ring.critical_pairs())
     assert len(pairs) == 2 * 84 + 3 * sum(math.comb(j, 3) for j in range(1, 9))
+
+
+def test_critical_pairs_read_the_stored_etas(count_calls):
+    # the ring keeps each eta's terms once, keyed by its leading pair
+    ring = cohomology_ring(pure_braid(7))
+    calls = count_calls(KernelElement, "terms")
+    assert ring.critical_pair_verify() is None
+    assert calls == []

@@ -105,44 +105,6 @@ def test_group_ring_arithmetic():
     assert a * ring_word(x(1, 1, -1)) == GroupRingElem.one()
 
 
-def reduced_words(gens, max_len):
-    """Every reduced word of length at most ``max_len`` on ``gens``."""
-    letters = [(g, s) for g in gens for s in (1, -1)]
-    out = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        frontier = [
-            w + (let,)
-            for w in frontier
-            for let in letters
-            if not (w and w[-1] == (let[0], -let[1]))
-        ]
-        out.extend(frontier)
-    return [Word(w) for w in out]
-
-
-def abel_gradient_oracle(w):
-    # abelianize each group ring derivative
-    grad = {g: abelianize(d) for g, d in fox_gradient(w).items()}
-    return {g: p for g, p in grad.items() if not p.is_zero()}
-
-
-def test_abel_gradient_matches_abelianized_fox_gradient_exhaustively():
-    # two blocks of rank 2: 22,409 reduced words of length <= 5
-    words = reduced_words([(1, 1), (1, 2), (2, 1), (2, 2)], 5)
-    assert len(words) == 22409
-    for w in words:
-        assert abel_gradient(w) == abel_gradient_oracle(w), w
-
-
-def test_abel_gradient_matches_abelianized_fox_gradient_on_long_words():
-    rng = random.Random(4)
-    pool = [((b, p), s) for b in (1, 2) for p in (1, 2) for s in (1, -1)]
-    for _ in range(2000):
-        w = Word(tuple(rng.choice(pool) for _ in range(rng.randint(0, 120))))
-        assert abel_gradient(w) == abel_gradient_oracle(w), w
-
-
 def test_fox_derivative_reads_the_gradient():
     w = Word.parse("x(1,1) x(1,2)^-1 x(1,1)^-2 x(1,3) x(1,2)")
     grad = fox_gradient(w)

@@ -7,6 +7,7 @@ from almostdirect.adp import (
     Presentation,
     Relation,
     build_presentation,
+    generators,
     partial_pure_braid,
     pure_braid,
     pure_braid_mod_center,
@@ -45,6 +46,19 @@ def test_generator_pairs_order():
         ((2, 1), (2, 2)),
     ]
     assert generator_pairs((2,)) == [((1, 1), (1, 2))]
+
+
+def sorted_generator_pairs(ranks):
+    # the oracle: every pair of distinct generators, sorted by the column
+    # key (second block, first block, first index, second index)
+    gens = generators(ranks)
+    pairs = [(g1, g2) for k, g1 in enumerate(gens) for g2 in gens[k + 1 :]]
+    return sorted(pairs, key=lambda pair: (pair[1][0], pair[0][0], pair[0][1], pair[1][1]))
+
+
+def test_generator_pairs_come_in_column_order():
+    for ranks in ((1, 2, 3, 4, 5, 6), (2, 3, 1), (3,), (1, 1, 1, 1)):
+        assert generator_pairs(ranks) == sorted_generator_pairs(ranks), ranks
 
 
 def test_wedge_is_alternating():
@@ -110,16 +124,25 @@ def test_h2_matrix_full_row_rank_on_builtins():
 
 
 def test_full_row_rank_fails_on_dependent_or_empty_rows():
-    rows = [(1, 2, 1, 1), (1, 2, 1, 2)]
-    cols = generator_pairs((1, 2))
-    a, b = cols[0], cols[2]
+    # hand-built rows: relation keys to column pairs to nonzero integers
+    keys = [(1, 2, 1, 1), (1, 2, 1, 2)]
+    a, b = ((1, 1), (2, 1)), ((2, 1), (2, 2))
 
-    def rank_ok(entries):
-        return H2Matrix((1, 2), rows, cols, entries).has_full_row_rank()
+    def matrix(row0, row1):
+        return H2Matrix((1, 2), {keys[0]: row0, keys[1]: row1})
 
-    assert rank_ok({(rows[0], a): 1, (rows[1], b): 1})
-    assert not rank_ok({(rows[0], a): 1, (rows[0], b): 2, (rows[1], a): 2, (rows[1], b): 4})
-    assert not rank_ok({(rows[1], a): 1, (rows[1], b): 1})
+    m = matrix({a: 1}, {b: 1})
+    assert m.has_full_row_rank()
+    assert m.row_labels == keys
+    assert m.col_labels == [a, ((1, 1), (2, 2)), b]
+    assert (m.entry(keys[0], a), m.entry(keys[0], b), m.entry(keys[1], b)) == (1, 0, 1)
+    assert m.row(keys[1]) == {b: 1}
+    assert m.to_dense() == [[1, 0, 0], [0, 0, 1]]
+    assert not matrix({a: 1, b: 2}, {a: 2, b: 4}).has_full_row_rank()
+    empty = matrix({}, {a: 1, b: 1})
+    assert not empty.has_full_row_rank()
+    assert empty.row(keys[0]) == {} and empty.entry(keys[0], a) == 0
+    assert empty.to_dense() == [[0, 0, 0], [1, 0, 1]]
 
 
 def test_chain_a2_augments_to_matrix_row():
@@ -158,8 +181,8 @@ def test_both_pairings_reassemble_the_long_relators():
                     word = word * commutator(u, v)
                 assert word == rel.word, (name, key, pairing)
                 longest = max(longest, len(rel.word))
-            rows = pair_matrix(pres, pairing).entries
-            assert rows == h2_matrix(pres).entries, (name, pairing)
+            rows = pair_matrix(pres, pairing).rows
+            assert rows == h2_matrix(pres).rows, (name, pairing)
     assert longest >= 80
 
 
