@@ -7,7 +7,7 @@ polynomial.
 """
 
 from almostdirect.adp import build_presentation, pure_braid
-from almostdirect.exterior import cohomology_ring, e
+from almostdirect.exterior import CohomologyRing, e
 from almostdirect.homology import h2_matrix, kernel_basis
 from almostdirect.invariants import poincare_vector
 
@@ -28,12 +28,14 @@ def main():
     # gives the quadratic relations of the cohomology ring
     matrix = h2_matrix(pres)
     print("\nmatrix: %d rows, %d columns, full row rank: %s"
-          % (len(matrix.row_labels), len(matrix.col_labels),
+          % (len(matrix.rows), len(matrix.col_labels),
              matrix.has_full_row_rank()))
     etas = kernel_basis(matrix)
     print("kernel elements:", len(etas))
 
-    ring = cohomology_ring(spec)
+    # the kernel is a table of etas keyed by leading pair, which the ring
+    # checks and keeps as its quadratic relations
+    ring = CohomologyRing(spec.ranks, etas)
     print("\nideal generators:")
     for el in ring.eta_elements():
         print("  ", el)

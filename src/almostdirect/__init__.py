@@ -35,7 +35,6 @@ from .homology import (
     verify_chain_map,
     h2_matrix,
     kernel_basis,
-    KernelElement,
     H2Matrix,
 )
 from .exterior import (

@@ -367,11 +367,8 @@ def cmd_cohomology(spec, args, out):
     ring = cohomology_ring(spec)
     if args.porcelain:
         out.append("generators " + " ".join(mono_token((g,)) for g in ring.gens))
-        for k in ring.relations:
-            out.append(
-                "eta %d %d %d %s"
-                % (k.j, k.p, k.q, elem_token(ring.eta(k.j, k.p, k.q)))
-            )
+        for (j, p), (_, q) in ring.etas:
+            out.append("eta %d %d %d %s" % (j, p, q, elem_token(ring.eta(j, p, q))))
         if args.basis:
             for deg in range(0, ring.num_blocks + 1):
                 monos = " ".join(mono_token(m) for m in ring.basis(deg))
@@ -381,11 +378,8 @@ def cmd_cohomology(spec, args, out):
             "generators: " + " ".join(mono_token((g,)) for g in ring.gens)
         )
         out.append("relations (ideal generators):")
-        for k in ring.relations:
-            out.append(
-                "  eta(%d;%d,%d) = %s"
-                % (k.j, k.p, k.q, ring.eta(k.j, k.p, k.q))
-            )
+        for (j, p), (_, q) in ring.etas:
+            out.append("  eta(%d;%d,%d) = %s" % (j, p, q, ring.eta(j, p, q)))
         if args.basis:
             for deg in range(0, ring.num_blocks + 1):
                 monos = ring.basis(deg)

@@ -237,70 +237,85 @@ class CohomologyRing:
     """Exterior algebra on the ``e(i,p)`` modulo the kernel elements.
 
     Elements are kept in normal form: no monomial carries two generators of
-    the same block.  ``relations`` is the list of
-    :class:`~almostdirect.homology.KernelElement` produced by
-    :func:`~almostdirect.homology.kernel_basis`.  The ring stores the terms
-    of each eta once, as a dict from monomials to nonzero integers keyed by
-    its leading pair, and every method that reads an eta reads that table.
+    the same block.  ``etas`` is the table of
+    :func:`~almostdirect.homology.kernel_basis`: for each same-block pair
+    ``((j, p), (j, q))``, the terms of ``eta(j; p, q)`` as a dict from
+    monomials to integers.  The constructor checks it in one pass and keeps
+    it, less any zero coefficients, as ``_eta``; every method that reads an
+    eta reads that table.
     """
 
-    def __init__(self, ranks, relations):
+    def __init__(self, ranks, etas):
         self.ranks = tuple(ranks)
-        self.relations = list(relations)
         self.gens = generators(self.ranks)
         self._eta = {}
         self._rules = {}
-        for k in self.relations:
-            if not (1 <= k.j <= len(self.ranks) and k.p < k.q):
-                raise ValueError("bad kernel element label %r" % ((k.j, k.p, k.q),))
-            lead = k.leading_pair()
-            terms = {lead: 1}
-            for (i, r, s), c in k.kappa:
+        for lead, terms in etas.items():
+            (j, p), (j2, q) = lead
+            if not (
+                j == j2
+                and 1 <= j <= len(self.ranks)
+                and 1 <= p < q <= self.ranks[j - 1]
+            ):
+                raise ValueError("eta lead %r is not a same-block pair" % (lead,))
+            if terms.get(lead) != 1:
+                raise ValueError(
+                    "eta(%d;%d,%d) has lead coefficient %r, not 1"
+                    % (j, p, q, terms.get(lead))
+                )
+            eta = {lead: 1}
+            rule = {}
+            for mono, c in terms.items():
+                if mono == lead or not c:
+                    # the merge in reduce_mono expects nonzero coefficients
+                    continue
+                (i, r), (b, s) = mono
                 # the leading pair is e(j,p)e(j,q) only for tails e(i,r)e(j,s)
                 # with i < j
                 if not (
-                    1 <= i < k.j
+                    b == j
+                    and 1 <= i < j
                     and 1 <= r <= self.ranks[i - 1]
-                    and 1 <= s <= self.ranks[k.j - 1]
+                    and 1 <= s <= self.ranks[j - 1]
                 ):
                     raise ValueError(
-                        "kappa %r of eta(%d;%d,%d) is outside the earlier blocks"
-                        % ((i, r, s), k.j, k.p, k.q)
+                        "term %r of eta(%d;%d,%d) is outside the earlier blocks"
+                        % (mono, j, p, q)
                     )
-                if c:  # the merge in reduce_mono expects nonzero coefficients
-                    terms[((i, r), (k.j, s))] = c
-            self._eta[lead] = terms
-            self._rules[lead] = {m: -c for m, c in terms.items() if m != lead}
-        for j, n in enumerate(self.ranks, start=1):
-            for p in range(1, n + 1):
-                for q in range(p + 1, n + 1):
-                    if ((j, p), (j, q)) not in self._rules:
-                        raise ValueError(
-                            "missing kernel element for block %d pair (%d,%d)"
-                            % (j, p, q)
-                        )
+                eta[mono] = c
+                rule[mono] = -c
+            self._eta[lead] = eta
+            self._rules[lead] = rule
+        if len(self._eta) != sum(comb(n, 2) for n in self.ranks):
+            j, p, q = next(
+                (j, p, q)
+                for j, n in enumerate(self.ranks, start=1)
+                for p, q in combinations(range(1, n + 1), 2)
+                if ((j, p), (j, q)) not in self._eta
+            )
+            raise ValueError(
+                "missing kernel element for block %d pair (%d,%d)" % (j, p, q)
+            )
         self._memo = {}
         self._times = {}
 
-    def _structure_key(self):
-        return (
-            self.ranks,
-            tuple(
-                (lead, tuple(sorted(rhs.items())))
-                for lead, rhs in sorted(self._rules.items())
-            ),
-        )
-
     def __eq__(self, other):
-        # rings with the same ranks and rewriting rules present the same
-        # quotient, wherever they were built
+        # rings with the same ranks and etas present the same quotient,
+        # wherever they were built
         return (
             isinstance(other, CohomologyRing)
-            and self._structure_key() == other._structure_key()
+            and self.ranks == other.ranks
+            and self._eta == other._eta
         )
 
     def __hash__(self):
-        return hash(self._structure_key())
+        etas = frozenset((lead, frozenset(t.items())) for lead, t in self._eta.items())
+        return hash((self.ranks, etas))
+
+    @property
+    def etas(self):
+        """The eta table, keyed by leading pair in the order it was given."""
+        return self._eta
 
     @property
     def num_blocks(self):

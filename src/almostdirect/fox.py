@@ -9,7 +9,7 @@ the product rule ``d(uv) = d(u) + u d(v)`` and the fundamental formula
 
 in the group ring.  :func:`fox_gradient` makes that scan once for all
 generators: ``w`` is freely reduced, so each prefix is a slice of its
-letters and is built once, as the word it already is.
+letters, reduced already, and is built once as a word with no reduction.
 
 Abelianizing coefficients (each generator ``x(i,p)`` becomes the Laurent
 variable ``t(i,p)``) gives the gradients used by the degree-two chain map.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .laurent import LaurentPoly, monomial
 from .sparse import Sparse
-from .words import Word
+from .words import Word, _word
 
 __all__ = [
     "GroupRingElem",
@@ -74,7 +74,7 @@ def fox_gradient(w):
     letters = w.letters
     grad = {}
     for k, (g, e) in enumerate(letters):
-        key = Word(letters[:k] if e == 1 else letters[: k + 1])
+        key = _word(letters[:k] if e == 1 else letters[: k + 1])
         terms = grad.setdefault(g, {})
         s = terms.get(key, 0) + e
         if s:

@@ -75,7 +75,6 @@ __all__ = [
     "H2Matrix",
     "RowStructureError",
     "h2_matrix",
-    "KernelElement",
     "kernel_basis",
     "generator_pairs",
 ]
@@ -161,8 +160,8 @@ class H2Matrix:
     """The augmented chain map matrix, rows by relations, columns by pairs.
 
     ``rows`` maps each relation key ``(i, j, p, q)`` to its row: a dict from
-    column pairs to nonzero integers.  The labels are read off when asked
-    for, the columns in the order of :func:`generator_pairs`.
+    column pairs to nonzero integers.  The column labels are read off when
+    asked for, in the order of :func:`generator_pairs`.
     """
 
     __slots__ = ("ranks", "rows")
@@ -172,18 +171,8 @@ class H2Matrix:
         self.rows = rows
 
     @property
-    def row_labels(self):
-        return list(self.rows)
-
-    @property
     def col_labels(self):
         return generator_pairs(self.ranks)
-
-    def entry(self, row, col):
-        return self.rows[row].get(col, 0)
-
-    def row(self, row):
-        return dict(self.rows[row])
 
     def to_dense(self):
         cols = self.col_labels
@@ -213,8 +202,7 @@ def h2_matrix(pres):
     :class:`RowStructureError`, naming the row and column, unless the mixed
     entry is 1 and every other entry sits in a same-block column of block
     ``j``.  That structure gives the matrix an identity minor (full row
-    rank) and makes each element of :func:`kernel_basis` annihilate every
-    row.
+    rank) and makes each eta of :func:`kernel_basis` annihilate every row.
     """
     rows = {}
     for key, rel in pres.relations.items():
@@ -242,45 +230,24 @@ def h2_matrix(pres):
     return H2Matrix(pres.ranks, rows)
 
 
-@dataclass(frozen=True)
-class KernelElement:
-    """A spanning element of the kernel of the augmented chain map matrix.
-
-    Written out it is ``e(j,p) e(j,q) + sum kappa(i,r,s) e(i,r) e(j,s)``
-    with ``i`` ranging over earlier blocks.
-    """
-
-    j: int
-    p: int
-    q: int
-    kappa: tuple  # sorted ((i, r, s), coefficient) pairs
-
-    def terms(self):
-        """The element as a dict from degree-two monomials to integers."""
-        out = {(((self.j, self.p), (self.j, self.q))): 1}
-        for (i, r, s), c in self.kappa:
-            out[((i, r), (self.j, s))] = c
-        return out
-
-    def leading_pair(self):
-        return ((self.j, self.p), (self.j, self.q))
-
-
 def kernel_basis(matrix):
-    """One kernel element per same-block pair ``p < q`` of block ``j``.
+    """The eta table: one kernel element per same-block pair ``p < q``.
 
-    The coefficients are read straight off the matrix: the element for
-    ``(j, p, q)`` has ``kappa(i, r, s)`` equal to minus the entry of row
-    ``(i, j, r, s)`` in column ``(e(j,p), e(j,q))``.
+    Keys are the leading pairs ``((j, p), (j, q))``, in block order and
+    then by ``(p, q)``; each value is a dict from degree-two monomials to
+    integers, ``1`` on the leading pair and, on ``e(i,r) e(j,s)``, minus
+    the entry of row ``(i, j, r, s)`` in column ``(e(j,p), e(j,q))``.  The
+    rows come in ``(j, i, r, s)`` order, so one pass over them fills each
+    eta in ``(i, r, s)`` order.
     """
-    kappa = {}
+    etas = {}
+    for j, n in enumerate(matrix.ranks, start=1):
+        for p in range(1, n + 1):
+            for q in range(p + 1, n + 1):
+                lead = ((j, p), (j, q))
+                etas[lead] = {lead: 1}
     for (i, j, r, s), row in matrix.rows.items():
-        for ((a, p), (b, q)), c in row.items():
-            if a == b == j:
-                kappa.setdefault((j, p, q), []).append(((i, r, s), -c))
-    return [
-        KernelElement(j, p, q, tuple(sorted(kappa.get((j, p, q), ()))))
-        for j, n in enumerate(matrix.ranks, start=1)
-        for p in range(1, n + 1)
-        for q in range(p + 1, n + 1)
-    ]
+        for col, c in row.items():
+            if col[0][0] == col[1][0] == j:
+                etas[col][((i, r), (j, s))] = -c
+    return etas

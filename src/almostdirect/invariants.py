@@ -322,7 +322,7 @@ def torus_ring(m):
     """The cohomology ring of the ``m``-torus: ``m`` rank-1 blocks."""
     if m < 1:
         raise ValueError("torus rank must be positive")
-    return CohomologyRing((1,) * m, [])
+    return CohomologyRing((1,) * m, {})
 
 
 def torus_shuffle_expansion(m):

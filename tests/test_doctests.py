@@ -17,3 +17,17 @@ def test_module_doctests(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0
 
+
+
+def test_every_name_in_all_resolves():
+    # the package imports its names explicitly, so a dangling __all__ entry
+    # would go unnoticed without this
+    dangling = []
+    exported = 0
+    for name in MODULES:
+        module = importlib.import_module(name)
+        names = getattr(module, "__all__", ())
+        exported += len(names)
+        dangling += [name + "." + n for n in names if not hasattr(module, n)]
+    assert exported > 0
+    assert dangling == []

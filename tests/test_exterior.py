@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -25,7 +24,7 @@ from almostdirect.exterior import (
     e,
     mono_mul,
 )
-from almostdirect.homology import KernelElement, kernel_basis
+from almostdirect.homology import kernel_basis
 from almostdirect.linalg import span_rank
 from test_acceptance import pair_matrix, ring_of, specs_under_test
 from test_cli import INCONSISTENT
@@ -132,16 +131,16 @@ def rank_three_block_ring():
     pairs rewrites differently depending on which pair goes first.
     """
     rng = random.Random(0)
-    relations = []
+    etas = {}
     for p, q in ((1, 2), (1, 3), (2, 3)):
-        kappa = []
+        lead = ((3, p), (3, q))
+        etas[lead] = {lead: 1}
         for i in (1, 2):
             for s in (1, 2, 3):
                 c = rng.choice((0, 1, -1))
                 if c:
-                    kappa.append(((i, 1, s), c))
-        relations.append(KernelElement(3, p, q, tuple(kappa)))
-    return CohomologyRing((1, 1, 3), relations)
+                    etas[lead][((i, 1), (3, s))] = c
+    return CohomologyRing((1, 1, 3), etas)
 
 
 def test_rewriting_takes_the_leftmost_same_block_pair():
@@ -163,9 +162,11 @@ def test_rewriting_takes_the_leftmost_same_block_pair():
 
 
 def test_zero_kappa_coefficients_are_dropped():
-    zero = KernelElement(2, 1, 2, (((1, 1, 1), 0),))
-    ring = CohomologyRing((1, 2), [zero])
-    assert ring == CohomologyRing((1, 2), [replace(zero, kappa=())])
+    lead = ((2, 1), (2, 2))
+    ring = CohomologyRing((1, 2), {lead: {lead: 1, ((1, 1), (2, 1)): 0}})
+    bare = CohomologyRing((1, 2), {lead: {lead: 1}})
+    assert ring == bare and hash(ring) == hash(bare)
+    assert ring.etas == {lead: {lead: 1}}
     assert ring.normal_form(e(2, 1) * e(2, 2)) == 0
 
 
@@ -334,11 +335,12 @@ def test_critical_pairs_reject_the_inconsistent_table():
 
 def test_critical_pairs_reject_a_perturbed_relation():
     ring = cohomology_ring(pure_braid(4))
-    relations = list(ring.relations)
-    k = relations[-1]
-    (key, c), *rest = k.kappa
-    relations[-1] = replace(k, kappa=((key, c + 1),) + tuple(rest))
-    bad = CohomologyRing(ring.ranks, relations)
+    etas = {lead: dict(terms) for lead, terms in ring.etas.items()}
+    *_, lead = etas
+    # the first tail term of the last eta, in (i, r, s) order
+    key = next(mono for mono in etas[lead] if mono != lead)
+    etas[lead][key] += 1
+    bad = CohomologyRing(ring.ranks, etas)
     assert not bad.groebner_verify().ok
     witness = bad.critical_pair_verify()
     assert witness is not None
@@ -353,7 +355,7 @@ def all_pairs_verify(ring):
     disjoint leads (degree four) included.  Returns the first failing
     ``(lead, other)``, or None.
     """
-    leads = [k.leading_pair() for k in ring.relations]
+    leads = list(ring.etas)
     checks = [(lead, (g,)) for lead in leads for g in lead]
     checks += combinations(leads, 2)
     for lead, other in checks:
@@ -381,26 +383,26 @@ def perturbed_rings(per_ring=60):
     rng = random.Random(1)
     out = []
     for ring in genuine_rings():
+        leads = list(ring.etas)
         for _ in range(per_ring):
-            relations = list(ring.relations)
+            etas = dict(ring.etas)
             for _ in range(rng.randint(1, 3)):
-                k = rng.randrange(len(relations))
-                eta = relations[k]
+                lead = leads[rng.randrange(len(leads))]
+                j = lead[0][0]
                 keys = [
-                    (i, r, s)
-                    for i in range(1, eta.j)
+                    ((i, r), (j, s))
+                    for i in range(1, j)
                     for r in range(1, ring.ranks[i - 1] + 1)
-                    for s in range(1, ring.ranks[eta.j - 1] + 1)
+                    for s in range(1, ring.ranks[j - 1] + 1)
                 ]
                 if not keys:
                     # the first block has no earlier block to pair with
                     continue
                 key = rng.choice(keys)
-                kappa = dict(eta.kappa)
-                kappa[key] = kappa.get(key, 0) + rng.choice((1, -1))
-                kappa = tuple(sorted((kk, c) for kk, c in kappa.items() if c))
-                relations[k] = replace(eta, kappa=kappa)
-            out.append(CohomologyRing(ring.ranks, relations))
+                eta = dict(etas[lead])
+                eta[key] = eta.get(key, 0) + rng.choice((1, -1))
+                etas[lead] = eta
+            out.append(CohomologyRing(ring.ranks, etas))
     return out
 
 
@@ -413,7 +415,7 @@ def test_degree_three_certificate_agrees_with_all_pairs():
     for ring in rings:
         witness = ring.critical_pair_verify()
         full = all_pairs_verify(ring)
-        assert (witness is None) == (full is None), ring.relations
+        assert (witness is None) == (full is None), ring.etas
         if len(ring.gens) <= 9:
             assert ring.groebner_verify().ok == (witness is None)
         if full is not None and not (set(full[0]) & set(full[1])):
@@ -452,7 +454,7 @@ def test_critical_product_matches_the_exterior_product():
     rings += perturbed_rings()
     checks = 0
     for ring in rings:
-        leads = [k.leading_pair() for k in ring.relations]
+        leads = list(ring.etas)
         # the degree-three checks, then every pair of relations, disjoint
         # leads included
         pairs = list(ring.critical_pairs()) + list(combinations(leads, 2))
@@ -464,24 +466,39 @@ def test_critical_product_matches_the_exterior_product():
 
 
 def test_ring_refuses_kappa_outside_the_earlier_blocks():
-    for key in ((2, 1, 1), (1, 2, 1), (1, 1, 3)):
+    lead = ((2, 1), (2, 2))
+    for key in (((2, 1), (2, 1)), ((1, 2), (2, 1)), ((1, 1), (2, 3)), ((1, 1), (3, 1))):
         with pytest.raises(ValueError, match="outside the earlier blocks"):
-            CohomologyRing((1, 2), [KernelElement(2, 1, 2, ((key, 1),))])
+            CohomologyRing((1, 2), {lead: {lead: 1, key: 1}})
+
+
+def test_ring_refuses_leads_off_the_same_block_pairs():
+    lead = ((2, 1), (2, 2))
+    for bad in (((2, 1), (2, 5)), ((2, 0), (2, 1)), ((1, 1), (2, 1)), ((3, 1), (3, 2))):
+        etas = {lead: {lead: 1}, bad: {bad: 1}}
+        with pytest.raises(ValueError, match="not a same-block pair"):
+            CohomologyRing((1, 2), etas)
+
+
+def test_ring_refuses_a_lead_coefficient_other_than_one():
+    lead = ((2, 1), (2, 2))
+    for terms in ({lead: 2}, {lead: -1}, {((1, 1), (2, 1)): 1}):
+        with pytest.raises(ValueError, match="lead coefficient"):
+            CohomologyRing((1, 2), {lead: terms})
+
+
+def test_ring_refuses_a_missing_pair():
+    lead = ((2, 1), (2, 3))
+    with pytest.raises(ValueError, match="block 2 pair \\(1,2\\)"):
+        CohomologyRing((1, 3), {lead: {lead: 1}})
 
 
 def test_critical_pairs_certify_nine_strands():
     # far past the reach of groebner_verify, whose degree-10 rows number
     # C(36, 8) times 84
     ring = cohomology_ring(pure_braid(9))
-    assert len(ring.relations) == math.comb(9, 3)
+    assert len(ring.etas) == math.comb(9, 3)
     assert ring.critical_pair_verify() is None
     pairs = list(ring.critical_pairs())
     assert len(pairs) == 2 * 84 + 3 * sum(math.comb(j, 3) for j in range(1, 9))
 
-
-def test_critical_pairs_read_the_stored_etas(count_calls):
-    # the ring keeps each eta's terms once, keyed by its leading pair
-    ring = cohomology_ring(pure_braid(7))
-    calls = count_calls(KernelElement, "terms")
-    assert ring.critical_pair_verify() is None
-    assert calls == []

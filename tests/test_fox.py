@@ -1,5 +1,6 @@
 import random
 
+from almostdirect import words
 from almostdirect.fox import (
     GroupRingElem,
     abel_gradient,
@@ -115,3 +116,14 @@ def test_fox_derivative_reads_the_gradient():
         Word.parse("x(1,1) x(1,2)^-1 x(1,1)^-2 x(1,3)")
     )
     assert grad[(1, 2)] == expect
+
+
+def test_fox_gradient_reduces_no_prefix(count_calls):
+    # slices of a reduced word are reduced, so the prefixes skip _reduce
+    w = Word.parse("x(1,1) x(1,2)^-1 x(1,1)^-2 x(1,3) x(1,2)^2 x(1,1)")
+    calls = count_calls(words, "_reduce")
+    grad = fox_gradient(w)
+    assert calls == []
+    prefixes = [key for d in grad.values() for key in d.terms]
+    assert len(prefixes) == 8
+    assert all(key == Word(key.letters) for key in prefixes)

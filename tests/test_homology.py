@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from almostdirect.homology import (
 from almostdirect.cli import load_spec
 from almostdirect.laurent import LaurentPoly, t
 from almostdirect.words import Word, commutator, x
-from test_acceptance import pair_matrix
+from test_acceptance import pair_matrix, specs_under_test
 from test_cli import tamper_pairs
 
 
@@ -113,7 +114,7 @@ def test_h2_matrix_two_strand_oracle():
     # the two relations of the three strand group pair the mixed slots with
     # the identity and hit the inner slot with opposite signs
     m = h2_matrix(build_presentation(pure_braid(3)))
-    assert m.row_labels == [(1, 2, 1, 1), (1, 2, 1, 2)]
+    assert list(m.rows) == [(1, 2, 1, 1), (1, 2, 1, 2)]
     assert m.col_labels == [((1, 1), (2, 1)), ((1, 1), (2, 2)), ((2, 1), (2, 2))]
     assert m.to_dense() == [[1, 0, -1], [0, 1, 1]]
 
@@ -133,15 +134,11 @@ def test_full_row_rank_fails_on_dependent_or_empty_rows():
 
     m = matrix({a: 1}, {b: 1})
     assert m.has_full_row_rank()
-    assert m.row_labels == keys
     assert m.col_labels == [a, ((1, 1), (2, 2)), b]
-    assert (m.entry(keys[0], a), m.entry(keys[0], b), m.entry(keys[1], b)) == (1, 0, 1)
-    assert m.row(keys[1]) == {b: 1}
     assert m.to_dense() == [[1, 0, 0], [0, 0, 1]]
     assert not matrix({a: 1, b: 2}, {a: 2, b: 4}).has_full_row_rank()
     empty = matrix({}, {a: 1, b: 1})
     assert not empty.has_full_row_rank()
-    assert empty.row(keys[0]) == {} and empty.entry(keys[0], a) == 0
     assert empty.to_dense() == [[0, 0, 0], [1, 0, 1]]
 
 
@@ -160,7 +157,7 @@ def test_chain_a2_augments_to_matrix_row():
         pres = build_presentation(spec)
         m = h2_matrix(pres)
         for key, rel in pres.relations.items():
-            row = m.row(key)
+            row = m.rows[key]
             aug = {pair: poly.augment() for pair, poly in chain_a2(rel).items()}
             aug = {pair: c for pair, c in aug.items() if c}
             assert aug == {pair: c for pair, c in row.items() if c}, key
@@ -189,8 +186,6 @@ def test_both_pairings_reassemble_the_long_relators():
 def test_reassembly_agrees_with_the_laurent_chain_map():
     # verify checks that the pairs reassemble to w; the Laurent chain map
     # is its oracle, on every spec under test and every golden spec file
-    from test_acceptance import specs_under_test
-
     specs = specs_under_test()
     specs += [load_spec(str(path)) for path in sorted(GOLDEN_SPECS.glob("*.spec"))]
     assert len(specs) == len(specs_under_test()) + 3
@@ -238,19 +233,17 @@ def test_h2_matrix_rejects_a_row_without_its_unit():
         h2_matrix(pres)
     # a pair inside block 2 is allowed
     m = h2_matrix(_one_relation(((x(2, 1), x(2, 2)),)))
-    assert m.row((1, 2, 1, 1)) == {((1, 1), (2, 1)): 1, ((2, 1), (2, 2)): 1}
+    assert m.rows[(1, 2, 1, 1)] == {((1, 1), (2, 1)): 1, ((2, 1), (2, 2)): 1}
 
 
 def test_kernel_basis_two_strand_oracle():
     m = h2_matrix(build_presentation(pure_braid(3)))
-    (eta,) = kernel_basis(m)
-    assert (eta.j, eta.p, eta.q) == (2, 1, 2)
-    assert dict(eta.kappa) == {(1, 1, 1): 1, (1, 1, 2): -1}
-    assert eta.leading_pair() == ((2, 1), (2, 2))
-    assert eta.terms() == {
-        ((2, 1), (2, 2)): 1,
-        ((1, 1), (2, 1)): 1,
-        ((1, 1), (2, 2)): -1,
+    assert kernel_basis(m) == {
+        ((2, 1), (2, 2)): {
+            ((2, 1), (2, 2)): 1,
+            ((1, 1), (2, 1)): 1,
+            ((1, 1), (2, 2)): -1,
+        }
     }
 
 
@@ -261,6 +254,16 @@ def test_kernel_count_is_sum_of_block_pair_counts():
         assert len(kernel_basis(m)) == expect
 
 
+def test_kernel_keys_are_the_same_block_pairs_in_block_order():
+    for spec in specs_under_test():
+        etas = kernel_basis(h2_matrix(build_presentation(spec)))
+        assert list(etas) == [
+            ((j, p), (j, q))
+            for j, n in enumerate(spec.ranks, start=1)
+            for p, q in combinations(range(1, n + 1), 2)
+        ], spec.name
+
+
 def test_kernel_elements_annihilate_the_matrix():
     # each eta is a column vector in the pair basis; the matrix sends it to 0
     rng = random.Random(13)
@@ -268,20 +271,20 @@ def test_kernel_elements_annihilate_the_matrix():
     specs += [random_spec(rng) for _ in range(10)]
     for spec in specs:
         m = h2_matrix(build_presentation(spec))
-        for eta in kernel_basis(m):
-            coeffs = eta.terms()
-            for key in m.row_labels:
-                row = m.row(key)
-                total = sum(row.get(pair, 0) * c for pair, c in coeffs.items())
-                assert total == 0, (spec.name, key, eta)
+        for lead, eta in kernel_basis(m).items():
+            assert eta[lead] == 1
+            for key, row in m.rows.items():
+                total = sum(row.get(pair, 0) * c for pair, c in eta.items())
+                assert total == 0, (spec.name, key, lead)
 
 
 def test_kernel_mixed_terms_only_pair_into_the_same_block():
-    # kappa entries live on pairs (e(i,r), e(j,s)) with the eta's own block j
+    # the tail terms live on pairs (e(i,r), e(j,s)) with the eta's own block j
     for spec in (pure_braid(5), upper_mccool(5)):
         m = h2_matrix(build_presentation(spec))
-        for eta in kernel_basis(m):
-            for (i, r, s), _ in eta.kappa:
-                assert i < eta.j
+        for lead, eta in kernel_basis(m).items():
+            j = lead[0][0]
+            for (i, r), (b, s) in eta.keys() - {lead}:
+                assert b == j and i < j
                 assert 1 <= r <= spec.ranks[i - 1]
-                assert 1 <= s <= spec.ranks[eta.j - 1]
+                assert 1 <= s <= spec.ranks[j - 1]
