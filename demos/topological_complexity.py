@@ -1,7 +1,8 @@
 """Certify topological complexity across the builtin families.
 
-The certificate multiplies zero divisors in the tensor square of the
-cohomology ring for the lower bound and counts blocks for the upper bound.
+The lower bound counts the standard zero divisors in the tensor square of
+the cohomology ring, whose product has a term with coefficient +-1 and so
+is never zero; the upper bound counts blocks.
 The bounds meet whenever every block has rank at least two, so groups with
 a rank-1 block are certified through their quotient by the center times a
 circle.
@@ -44,8 +45,8 @@ def main():
         cert = tc_certificate(extend_with_torus(upper_mccool_mod_center(n), 1))
         show("n = %d" % n, cert)
 
-    # the lower bound comes from an explicit nonzero product of zero
-    # divisors; here is the witness for the smallest quotient
+    # the lower bound comes from a nonzero product of zero divisors;
+    # here is the product for the smallest quotient
     ring = cohomology_ring(pure_braid_mod_center(4))
     wit = zcl_witness(ring)
     print("\nwitness for the 4 strand quotient: %d factors, element:" % wit.num_factors)

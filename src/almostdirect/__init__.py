@@ -53,6 +53,7 @@ from .invariants import (
     tensor,
     zero_divisor,
     zcl_witness,
+    witness_term,
     claim_expansion,
     torus_shuffle_expansion,
     tc_certificate,

@@ -52,6 +52,7 @@ from .adp import (
 from .exterior import CohomologyRing, cohomology_ring
 from .homology import RowStructureError, h2_matrix, kernel_basis
 from .invariants import (
+    TensorElem,
     lcs_identity_holds,
     lcs_ranks,
     poincare_vector,
@@ -318,16 +319,34 @@ def mono_token(mono):
     return "".join("e(%d,%d)" % g for g in mono) or "1"
 
 
+class _MonoTokens(dict):
+    """The :func:`mono_token` of each monomial, built on first lookup."""
+
+    def __missing__(self, mono):
+        token = self[mono] = mono_token(mono)
+        return token
+
+
 def elem_token(elem):
-    """An ExtElem or TensorElem as one token: ``+2*e(1,1)-1*e(2,1)``."""
+    """An ExtElem or TensorElem as one token: ``+2*e(1,1)-1*e(2,1)``.
+
+    A monomial recurs across the terms of a TensorElem, so its text is
+    built once per call and the token is joined from shared pieces.
+    """
     if elem.is_zero():
         return "0"
-    parts = []
-    for key in sorted(elem.terms, key=elem._order):
-        c = elem.terms[key]
-        body = elem._key_str(key) or "1"
-        parts.append("%s%s*%s" % ("+" if c > 0 else "", c, body))
-    return "".join(parts)
+    terms = elem.terms
+    tensor = isinstance(elem, TensorElem)
+    text = _MonoTokens()
+    pieces = []
+    for key in sorted(terms, key=elem._order):
+        c = terms[key]
+        pieces.append("+%s*" % c if c > 0 else "%s*" % c)
+        if tensor:
+            pieces += (text[key[0]], "(x)", text[key[1]])
+        else:
+            pieces.append(mono_token(key))
+    return "".join(pieces)
 
 
 def cmd_present(spec, args, out):

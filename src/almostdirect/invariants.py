@@ -8,10 +8,13 @@ quotients come from the same data by Moebius inversion of
 ``prod (1 - n_j t) = prod_k (1 - t^k)^{phi_k}``.
 
 Topological complexity is bracketed through the tensor square of the
-cohomology ring: products of zero divisors ``1 (x) u - u (x) 1`` bound it
-from below, the block structure bounds it from above, and the two meet
-exactly when every block that acts or is acted on nontrivially has rank at
-least two.  :class:`TensorElem` builds on
+cohomology ring.  The product of the standard zero divisors
+``1 (x) u - u (x) 1`` is never zero: :func:`witness_term` names one of its
+terms and the ``+-1`` coefficient that term carries, which bounds TC from
+below by the number of factors plus one.  The block structure bounds it
+from above, and the two meet exactly when every block that acts or is
+acted on nontrivially has rank at least two.  :func:`zcl_witness` expands
+the whole product.  :class:`TensorElem` builds on
 :class:`~almostdirect.sparse.Sparse`.
 """
 
@@ -33,6 +36,7 @@ __all__ = [
     "zero_divisor",
     "ZclWitness",
     "zcl_witness",
+    "witness_term",
     "claim_expansion",
     "torus_shuffle_expansion",
     "torus_ring",
@@ -207,12 +211,13 @@ def zero_divisor(ring, u):
 
 @dataclass
 class ZclWitness:
-    """A maximal nonzero product of the standard zero divisors.
+    """The product of the standard zero divisors.
 
     ``length`` counts the factors of the longest nonzero prefix of the
     product, taken in block order; ``num_factors`` is ``2 a + b`` where
-    ``a`` blocks have rank at least two and ``b`` have rank one.  The two
-    agree whenever the full product is nonzero.
+    ``a`` blocks have rank at least two and ``b`` have rank one.  The full
+    product is never zero (see :func:`witness_term`), so the two agree and
+    ``element`` is the full product.
     """
 
     length: int
@@ -258,10 +263,10 @@ def zcl_witness(ring):
     Per block ``j`` the factors are ``1 (x) u - u (x) 1`` for
     ``u = e(j,1), e(j,2)`` when the rank is at least two and just
     ``u = e(j,1)`` for rank one, taken in block order.  Prefix products are
-    monotone (zero stays zero), so the longest nonzero one is well defined;
-    it is the full product whenever that is nonzero.  When the full
-    product is zero its length may differ from that of the longest nonzero
-    suffix, and either is a lower bound.
+    monotone (zero stays zero), so the longest nonzero one is well defined.
+    The full product is never zero, because its term
+    :func:`witness_term` has coefficient ``+-1``, so the witness is the
+    full product.
 
     Each factor is multiplied onto the right of the running prefix product,
     term by term through
@@ -286,6 +291,60 @@ def zcl_witness(ring):
             break
         length, element = r, cur
     return ZclWitness(length, len(gens), TensorElem(ring, element))
+
+
+def witness_term(ring):
+    """One term of the zero-divisor product and its coefficient, in O(l).
+
+    Returns ``((X, Y), sign)``.  ``X`` picks ``e(j,1)`` in every block of
+    rank at least two; ``Y`` picks ``e(j,2)`` in those blocks and ``e(j,1)``
+    in the rank-one blocks; ``sign`` is the product of ``-(-1)^(j-1)`` over
+    the blocks of rank at least two.  The product :func:`zcl_witness`
+    computes has coefficient ``sign`` on ``X (x) Y``, on every ring the
+    constructor accepts, whether or not its relations are a Groebner basis.
+
+    The proof is an induction over the blocks.  Write ``P_j`` for the
+    product of the factors of blocks ``1..j`` and ``X_j (x) Y_j`` for the
+    part of the term in those blocks.  A rewrite turns a pair in block
+    ``i`` into tails ``e(h,r) e(i,s)`` with ``h < i``, because the
+    constructor refuses any other tail, so every monomial of ``P_{j-1}``
+    lies in blocks ``< j``.
+
+    * The factor for ``e(j,1)`` therefore only appends ``e(j,1)`` on one
+      side of each term.  For a rank-one block, ``X_j (x) Y_j`` arises only
+      from ``X_{j-1} (x) Y_{j-1}`` this way, with sign ``+1``.
+    * For a block of rank at least two, a term with ``e(j,1)`` on the left
+      and ``e(j,2)`` on the right comes only from appending ``e(j,2)`` on
+      the right of a term ``a e(j,1) (x) b``.  That path carries
+      ``-(-1)^|b|``, and ``|Y_{j-1}| = j - 1``.
+    * Every other path ends with ``e(j,2)`` on the left, or puts
+      ``e(j,1) e(j,2)`` on one side.  The rewrite of that pair leaves one
+      generator of block ``j`` and none on the other side, and rewrites in
+      earlier blocks never touch block ``j``.  Neither kind of term is
+      ``X_j (x) Y_j``.
+
+    So the coefficient of ``X_j (x) Y_j`` in ``P_j`` is ``+-1`` times that
+    of ``X_{j-1} (x) Y_{j-1}`` in ``P_{j-1}``, the product is never zero,
+    and the lower bound ``TC >= 2 a + b + 1`` needs no product at all.
+
+    >>> from almostdirect.adp import pure_braid
+    >>> ring = cohomology_ring(pure_braid(4))
+    >>> witness_term(ring)
+    ((((2, 1), (3, 1)), ((1, 1), (2, 2), (3, 2))), -1)
+    >>> zcl_witness(ring).element.terms[witness_term(ring)[0]]
+    -1
+    """
+    left, right = [], []
+    sign = 1
+    for j, n in enumerate(ring.ranks, start=1):
+        if n >= 2:
+            left.append((j, 1))
+            right.append((j, 2))
+            if j & 1:
+                sign = -sign
+        else:
+            right.append((j, 1))
+    return (tuple(left), tuple(right)), sign
 
 
 def claim_expansion(ring):
@@ -358,7 +417,9 @@ def torus_shuffle_expansion(m):
 class TcCertificate:
     """Bracketing of topological complexity, tight when bounds meet.
 
-    ``lower_bound`` is one more than the witness product length;
+    ``lower_bound`` is one more than ``witness_degree``, the number
+    ``2 a + b`` of standard zero divisors, whose product is nonzero because
+    its term :func:`witness_term` has coefficient ``+-1``;
     ``upper_bound`` is ``2 * free_blocks + torus_blocks + 1`` where
     ``torus_blocks`` counts rank-1 blocks acting trivially on all later
     blocks (these split off as direct circle factors) and ``free_blocks``
@@ -375,25 +436,21 @@ class TcCertificate:
 
 def tc_certificate(spec):
     """Bracket TC of ``spec``; for ``G x Z^m`` pass ``extend_with_torus``."""
-    ring = cohomology_ring(spec)
-    wit = zcl_witness(ring)
+    (left, right), _ = witness_term(cohomology_ring(spec))
+    degree = len(left) + len(right)
     torus_blocks = sum(
         1
         for j, n in enumerate(spec.ranks, start=1)
         if n == 1 and spec.acts_trivially_beyond(j)
     )
     free_blocks = len(spec.ranks) - torus_blocks
-    lower = wit.length + 1
+    lower = degree + 1
     upper = 2 * free_blocks + torus_blocks + 1
-    if lower > upper:
-        raise AssertionError(
-            "witness length exceeds the structural upper bound"
-        )
     return TcCertificate(
         lower_bound=lower,
         upper_bound=upper,
         exact=lower if lower == upper else None,
-        witness_degree=wit.length,
+        witness_degree=degree,
         free_blocks=free_blocks,
         torus_blocks=torus_blocks,
     )

@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from almostdirect import invariants
 from almostdirect.adp import (
     AdpSpec,
     extend_with_torus,
@@ -12,6 +15,7 @@ from almostdirect.adp import (
     upper_mccool,
     upper_mccool_mod_center,
 )
+from almostdirect.cli import elem_token, parse_spec
 from almostdirect.exterior import (
     CohomologyRing,
     ExtElem,
@@ -30,11 +34,17 @@ from almostdirect.invariants import (
     tensor,
     torus_ring,
     torus_shuffle_expansion,
+    witness_term,
     zcl_witness,
     zero_divisor,
 )
-from test_acceptance import ring_of
-from test_exterior import table_specs
+from test_acceptance import (
+    all_builtins_through_five_blocks,
+    ring_of,
+    specs_under_test,
+)
+from test_cli import INCONSISTENT
+from test_exterior import perturbed_rings, table_specs
 
 
 def test_poincare_vector():
@@ -336,3 +346,70 @@ def test_tc_certificate_free_group():
     # one circle alone
     cert = tc_certificate(AdpSpec((1,)))
     assert cert.exact == 2
+
+
+@lru_cache(maxsize=None)
+def witness_corpus():
+    """``(specs, rings, witnesses)`` for the coefficient checks.
+
+    The specs are the specs under test, 300 random specs, the inconsistent
+    table and the builtins times ``Z``; the rings are theirs, in the same
+    order, followed by the perturbed rings, whose relations are not a
+    Groebner basis.  ``witnesses`` holds ``zcl_witness`` of each ring.
+    """
+    rng = random.Random(11)
+    specs = specs_under_test() + [random_spec(rng) for _ in range(300)]
+    specs.append(parse_spec(INCONSISTENT))
+    specs += [extend_with_torus(s, 1) for s in all_builtins_through_five_blocks()]
+    rings = [ring_of(spec) for spec in specs] + perturbed_rings()
+    return specs, rings, [zcl_witness(ring) for ring in rings]
+
+
+def test_witness_term_is_a_coefficient_of_the_zcl_witness():
+    specs, rings, witnesses = witness_corpus()
+    for ring, wit in zip(rings, witnesses):
+        key, sign = witness_term(ring)
+        assert wit.length == wit.num_factors
+        assert wit.element.terms[key] == sign
+    # tc's lower bound is one more than the length of the product
+    for spec, wit in zip(specs, witnesses):
+        assert tc_certificate(spec).witness_degree == wit.length
+    uncertified = sum(ring.critical_pair_verify() is not None for ring in rings)
+    assert len(rings) == len(specs) + 900
+    assert 0 < uncertified < len(rings)
+
+
+def test_tc_certificate_builds_no_product(count_calls):
+    looked_up = count_calls(CohomologyRing, "times")
+    witnessed = count_calls(invariants, "zcl_witness")
+    cert = tc_certificate(pure_braid(6))
+    assert (cert.lower_bound, cert.upper_bound) == (10, 11)
+    cert = tc_certificate(extend_with_torus(pure_braid_mod_center(5), 1))
+    assert cert.exact == 8
+    assert looked_up == []
+    assert witnessed == []
+
+
+def term_by_term_token(elem):
+    """The reference for :func:`~almostdirect.cli.elem_token`: one
+    ``_key_str`` and one formatted string for every term."""
+    if elem.is_zero():
+        return "0"
+    parts = []
+    for key in sorted(elem.terms, key=elem._order):
+        c = elem.terms[key]
+        body = elem._key_str(key) or "1"
+        parts.append("%s%s*%s" % ("+" if c > 0 else "", c, body))
+    return "".join(parts)
+
+
+def test_elem_token_is_the_term_by_term_formula():
+    _, rings, witnesses = witness_corpus()
+    elems = [wit.element for wit in witnesses]
+    for spec in all_builtins_through_five_blocks():
+        ring = ring_of(spec)
+        elems += [ring.eta(j, p, q) for (j, p), (_, q) in ring.etas]
+    elems += [ExtElem(), TensorElem(rings[0])]
+    elems.append(ExtElem({(): Fraction(1, 2), ((1, 1),): -3}))
+    for elem in elems:
+        assert elem_token(elem) == term_by_term_token(elem)
