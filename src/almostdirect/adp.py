@@ -78,8 +78,8 @@ class AdpSpec:
 
     A spec holds its image table, computed once here: the image of
     ``x(j,q)`` under ``x(i,p)``, keyed ``(i, j, p, q)``, for every generator
-    the action moves.  A magnus action applies its ``IAWord`` to each
-    generator of the target block; an images action lists its images.
+    the action moves.  A magnus action builds one table of images with
+    :meth:`~almostdirect.words.IAWord.images`; an images action lists them.
     :meth:`action_image`, :func:`build_presentation`, ``==`` and ``hash``
     read the table.
     """
@@ -131,7 +131,7 @@ class AdpSpec:
                     "IA word has rank %d but block %d has rank %d"
                     % (payload.rank, j, n)
                 )
-            return tuple(payload.apply(x(j, q)) for q in range(1, n + 1))
+            return payload.images(j)
         if kind == IMAGES:
             images = tuple(payload)
             if len(images) != n:
@@ -141,13 +141,18 @@ class AdpSpec:
             for q, w in enumerate(images, start=1):
                 if w.letters == (((j, q), 1),):
                     continue  # a fixed generator passes both checks
-                for (b, index), _ in w.letters:
+                # one scan: block membership, then the exponent sum of each
+                # index, which must be 1 at q and 0 elsewhere
+                sums = [0] * (n + 1)
+                for (b, index), e in w.letters:
                     if b != j or not (1 <= index <= n):
                         raise ValueError(
                             "image of x(%d,%d) leaves block %d: %s"
                             % (j, q, j, w)
                         )
-                if w.exponent_sums() != {(j, q): 1}:
+                    sums[index] += e
+                sums[q] -= 1
+                if any(sums):
                     raise ValueError(
                         "image of x(%d,%d) is not IA: %s" % (j, q, w)
                     )

@@ -16,6 +16,7 @@ any word with vanishing exponent sums as an ordered product of commutators
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 __all__ = [
     "Word",
@@ -324,31 +325,68 @@ class IAWord:
             self.rank, tuple((gen, -exp) for gen, exp in reversed(self.factors))
         )
 
+    def images(self, block):
+        """The images of ``x(block, 1), ..., x(block, rank)``, as Words.
+
+        The table is composed inward: it starts as the identity, and each
+        factor, last to first, replaces the image of the one generator
+        ``y_i`` it moves by the table substituted into the 3 or 5 letters of
+        its image of ``y_i``.  Those pieces are freely reduced, so letters
+        cancel only at their seams, and one factor costs the length of one
+        image.  Every letter of the table is one of the ``2 * rank``
+        letters of the block, made once per call.
+
+        >>> a = IAWord.parse(2, "B(1,2) B(2,1)")
+        >>> for w in a.images(3):
+        ...     print(w)
+        x(3,1)^-1 x(3,2)^-1 x(3,1) x(3,2) x(3,1)
+        x(3,1)^-1 x(3,2) x(3,1)
+        >>> a.images(3)[0] == a.apply(x(3, 1))
+        True
+        """
+        flip = _flip(block, self.rank)
+        table = [None] + [(up,) for up in list(flip)[::2]]  # the identity
+        for gen, exp in reversed(self.factors):
+            # one list per new image, each seam cancelled as a piece lands
+            out = []
+            for k, f in _factor_image(gen, exp):
+                piece = table[k]
+                m = 0
+                if f == 1:
+                    while out and m < len(piece) and out[-1] is flip[piece[m]]:
+                        out.pop()
+                        m += 1
+                    out += islice(piece, m, None)
+                else:
+                    while out and m < len(piece) and out[-1] is piece[-1 - m]:
+                        out.pop()
+                        m += 1
+                    rest = islice(reversed(piece), m, None)
+                    out += map(flip.__getitem__, rest)
+            table[gen[1]] = tuple(out)
+        return tuple(_word(letters) for letters in table[1:])
+
     def apply(self, w):
-        """Apply the composed automorphism to a word in a single block."""
+        """Apply the composed automorphism to a word in a single block.
+
+        Substitutes the :meth:`images` of the block into the letters of
+        ``w`` and reduces once.
+        """
         if not w.letters:
             return w
         block = w.single_block()
         if any(index > self.rank for (_, index), _ in w.letters):
             raise ValueError("word index exceeds block rank %d" % self.rank)
-        letters = w.letters
-        for gen, exp in self.factors:
-            letters = self._apply_factor(gen, exp, letters, block)
-        return Word(letters)
-
-    @staticmethod
-    def _apply_factor(gen, exp, letters, block):
-        # both kinds of basic automorphism move y_i = gen[1] alone; every
-        # occurrence of y_i^(+-1) shares the letter tuples of one image
-        image = [((block, k), f) for k, f in _factor_image(gen, exp)]
-        inverse = [(g, -f) for g, f in reversed(image)]
+        table = self.images(block)
+        flip = _flip(block, self.rank)
         out = []
-        for letter in letters:
-            if letter[0][1] != gen[1]:
-                out.append(letter)
+        for (_, k), e in w.letters:
+            image = table[k - 1].letters
+            if e == 1:
+                out += image
             else:
-                out.extend(image if letter[1] == 1 else inverse)
-        return _reduce(out)
+                out += map(flip.__getitem__, reversed(image))
+        return _word(_reduce(out))
 
     def __str__(self):
         if not self.factors:
@@ -391,6 +429,16 @@ class IAWord:
             factors.extend([(gen, e)] * abs(power))
             pos = m.end()
         return cls(rank, factors)
+
+
+def _flip(block, rank):
+    # the 2 * rank letters of a block, each mapped to its inverse
+    flip = {}
+    for k in range(1, rank + 1):
+        up, down = ((block, k), 1), ((block, k), -1)
+        flip[up] = down
+        flip[down] = up
+    return flip
 
 
 def _factor_image(gen, exp):

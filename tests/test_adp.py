@@ -6,6 +6,7 @@ from almostdirect.adp import (
     BUILTINS,
     IMAGES,
     MAGNUS,
+    ActionError,
     AdpSpec,
     build_presentation,
     extend_with_torus,
@@ -19,6 +20,7 @@ from almostdirect.adp import (
 )
 from almostdirect.homology import verify_chain_map
 from almostdirect.words import IAWord, Word, beta, commutator, x
+from test_words import reference_apply
 
 
 def test_spec_validation():
@@ -43,6 +45,25 @@ def test_images_validation():
         AdpSpec((1, 2), {(1, 2, 1): (IMAGES, (x(2, 2), x(2, 1)))})
     with pytest.raises(ValueError):
         AdpSpec((1, 2), {(1, 2, 1): (IMAGES, (x(2, 1),))})
+
+
+def test_images_checks_report_the_first_failing_image():
+    # images are checked in order; within one image, leaving the block is
+    # reported before a wrong exponent sum
+    not_ia = x(2, 1, 2)
+    leaves = x(1, 1) * x(2, 2) * x(1, 1, -1)
+    cases = [
+        ((not_ia, leaves), "image of x(2,1) is not IA: x(2,1)^2"),
+        ((leaves, not_ia), "image of x(2,1) leaves block 2: %s" % leaves),
+        ((x(2, 1), x(1, 1) * x(2, 2)), "image of x(2,2) leaves block 2"),
+        ((x(2, 1), x(2, 3)), "image of x(2,2) leaves block 2: x(2,3)"),
+        ((x(2, 1), x(2, 2) * x(2, 1)), "image of x(2,2) is not IA"),
+    ]
+    for images, message in cases:
+        with pytest.raises(ActionError) as info:
+            AdpSpec((1, 2), {(1, 2, 1): (IMAGES, images)})
+        assert str(info.value).startswith(message)
+        assert info.value.key == (1, 2, 1)
 
 
 def test_trivial_actions_are_dropped():
@@ -258,7 +279,7 @@ def test_action_image_reads_the_actions():
         for i, j, p, q in all_keys(spec):
             kind, payload = spec.actions.get((i, j, p), (None, None))
             if kind == MAGNUS:
-                expect = payload.apply(x(j, q))
+                expect = reference_apply(payload, x(j, q))
             elif kind == IMAGES:
                 expect = payload[q - 1]
             else:
@@ -284,7 +305,8 @@ def test_magnus_and_images_encodings_compare_and_hash_equal():
 
 
 def test_magnus_spec_applies_each_action_once_per_generator(count_calls):
-    calls = count_calls(IAWord, "apply")
+    calls = count_calls(IAWord, "images")
+    applied = count_calls(IAWord, "apply")
     conj = IAWord(3, ((beta(1, 2), 1), (beta(3, 1), -1)))
     trivial = IAWord(3, ((beta(1, 2), 1), (beta(1, 2), -1)))
     actions = {
@@ -294,9 +316,11 @@ def test_magnus_spec_applies_each_action_once_per_generator(count_calls):
     }
     spec = AdpSpec((1, 2, 3), actions)
     twin = AdpSpec((1, 2, 3), actions)
-    # two specs of three actions on a rank-3 block: one call per action
-    # and target generator, and the trivial action is still dropped
-    assert len(calls) == 2 * 3 * 3
+    # two specs of three actions on a rank-3 block: one table of images
+    # per action, no generator applied on its own, and the trivial action
+    # is still dropped
+    assert len(calls) == 2 * 3
+    assert applied == []
     assert set(spec.actions) == {(1, 3, 1), (2, 3, 1)}
     del calls[:]
     for rel in build_presentation(spec):

@@ -5,6 +5,7 @@ import pytest
 from almostdirect.words import (
     IAWord,
     Word,
+    _reduce,
     beta,
     commutator,
     commutator_decompose,
@@ -160,13 +161,121 @@ def test_ia_word_rejects_out_of_range():
 def test_apply_builds_one_word(count_calls):
     ia = IAWord(3, [(beta(1, 2), 1), (theta(2, 1, 3), -1), (beta(3, 1), 1)])
     w = x(4, 1) * x(4, 2, -1) * x(4, 3) * x(4, 1)
-    expected = w
-    for factor in ia.factors:
-        expected = IAWord(3, [factor]).apply(expected)
-    calls = count_calls(Word, "__init__")
+    expected = reference_apply(ia, w)
+    tables = count_calls(IAWord, "images")
+    built = count_calls(Word, "__init__")
     assert ia.apply(w) == expected
-    # the letters are reduced after each factor, the Word built once
-    assert len(calls) == 1
+    # one table of images for the block, substituted and reduced once,
+    # with no Word validated on the way
+    assert len(tables) == 1
+    assert built == []
+
+
+def reference_apply(ia, w):
+    """``ia`` applied to ``w`` one factor at a time, left to right.
+
+    Each factor replaces every occurrence of the generator it moves by its
+    image, written from the definitions of ``beta`` and ``theta``, and the
+    word is reduced after each factor.  Independent of ``IAWord.images``.
+    """
+    if not w.letters:
+        return w
+    block = w.single_block()
+    if any(index > ia.rank for (_, index), _ in w.letters):
+        raise ValueError("word index exceeds block rank %d" % ia.rank)
+    for gen, exp in ia.factors:
+        y = [None] + [x(block, k) for k in range(1, ia.rank + 1)]
+        if gen[0] == "beta":
+            _, i, j = gen
+            image = ~y[j] * y[i] * y[j] if exp == 1 else y[j] * y[i] * ~y[j]
+        else:
+            _, i, s, t = gen
+            c = commutator(y[s], y[t])
+            image = y[i] * (c if exp == 1 else ~c)
+        letters = []
+        for g, e in w.letters:
+            if g != (block, i):
+                letters.append((g, e))
+            else:
+                letters += (image if e == 1 else ~image).letters
+        w = Word(letters)
+    return w
+
+
+def random_ia_word(rng, rank, length, cap):
+    # ``length`` random basic factors of both signs whose images stay within
+    # ``cap`` letters: a factor that would pass the cap is drawn again, and
+    # after 20 misses the inverse of the last factor, which returns to the
+    # images before it, is taken instead
+    factors = []
+    images = [x(1, k) for k in range(1, rank + 1)]
+    history = [images]
+    while len(factors) < length:
+        for _ in range(20):
+            if rank >= 3 and rng.random() < 0.5:
+                gen = theta(*rng.sample(range(1, rank + 1), 3))
+            else:
+                gen = beta(*rng.sample(range(1, rank + 1), 2))
+            factor = (gen, rng.choice((1, -1)))
+            step = IAWord(rank, [factor])
+            new = [reference_apply(step, w) for w in images]
+            if max(map(len, new)) <= cap:
+                break
+        else:
+            gen, exp = factors[-1]
+            factor = (gen, -exp)
+            new = history[-2]
+        factors.append(factor)
+        history.append(new)
+        images = new
+    return IAWord(rank, factors)
+
+
+def test_images_and_apply_match_reference_apply():
+    rng = random.Random(18)
+    cases = [
+        (rng.randint(2, 5), rng.randint(0, 40), 60) for _ in range(100)
+    ]
+    # the long-word profile: rank 2, 38 factors, relators near 100 letters
+    cases += [(2, 38, 48)] * 20
+    for rank, length, cap in cases:
+        ia = random_ia_word(rng, rank, length, cap)
+        block = rng.randint(1, 6)
+        table = ia.images(block)
+        assert len(table) == rank
+        for k, image in enumerate(table, start=1):
+            assert image == reference_apply(ia, x(block, k))
+        for _ in range(3):
+            w = Word(
+                [
+                    ((block, rng.randint(1, rank)), rng.choice((1, -1)))
+                    for _ in range(rng.randint(0, 12))
+                ]
+            )
+            assert ia.apply(w) == reference_apply(ia, w)
+
+
+def test_apply_rejects_mixed_blocks_and_indices_past_the_rank():
+    ia = IAWord.parse(2, "B(1,2)")
+    with pytest.raises(ValueError, match="does not lie in a single block"):
+        ia.apply(x(1, 1) * x(2, 1))
+    with pytest.raises(ValueError, match="exceeds block rank 2"):
+        ia.apply(x(4, 1) * x(4, 3))
+    assert ia.apply(Word()) == Word()
+
+
+def test_images_share_the_letters_of_the_block():
+    # every image is freely reduced, and one table draws its letters from
+    # the 2 * rank letter objects of the block
+    rng = random.Random(181)
+    for rank in (2, 3, 4, 5):
+        for _ in range(20):
+            ia = random_ia_word(rng, rank, rng.randint(0, 30), 60)
+            table = ia.images(3)
+            letters = {id(letter) for w in table for letter in w.letters}
+            assert len(letters) <= 2 * rank
+            for w in table:
+                assert _reduce(w.letters) == w.letters
 
 
 def test_parse_rejects_generator_index_zero():
