@@ -18,18 +18,20 @@ def main():
 
     # every pair of generators in distinct blocks contributes one relation
     # x(j,q) x(i,p) = x(i,p) x(j,q) w with w a commutator word in block j
+    # the presentation stores the relations with nontrivial tails only
     pres = build_presentation(spec)
     print("\nrelations with nontrivial tails:")
-    for key, rel in pres.relations.items():
-        if not rel.word.is_identity():
-            print("  x(%d,%d) x(%d,%d): w = %s" % (rel.j, rel.q, rel.i, rel.p, rel.word))
+    for rel in pres.relations.values():
+        print("  x(%d,%d) x(%d,%d): w = %s" % (rel.j, rel.q, rel.i, rel.p, rel.word))
 
-    # the integral H2 matrix has one row per relation; its kernel
-    # gives the quadratic relations of the cohomology ring
+    # the integral H2 matrix has one row per relation; its kernel gives the
+    # quadratic relations of the cohomology ring.  A relation with w = 1 has
+    # the unit row e(i,p) e(j,q), which the matrix implies without storing
     matrix = h2_matrix(pres)
-    print("\nmatrix: %d rows, %d columns, full row rank: %s"
-          % (len(matrix.rows), len(matrix.col_labels),
-             matrix.has_full_row_rank()))
+    print("\nmatrix: %d rows, of which %d are stored and %d are unit rows;"
+          " %d columns, full row rank: %s"
+          % (len(pres), len(matrix.rows), len(pres) - len(matrix.rows),
+             len(matrix.col_labels), matrix.has_full_row_rank()))
     etas = kernel_basis(matrix)
     print("kernel elements:", len(etas))
 

@@ -39,6 +39,7 @@ __all__ = [
     "generators",
     "Relation",
     "Presentation",
+    "relation_keys",
     "build_presentation",
     "pure_braid",
     "partial_pure_braid",
@@ -241,12 +242,31 @@ class Relation:
         return lhs * ~rhs
 
 
+def relation_keys(ranks):
+    """Every relation key ``(i, j, p, q)`` of the given ranks, in relation
+    order: the block pairs ``(i, j)`` sorted by ``(j, i)``, then ``(p, q)``
+    lexicographically."""
+    return [
+        (i, j, p, q)
+        for j in range(2, len(ranks) + 1)
+        for i in range(1, j)
+        for p in range(1, ranks[i - 1] + 1)
+        for q in range(1, ranks[j - 1] + 1)
+    ]
+
+
 class Presentation:
     """All commutation relations of a spec, keyed ``(i, j, p, q)``.
 
-    Relations keep the order they are given in.  :func:`build_presentation`
-    makes them in relation order: block pair first, the pairs ``(i, j)``
-    sorted by ``(j, i)``, then lexicographically by ``(p, q)``.
+    ``relations`` stores the moved relations only, those with a nonempty
+    word ``w``, in the order they are given; :func:`build_presentation`
+    makes them in relation order (see :func:`relation_keys`).  Every other
+    relation is ``x(j,q) x(i,p) = x(i,p) x(j,q)``: its H2 row is the mixed
+    unit alone and it reassembles from no pairs by construction, so it is
+    never stored.  :meth:`keys`, iteration, ``len`` and ``pres[key]``
+    nevertheless cover every relation in relation order; ``pres[key]``
+    builds an unmoved relation on demand, with the empty word, and raises
+    ``KeyError`` for a key outside the ranks.
     """
 
     __slots__ = ("ranks", "relations")
@@ -256,16 +276,33 @@ class Presentation:
         self.relations = relations
 
     def keys(self):
-        return list(self.relations)
+        return relation_keys(self.ranks)
 
     def __getitem__(self, key):
-        return self.relations[key]
+        rel = self.relations.get(key)
+        if rel is not None:
+            return rel
+        ranks = self.ranks
+        try:
+            i, j, p, q = key
+            valid = (
+                1 <= i < j <= len(ranks)
+                and 1 <= p <= ranks[i - 1]
+                and 1 <= q <= ranks[j - 1]
+            )
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise KeyError(key)
+        return Relation(i, j, p, q, Word())
 
     def __len__(self):
-        return len(self.relations)
+        # sum over i < j of n_i n_j
+        total = sum(self.ranks)
+        return (total * total - sum(n * n for n in self.ranks)) // 2
 
     def __iter__(self):
-        return iter(self.relations.values())
+        return map(self.__getitem__, self.keys())
 
 
 def build_presentation(spec):
@@ -276,22 +313,17 @@ def build_presentation(spec):
     ``x(i,p)`` on block ``j``.  Every ``w`` has vanishing exponent sums,
     because :class:`AdpSpec` admits only IA actions, so it lies in the
     commutator subgroup of block ``j``; :meth:`Relation.pairs` writes it as
-    a product of commutators on demand.  A generator the action fixes has no
-    entry in the spec's image table and gets the identity word without any
-    word arithmetic.  Relations are made in relation order (see
-    :class:`Presentation`).
+    a product of commutators on demand.  One relation is made per entry of
+    the spec's image table, in relation order; a generator the action fixes
+    has the identity word, and its relation is not stored (see
+    :class:`Presentation`).  The presentation, its H2 matrix and the
+    reassembly check therefore cost one step per moved relation.
     """
-    l = len(spec.ranks)
-    identity = Word()
     moved = spec._images
     relations = {}
-    for j in range(2, l + 1):
-        for i in range(1, j):
-            for p in range(1, spec.ranks[i - 1] + 1):
-                for q in range(1, spec.ranks[j - 1] + 1):
-                    image = moved.get((i, j, p, q))
-                    w = identity if image is None else x(j, q, -1) * image
-                    relations[(i, j, p, q)] = Relation(i, j, p, q, w)
+    for key in sorted(moved, key=lambda k: (k[1], k[0], k[2], k[3])):
+        i, j, p, q = key
+        relations[key] = Relation(i, j, p, q, x(j, q, -1) * moved[key])
     return Presentation(spec.ranks, relations)
 
 

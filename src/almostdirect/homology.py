@@ -53,12 +53,20 @@ Then ``A`` has full row rank, and the kernel of right multiplication by
     eta(j; p, q) = e(j,p) e(j,q) + sum kappa e(i,r) e(j,s)
 
 with ``kappa(i, r, s) = -A[(i, j, r, s), (e(j,p), e(j,q))]``.
+
+A relation whose generator the action fixes has the empty word ``w``.  It
+reassembles from no pairs by construction, and its row is the mixed unit
+alone, which no eta reads.  The presentation stores only the moved
+relations, and :func:`h2_matrix` builds their rows only: the other rows
+are implied by :class:`H2Matrix`, and the reassembly check of ``verify``
+runs on the stored relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .adp import relation_keys
 from .fox import abel_gradient
 from .laurent import LaurentPoly, t
 from .linalg import span_rank
@@ -146,22 +154,30 @@ class ChainMapReport:
 
 
 def verify_chain_map(pres):
-    """Check ``d2 o a2 = delta2`` on every relation of a presentation."""
+    """Check ``d2 o a2 = delta2`` on every relation of a presentation.
+
+    An unmoved relation, built on demand, is checked too: its mixed term
+    ``e(i,p) e(j,q)`` is real.
+    """
     failures = []
-    for key, rel in pres.relations.items():
+    for rel in pres:
         lhs = koszul_d2(chain_a2(rel))
         rhs = delta2(rel)
         if lhs != rhs:
-            failures.append((key, lhs, rhs))
+            failures.append(((rel.i, rel.j, rel.p, rel.q), lhs, rhs))
     return ChainMapReport(ok=not failures, failures=failures)
 
 
 class H2Matrix:
     """The augmented chain map matrix, rows by relations, columns by pairs.
 
-    ``rows`` maps each relation key ``(i, j, p, q)`` to its row: a dict from
-    column pairs to nonzero integers.  The column labels are read off when
-    asked for, in the order of :func:`generator_pairs`.
+    ``rows`` maps a relation key ``(i, j, p, q)`` to its row: a dict from
+    column pairs to nonzero integers.  A key of the ranks without an entry
+    has the implied unit row ``{e(i,p) e(j,q): 1}``, the row of a relation
+    with the empty word, so :func:`h2_matrix` stores the rows of moved
+    relations only.  :meth:`to_dense` and :meth:`has_full_row_rank` read
+    every row, implied or stored, in relation order.  The column labels are
+    read off when asked for, in the order of :func:`generator_pairs`.
     """
 
     __slots__ = ("ranks", "rows")
@@ -176,10 +192,29 @@ class H2Matrix:
 
     def to_dense(self):
         cols = self.col_labels
-        return [[row.get(c, 0) for c in cols] for row in self.rows.values()]
+        dense = []
+        for key in relation_keys(self.ranks):
+            row = self.rows.get(key)
+            if row is None:
+                i, j, p, q = key
+                row = {((i, p), (j, q)): 1}
+            dense.append([row.get(c, 0) for c in cols])
+        return dense
 
     def has_full_row_rank(self):
-        return span_rank(list(self.rows.values())) == len(self.rows)
+        # each implied unit row is the only pivot its mixed column needs:
+        # it adds one to the rank and clears that column from the stored
+        # rows, which leaves their rank to decide
+        rows = self.rows
+        stored = [
+            {
+                (a, b): c
+                for (a, b), c in row.items()
+                if a[0] == b[0] or (a[0], b[0], a[1], b[1]) in rows
+            }
+            for row in rows.values()
+        ]
+        return span_rank(stored) == len(stored)
 
 
 class RowStructureError(ValueError):
@@ -198,7 +233,9 @@ def h2_matrix(pres):
     Row ``(i, j, p, q)`` is the unit mixed entry ``e(i,p) e(j,q)`` plus
     ``sum_{a<b} c_ab(w) e_a e_b``, the degree-two Magnus coefficients of the
     relation word ``w`` (see the module docstring), summed in one pass over
-    its letters with running exponent sums.  Raises
+    its letters with running exponent sums.  Only the stored (moved)
+    relations of ``pres`` get a row; an unmoved relation has the empty word,
+    so its row is the implied unit row of :class:`H2Matrix`.  Raises
     :class:`RowStructureError`, naming the row and column, unless the mixed
     entry is 1 and every other entry sits in a same-block column of block
     ``j``.  That structure gives the matrix an identity minor (full row
@@ -237,8 +274,9 @@ def kernel_basis(matrix):
     then by ``(p, q)``; each value is a dict from degree-two monomials to
     integers, ``1`` on the leading pair and, on ``e(i,r) e(j,s)``, minus
     the entry of row ``(i, j, r, s)`` in column ``(e(j,p), e(j,q))``.  The
-    rows come in ``(j, i, r, s)`` order, so one pass over them fills each
-    eta in ``(i, r, s)`` order.
+    stored rows come in ``(j, i, r, s)`` order, so one pass over them fills
+    each eta in ``(i, r, s)`` order; an implied unit row has no entry in a
+    same-block column, so it adds nothing.
     """
     etas = {}
     for j, n in enumerate(matrix.ranks, start=1):

@@ -213,14 +213,13 @@ def zero_divisor(ring, u):
 class ZclWitness:
     """The product of the standard zero divisors.
 
-    ``length`` counts the factors of the longest nonzero prefix of the
-    product, taken in block order; ``num_factors`` is ``2 a + b`` where
-    ``a`` blocks have rank at least two and ``b`` have rank one.  The full
-    product is never zero (see :func:`witness_term`), so the two agree and
-    ``element`` is the full product.
+    ``num_factors`` is ``2 a + b`` where ``a`` blocks have rank at least
+    two and ``b`` have rank one, and ``element`` is the product of that many
+    factors, taken in block order.  It is never zero (see
+    :func:`witness_term`), so ``num_factors`` is also the length of the
+    longest nonzero prefix product.
     """
 
-    length: int
     num_factors: int
     element: TensorElem
 
@@ -258,15 +257,13 @@ def _times_zero_divisor(ring, x, g):
 
 
 def zcl_witness(ring):
-    """Multiply the standard zero divisors, longest nonzero prefix first.
+    """Multiply the standard zero divisors.
 
     Per block ``j`` the factors are ``1 (x) u - u (x) 1`` for
     ``u = e(j,1), e(j,2)`` when the rank is at least two and just
-    ``u = e(j,1)`` for rank one, taken in block order.  Prefix products are
-    monotone (zero stays zero), so the longest nonzero one is well defined.
-    The full product is never zero, because its term
-    :func:`witness_term` has coefficient ``+-1``, so the witness is the
-    full product.
+    ``u = e(j,1)`` for rank one, taken in block order.  The product is
+    never zero, because its term :func:`witness_term` has coefficient
+    ``+-1``, so no prefix of it is zero either.
 
     Each factor is multiplied onto the right of the running prefix product,
     term by term through
@@ -283,14 +280,10 @@ def zcl_witness(ring):
         gens.append((j, 1))
         if n >= 2:
             gens.append((j, 2))
-    length = 0
-    element = cur = {TensorElem.UNIT: 1}
-    for r, g in enumerate(gens, start=1):
-        cur = _times_zero_divisor(ring, cur, g)
-        if not cur:
-            break
-        length, element = r, cur
-    return ZclWitness(length, len(gens), TensorElem(ring, element))
+    element = {TensorElem.UNIT: 1}
+    for g in gens:
+        element = _times_zero_divisor(ring, element, g)
+    return ZclWitness(len(gens), TensorElem(ring, element))
 
 
 def witness_term(ring):

@@ -347,20 +347,25 @@ class IAWord:
         flip = _flip(block, self.rank)
         table = [None] + [(up,) for up in list(flip)[::2]]  # the identity
         for gen, exp in reversed(self.factors):
-            # one list per new image, each seam cancelled as a piece lands
+            # one list per new image, each seam cancelled as a piece lands:
+            # the cancelled run is counted first and dropped in one slice
             out = []
             for k, f in _factor_image(gen, exp):
                 piece = table[k]
                 m = 0
                 if f == 1:
-                    while out and m < len(piece) and out[-1] is flip[piece[m]]:
-                        out.pop()
+                    for a, b in zip(reversed(out), piece):
+                        if a is not flip[b]:
+                            break
                         m += 1
+                    del out[len(out) - m :]
                     out += islice(piece, m, None)
                 else:
-                    while out and m < len(piece) and out[-1] is piece[-1 - m]:
-                        out.pop()
+                    for a, b in zip(reversed(out), reversed(piece)):
+                        if a is not b:
+                            break
                         m += 1
+                    del out[len(out) - m :]
                     rest = islice(reversed(piece), m, None)
                     out += map(flip.__getitem__, rest)
             table[gen[1]] = tuple(out)

@@ -85,11 +85,11 @@ def pair_matrix(pres, pairing):
     the commutator pairs ``(u, v)`` of the relation under ``pairing``.
     """
     rows = {}
-    for key, rel in pres.relations.items():
+    for rel in pres:
         row = {((rel.i, rel.p), (rel.j, rel.q)): 1}
         for u, v in rel.pairs(pairing):
             add_scaled(row, wedge(u.exponent_sums(), v.exponent_sums()))
-        rows[key] = row
+        rows[(rel.i, rel.j, rel.p, rel.q)] = row
     return H2Matrix(pres.ranks, rows)
 
 
@@ -173,7 +173,7 @@ def test_criterion_04_chain_map_identity():
     total = 0
     for spec in specs:
         pres = build_presentation(spec)
-        total += len(pres.relations)
+        total += len(pres)
         rep = verify_chain_map(pres)
         ok = ok and rep.ok
     assert report(4, ok, "%d relations over %d specs" % (total, len(specs)))

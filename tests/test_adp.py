@@ -108,8 +108,8 @@ def test_pure_braid_smallest_relations():
     # the standard positive braid presentation
     pres = build_presentation(pure_braid(3))
     assert pres.keys() == [(1, 2, 1, 1), (1, 2, 1, 2)]
-    r11 = pres.relations[(1, 2, 1, 1)]
-    r12 = pres.relations[(1, 2, 1, 2)]
+    r11 = pres[(1, 2, 1, 1)]
+    r12 = pres[(1, 2, 1, 2)]
     assert r11.word == commutator(x(2, 2), x(2, 1))
     assert r12.word == commutator(x(2, 2, -1), x(2, 1))
 
@@ -131,7 +131,11 @@ def test_upper_mccool_relations():
     # and the generators commute otherwise
     n = 4
     pres = build_presentation(upper_mccool(n))
-    for (i, j, p, q), rel in pres.relations.items():
+    assert len(pres) == 11
+    # only the moved relations are stored
+    assert list(pres.relations) == [k for k in pres.keys() if k[3] == k[0] + 1]
+    for rel in pres:
+        i, j, p, q = rel.i, rel.j, rel.p, rel.q
         if q == i + 1:
             assert rel.word == commutator(x(j, q, -1), x(j, p))
         else:
@@ -177,10 +181,11 @@ def test_mod_center_keeps_the_action():
     bar = build_presentation(pure_braid_mod_center(4))
     def shift_down(w):
         return Word(tuple(((b - 1, q), e) for (b, q), e in w.letters))
-    for (i, j, p, q), rel in full.relations.items():
+    for rel in full:
+        i, j, p, q = rel.i, rel.j, rel.p, rel.q
         if i == 1:
             continue
-        assert bar.relations[(i - 1, j - 1, p, q)].word == shift_down(rel.word)
+        assert bar[(i - 1, j - 1, p, q)].word == shift_down(rel.word)
 
 
 def test_extend_with_torus():
@@ -233,8 +238,8 @@ def test_relation_words_live_in_the_later_block():
     for _ in range(10):
         spec = random_spec(rng)
         pres = build_presentation(spec)
-        for (i, j, p, q), rel in pres.relations.items():
-            assert rel.word.is_identity() or rel.word.single_block() == j
+        for rel in pres:
+            assert rel.word.is_identity() or rel.word.single_block() == rel.j
             assert rel.word.exponent_sums() == {}
 
 
@@ -242,7 +247,7 @@ def test_relator_vanishes_under_defining_equation():
     # the relator is the left side times the inverted right side, so it
     # freely reduces to 1 when the relation word is substituted back
     pres = build_presentation(pure_braid(3))
-    for rel in pres.relations.values():
+    for rel in pres:
         lhs = x(rel.j, rel.q) * x(rel.i, rel.p)
         rhs = x(rel.i, rel.p) * x(rel.j, rel.q) * rel.word
         assert rel.relator() == lhs * ~rhs

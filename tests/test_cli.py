@@ -500,7 +500,8 @@ def tamper_pairs(monkeypatch, key, extra):
 
 
 def test_verify_chain_map_names_the_first_failing_relation(monkeypatch, capsys):
-    tampered = build_presentation(pure_braid(4)).keys()[4]
+    # the first stored relation: verify reassembles only the moved ones
+    tampered = next(iter(build_presentation(pure_braid(4)).relations))
     # one extra commutator among the pairs breaks d2 o a2 = delta2 on this
     # relation only
     tamper_pairs(monkeypatch, tampered, ((x(1, 1), x(3, 1)),))
@@ -530,7 +531,7 @@ def test_verify_chain_map_sees_past_the_metabelian_quotient(monkeypatch, capsys)
     pres = build_presentation(pure_braid(4))
     # the Laurent chain map sees words through F/F'' only, so it passes
     assert verify_chain_map(pres).ok
-    assert [k for k, rel in pres.relations.items() if not rel.reassembles()] == [key]
+    assert [(r.i, r.j, r.p, r.q) for r in pres if not r.reassembles()] == [key]
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
     assert rc == 2
     failed = [line for line in out.splitlines() if " fail" in line]
@@ -576,8 +577,11 @@ def test_verify_builds_one_presentation_and_one_matrix(count_calls, capsys):
     assert rc == 0
     assert "verify pairing-independence ok" in out.splitlines()
     assert len(built) == 1 and len(matrices) == 1
-    # one decomposition per relation, none of them with the last pairing
-    assert [args[1:] for args in decomposed] == [("first",)] * 11
+    # one decomposition per moved relation, none of them with the last
+    # pairing; the 2 unmoved relations of the 11 reassemble by construction
+    moved = len(pure_braid(4)._images)
+    assert moved == 9
+    assert [args[1:] for args in decomposed] == [("first",)] * moved
 
 
 def test_only_present_and_reassembly_decompose_words(count_calls, capsys):
@@ -592,9 +596,12 @@ def test_only_present_and_reassembly_decompose_words(count_calls, capsys):
     ):
         assert main([argv[0], "builtin:purebraid:5", *argv[1:]]) == 0
     assert decomposed == []
-    # present decomposes each of the 35 relations once, with its pairing
+    # present decomposes each of the 25 moved relations of the 35 once,
+    # with its pairing; an unmoved relation has no pairs
+    moved = len(pure_braid(5)._images)
+    assert moved == 25
     assert main(["present", "builtin:purebraid:5", "--pairing", "last"]) == 0
-    assert [args[1:] for args in decomposed] == [("last",)] * 35
+    assert [args[1:] for args in decomposed] == [("last",)] * moved
     capsys.readouterr()
 
 

@@ -8,11 +8,13 @@ from almostdirect.adp import (
     Presentation,
     Relation,
     build_presentation,
+    extend_with_torus,
     generators,
     partial_pure_braid,
     pure_braid,
     pure_braid_mod_center,
     random_spec,
+    relation_keys,
     upper_mccool,
     upper_mccool_mod_center,
 )
@@ -28,11 +30,11 @@ from almostdirect.homology import (
     verify_chain_map,
     wedge,
 )
-from almostdirect.cli import load_spec
+from almostdirect.cli import load_spec, main, parse_spec
 from almostdirect.laurent import LaurentPoly, t
 from almostdirect.words import Word, commutator, x
 from test_acceptance import pair_matrix, specs_under_test
-from test_cli import tamper_pairs
+from test_cli import INCONSISTENT, tamper_pairs
 
 
 ONE = LaurentPoly.constant(1)
@@ -140,6 +142,13 @@ def test_full_row_rank_fails_on_dependent_or_empty_rows():
     empty = matrix({}, {a: 1, b: 1})
     assert not empty.has_full_row_rank()
     assert empty.to_dense() == [[0, 0, 0], [1, 0, 1]]
+    # without a row of its own, keys[0] has the implied unit row at a
+    implied = H2Matrix((1, 2), {keys[1]: {a: 1, b: 1}})
+    assert implied.to_dense() == [[1, 0, 0], [1, 0, 1]]
+    assert implied.has_full_row_rank()
+    implied = H2Matrix((1, 2), {keys[1]: {a: 1}})
+    assert implied.to_dense() == [[1, 0, 0], [1, 0, 0]]
+    assert not implied.has_full_row_rank()
 
 
 def test_chain_a2_augments_to_matrix_row():
@@ -156,11 +165,11 @@ def test_chain_a2_augments_to_matrix_row():
     for spec in specs:
         pres = build_presentation(spec)
         m = h2_matrix(pres)
-        for key, rel in pres.relations.items():
-            row = m.rows[key]
+        cols = m.col_labels
+        # every row, the implied unit rows of the unmoved relations too
+        for rel, row in zip(pres, m.to_dense(), strict=True):
             aug = {pair: poly.augment() for pair, poly in chain_a2(rel).items()}
-            aug = {pair: c for pair, c in aug.items() if c}
-            assert aug == {pair: c for pair, c in row.items() if c}, key
+            assert [aug.get(c, 0) for c in cols] == row, rel
 
 
 def test_both_pairings_reassemble_the_long_relators():
@@ -172,14 +181,14 @@ def test_both_pairings_reassemble_the_long_relators():
         spec = load_spec(str(GOLDEN_SPECS / name))
         pres = build_presentation(spec)
         for pairing in ("first", "last"):
-            for key, rel in pres.relations.items():
+            for rel in pres:
                 word = Word()
                 for u, v in rel.pairs(pairing):
                     word = word * commutator(u, v)
-                assert word == rel.word, (name, key, pairing)
+                assert word == rel.word, (name, rel, pairing)
                 longest = max(longest, len(rel.word))
-            rows = pair_matrix(pres, pairing).rows
-            assert rows == h2_matrix(pres).rows, (name, pairing)
+            rows = pair_matrix(pres, pairing).to_dense()
+            assert rows == h2_matrix(pres).to_dense(), (name, pairing)
     assert longest >= 80
 
 
@@ -195,14 +204,85 @@ def test_reassembly_agrees_with_the_laurent_chain_map():
         assert all(rel.reassembles() for rel in pres), spec
 
 
+def magnus_row(rel):
+    """The mixed unit plus ``c_ab(w)`` over every pair of letter positions
+    ``k < l`` of ``w`` with ``g_k = a < b = g_l``."""
+    row = {((rel.i, rel.p), (rel.j, rel.q)): 1}
+    letters = rel.word.letters
+    for k, (a, eps) in enumerate(letters):
+        for b, eta in letters[k + 1 :]:
+            if a < b:
+                row[(a, b)] = row.get((a, b), 0) + eps * eta
+    return row
+
+
+def test_presentation_stores_the_moved_relations_and_implies_the_rest():
+    specs = specs_under_test()
+    specs += [pure_braid(7), partial_pure_braid(3, 2), upper_mccool(7)]
+    specs += [pure_braid_mod_center(7), upper_mccool_mod_center(7)]
+    specs.append(extend_with_torus(pure_braid_mod_center(5), 2))
+    specs.append(parse_spec(INCONSISTENT))
+    for spec in specs:
+        ranks = spec.ranks
+        pres = build_presentation(spec)
+        every = sorted(
+            (
+                (i, j, p, q)
+                for i, j in combinations(range(1, len(ranks) + 1), 2)
+                for p in range(1, ranks[i - 1] + 1)
+                for q in range(1, ranks[j - 1] + 1)
+            ),
+            key=lambda k: (k[1], k[0], k[2], k[3]),
+        )
+        assert list(pres.keys()) == every, spec
+        assert len(pres) == len(every) == sum(
+            ranks[i] * ranks[j] for i, j in combinations(range(len(ranks)), 2)
+        )
+        # one stored relation per moved image, in relation order
+        assert list(pres.relations) == [k for k in every if k in spec._images]
+        assert set(pres.relations) == set(spec._images)
+        for key, rel in zip(every, pres, strict=True):
+            i, j, p, q = key
+            assert (rel.i, rel.j, rel.p, rel.q) == key
+            assert pres[key] == rel
+            assert rel.word == x(j, q, -1) * spec.action_image(i, j, p, q)
+        l = len(ranks)
+        for outside in ((1, 1, 1, 1), (2, 1, 1, 1), (1, l + 1, 1, 1), (1, 2, 9, 9)):
+            with pytest.raises(KeyError):
+                pres[outside]
+        # the dense matrix over every relation, unit rows included
+        m = h2_matrix(pres)
+        cols = m.col_labels
+        dense = [[magnus_row(pres[k]).get(c, 0) for c in cols] for k in every]
+        assert m.to_dense() == dense, spec
+        assert m.has_full_row_rank()
+    assert len(specs) == len(specs_under_test()) + 7
+
+
+def test_cohomology_builds_one_relation_per_moved_image(count_calls, capsys):
+    made = count_calls(Relation, "__init__")
+    assert main(["cohomology", "builtin:uppermccool:10", "--porcelain"]) == 0
+    capsys.readouterr()
+    # 120 of the 870 relations of uppermccool 10 are moved
+    assert len(made) == len(upper_mccool(10)._images) == 120
+
+
 def test_reassembly_and_the_chain_map_reject_a_stray_letter(monkeypatch):
     pres = build_presentation(pure_braid(4))
-    key = pres.keys()[4]
+    # the first stored relation: verify reassembles only the moved ones
+    key = next(iter(pres.relations))
     # a stray commutator among the pairs of one relation: they no longer
     # multiply to its word
     tamper_pairs(monkeypatch, key, ((x(1, 1), x(3, 1)),))
-    assert [k for k, r in pres.relations.items() if not r.reassembles()] == [key]
+    assert [(r.i, r.j, r.p, r.q) for r in pres if not r.reassembles()] == [key]
     assert [failure[0] for failure in verify_chain_map(pres).failures] == [key]
+    # an unmoved relation, built on demand, is checked by the oracles too
+    unmoved = (1, 3, 1, 3)
+    assert unmoved in pres.keys() and unmoved not in pres.relations
+    tamper_pairs(monkeypatch, unmoved, ((x(1, 1), x(3, 1)),))
+    bad = [key, unmoved]
+    assert [(r.i, r.j, r.p, r.q) for r in pres if not r.reassembles()] == bad
+    assert [failure[0] for failure in verify_chain_map(pres).failures] == bad
 
 
 def _one_relation(pairs):
@@ -271,10 +351,14 @@ def test_kernel_elements_annihilate_the_matrix():
     specs += [random_spec(rng) for _ in range(10)]
     for spec in specs:
         m = h2_matrix(build_presentation(spec))
+        cols = m.col_labels
+        # every row, the implied unit rows of the unmoved relations too
+        dense = m.to_dense()
         for lead, eta in kernel_basis(m).items():
             assert eta[lead] == 1
-            for key, row in m.rows.items():
-                total = sum(row.get(pair, 0) * c for pair, c in eta.items())
+            column = [eta.get(pair, 0) for pair in cols]
+            for key, row in zip(relation_keys(spec.ranks), dense, strict=True):
+                total = sum(a * c for a, c in zip(row, column))
                 assert total == 0, (spec.name, key, lead)
 
 
