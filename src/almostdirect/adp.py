@@ -443,8 +443,11 @@ def extend_with_torus(spec, m):
         raise ValueError("torus rank must be nonnegative")
     if m == 0:
         return spec
-    out = AdpSpec(spec.ranks + (1,) * m, dict(spec.actions))
-    out.name = (spec.name + " x Z^%d" % m).strip()
+    name = (spec.name + " x Z^%d" % m).strip()
+    out = AdpSpec(spec.ranks + (1,) * m, name=name)
+    # the new blocks have no actions, so the checked ones carry over
+    out.actions = dict(spec.actions)
+    out._images = dict(spec._images)
     return out
 
 

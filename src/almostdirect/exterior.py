@@ -297,7 +297,6 @@ class CohomologyRing:
                 "missing kernel element for block %d pair (%d,%d)" % (j, p, q)
             )
         self._memo = {}
-        self._times = {}
 
     def __eq__(self, other):
         # rings with the same ranks and etas present the same quotient,
@@ -375,33 +374,6 @@ class CohomologyRing:
             pending[cur] = parts
             stack.extend(m2 for m2, _ in parts if m2 not in memo)
         return memo[mono]
-
-    def times(self, g, mono):
-        """Normal form of ``e_g * mono`` as a tuple of ``(monomial, coeff)``.
-
-        ``g`` is a generator and ``mono`` a normal monomial.  Each entry of
-        this per-ring table is filled once, from :meth:`reduce_mono` of the
-        merged monomial, so it agrees term for term with :meth:`mul`.  When
-        ``g`` lies in a block past the last block of ``mono`` the product
-        ``(-1)^{|mono|} mono e_g`` is already normal and is stored as it is.
-        """
-        key = (g, mono)
-        out = self._times.get(key)
-        if out is None:
-            if not mono or mono[-1][0] < g[0]:
-                out = ((mono + (g,), -1 if len(mono) & 1 else 1),)
-            else:
-                signed = mono_mul((g,), mono)
-                if signed is None:
-                    out = ()
-                else:
-                    sign, merged = signed
-                    out = tuple(
-                        (m, sign * c)
-                        for m, c in self.reduce_mono(merged).items()
-                    )
-            self._times[key] = out
-        return out
 
     def normal_form(self, f):
         """The unique representative of ``f`` with no same-block pairs."""

@@ -14,8 +14,8 @@ terms and the ``+-1`` coefficient that term carries, which bounds TC from
 below by the number of factors plus one.  The block structure bounds it
 from above, and the two meet exactly when every block that acts or is
 acted on nontrivially has rank at least two.  :func:`zcl_witness` expands
-the whole product.  :class:`TensorElem` builds on
-:class:`~almostdirect.sparse.Sparse`.
+the whole product, one block's factors per pass.  :class:`TensorElem`
+builds on :class:`~almostdirect.sparse.Sparse`.
 """
 
 from __future__ import annotations
@@ -224,66 +224,84 @@ class ZclWitness:
     element: TensorElem
 
 
-def _times_zero_divisor(ring, x, g):
-    """``x (1 (x) e_g - e_g (x) 1)`` through the generator table of ``ring``.
-
-    ``x`` and the result are term dicts of the tensor square, with nonzero
-    coefficients only.  On a term ``a (x) b`` the factor gives
-    ``a (x) b e_g - (-1)^{|b|} a e_g (x) b``, and ``m e_g = (-1)^{|m|} e_g m``
-    turns both right products into entries of
-    :meth:`~almostdirect.exterior.CohomologyRing.times`.
-    """
-    times = ring.times
-    terms = {}
-    get = terms.get
-    for (a, b), c in x.items():
-        cb = -c if len(b) & 1 else c
-        for m, cm in times(g, b):
-            key = (a, m)
-            s = get(key, 0) + cb * cm
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-        ca = -cb if len(a) & 1 else cb
-        for m, cm in times(g, a):
-            key = (m, b)
-            s = get(key, 0) - ca * cm
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    return terms
-
-
 def zcl_witness(ring):
-    """Multiply the standard zero divisors.
+    """Multiply the standard zero divisors, one block at a time.
 
-    Per block ``j`` the factors are ``1 (x) u - u (x) 1`` for
-    ``u = e(j,1), e(j,2)`` when the rank is at least two and just
-    ``u = e(j,1)`` for rank one, taken in block order.  The product is
-    never zero, because its term :func:`witness_term` has coefficient
-    ``+-1``, so no prefix of it is zero either.
+    The factors are ``z(u) = 1 (x) u - u (x) 1`` for ``u = x, y``, with
+    ``x = e(j,1)`` and ``y = e(j,2)``, per block ``j`` of rank at least two,
+    and for ``u = x`` alone at rank one, in block order.  The product is
+    never zero: its term :func:`witness_term` has coefficient ``+-1``.
 
-    Each factor is multiplied onto the right of the running prefix product,
-    term by term through
-    :meth:`~almostdirect.exterior.CohomologyRing.times`, which gives the
-    same element as the product of :func:`zero_divisor` factors.  A rewrite
-    ``e(j,p) e(j,q) -> -sum kappa e(i,r) e(j,s)`` only moves terms into
-    earlier blocks, so the normal monomials of blocks ``1..j`` span a
-    subring: the cohomology ring of the quotient group on those blocks.
-    The prefix through block ``j`` is therefore that quotient's own
-    witness.
+    Each block multiplies the prefix product of the earlier blocks on the
+    right by ``z(x)`` or by ``z(x) z(y) = 1 (x) xy + y (x) x - x (x) y +
+    xy (x) 1``.  Every monomial of the prefix lies in blocks ``< j`` (see
+    :func:`witness_term`), so a term ``a (x) b`` becomes
+
+        a (x) NF(b xy) + (-1)^|b| (ay (x) bx - ax (x) by) + NF(a xy) (x) b
+
+    or ``a (x) bx - (-1)^|b| ax (x) b`` at rank one.  The appended
+    monomials are normal, and the reductions are those of the product of
+    :func:`zero_divisor` factors, so the result agrees term for term.
+
+    A rewrite keeps the degree of a monomial and keeps it in blocks
+    ``1..j``, because the constructor refuses a tail outside the earlier
+    blocks, and a normal monomial there has at most ``j`` generators.  So
+    ``NF(b xy)`` is zero when ``|b| >= j - 1``, on every ring the
+    constructor accepts, Groebner basis or not, and
+    :meth:`~almostdirect.exterior.CohomologyRing.reduce_mono` runs only on
+    a side of at most ``j - 2`` generators.  For the same reason the normal
+    monomials of blocks ``1..j`` span the cohomology ring of the quotient
+    group on those blocks, and the prefix through block ``j`` is that
+    quotient's own witness.
     """
-    gens = []
-    for j, n in enumerate(ring.ranks, start=1):
-        gens.append((j, 1))
-        if n >= 2:
-            gens.append((j, 2))
+    reduce_mono = ring.reduce_mono
     element = {TensorElem.UNIT: 1}
-    for g in gens:
-        element = _times_zero_divisor(ring, element, g)
-    return ZclWitness(len(gens), TensorElem(ring, element))
+    num_factors = 0
+    for j, n in enumerate(ring.ranks, start=1):
+        x = (j, 1)
+        monos = {m for key in element for m in key}
+        with_x = {m: m + (x,) for m in monos}
+        terms = {}
+        if n == 1:
+            num_factors += 1
+            for (a, b), c in element.items():
+                terms[(a, with_x[b])] = c
+                terms[(with_x[a], b)] = c if len(b) & 1 else -c
+            element = terms
+            continue
+        num_factors += 2
+        y = (j, 2)
+        xy = (x, y)
+        with_y = {m: m + (y,) for m in monos}
+        # a reduction can reach a monomial that a block also appends
+        shared = {m: m for m in (*with_x.values(), *with_y.values())}.setdefault
+        get = terms.get
+        bound = j - 2
+        for (a, b), c in element.items():
+            # an appended key has block j on both sides and comes from this
+            # term alone; a reduced key has it on one side only, so reduced
+            # keys are the only ones that can meet, and cancel
+            cb = -c if len(b) & 1 else c
+            terms[(with_y[a], with_x[b])] = cb
+            terms[(with_x[a], with_y[b])] = -cb
+            if len(b) <= bound:
+                for m, cm in reduce_mono(b + xy).items():
+                    key = (a, shared(m, m))
+                    s = get(key, 0) + c * cm
+                    if s:
+                        terms[key] = s
+                    else:
+                        del terms[key]
+            if len(a) <= bound:
+                for m, cm in reduce_mono(a + xy).items():
+                    key = (shared(m, m), b)
+                    s = get(key, 0) + c * cm
+                    if s:
+                        terms[key] = s
+                    else:
+                        del terms[key]
+        element = terms
+    return ZclWitness(num_factors, TensorElem(ring, element))
 
 
 def witness_term(ring):

@@ -20,6 +20,7 @@ from almostdirect.adp import (
 )
 from almostdirect.homology import verify_chain_map
 from almostdirect.words import IAWord, Word, beta, commutator, x
+from test_acceptance import specs_under_test
 from test_words import reference_apply
 
 
@@ -193,7 +194,20 @@ def test_extend_with_torus():
     ext = extend_with_torus(base, 2)
     assert ext.ranks == base.ranks + (1, 1)
     assert ext.actions == base.actions
+    assert ext.name == "purebraidbar 4 x Z^2"
     assert extend_with_torus(base, 0) == base
+
+
+def test_extend_with_torus_equals_the_spec_built_from_its_actions():
+    # the checked actions are copied, not checked again
+    for spec in specs_under_test():
+        for m in (1, 2):
+            ext = extend_with_torus(spec, m)
+            built = AdpSpec(spec.ranks + (1,) * m, spec.actions)
+            assert ext == built
+            assert hash(ext) == hash(built)
+            assert ext.actions == built.actions
+            assert ext._images == built._images
 
 
 def test_builtin_registry():

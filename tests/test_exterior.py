@@ -214,18 +214,6 @@ def test_hilbert_check_does_not_list_the_basis(count_calls, capsys, tmp_path):
     assert basis == []
 
 
-def test_times_is_the_normal_form_of_one_generator_product():
-    for spec in (pure_braid(4), parse_spec(INCONSISTENT)):
-        ring = cohomology_ring(spec)
-        for g in ring.gens:
-            for k in range(len(spec.ranks) + 1):
-                for mono in ring.basis(k):
-                    entry = ring.times(g, mono)
-                    expect = ring.mul(e(*g), ExtElem.monomial(mono))
-                    assert ExtElem(dict(entry)) == expect
-                    assert ring.times(g, mono) is entry
-
-
 def test_product_in_quotient_is_reduced():
     ring = cohomology_ring(pure_braid(4))
     a = e(2, 1) * e(3, 2)

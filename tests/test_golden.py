@@ -16,6 +16,7 @@ intended change of output, with::
 """
 
 import contextlib
+import hashlib
 import io
 import sys
 from pathlib import Path
@@ -80,6 +81,35 @@ def test_corpus_has_every_case():
     on_disk = {p.name for p in GOLDEN.glob("*.txt")}
     assert names == on_disk
     assert len(list((GOLDEN / "specs").glob("*.spec"))) == 3
+
+
+# sha256 of ``zcl --porcelain`` at the sizes of the benchmark, where the
+# product has 2,048 to 4,608 terms; the corpus above stops at 320
+ZCL_AT_SCALE = (
+    (
+        ("builtin:purebraid:10",),
+        "727ee9324bb628f330f797cc354d63c6f1e2cb599e1bd2c18f1da6624d658f8e",
+    ),
+    (
+        ("builtin:uppermccool:10",),
+        "488e0fbd61a4fc5212bb4a304eb2993a8e93d016190a1c130868b96e60540d6d",
+    ),
+    (
+        ("builtin:purebraidbar:12", "--torus", "1"),
+        "0bb975b775e55e7501c22ab0ccea28250057d9f97445d4722e8b08e0e42eb61c",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "args, digest", ZCL_AT_SCALE, ids=[" ".join(a) for a, _ in ZCL_AT_SCALE]
+)
+def test_zcl_at_benchmark_scale_keeps_its_bytes(args, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["zcl", args[0], "--porcelain", *args[1:]])
+    assert rc == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 if __name__ == "__main__":

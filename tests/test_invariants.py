@@ -21,11 +21,9 @@ from almostdirect.exterior import (
     ExtElem,
     cohomology_ring,
     e,
-    mono_mul,
 )
 from almostdirect.invariants import (
     TensorElem,
-    _times_zero_divisor,
     claim_expansion,
     lcs_identity_holds,
     lcs_ranks,
@@ -171,9 +169,10 @@ def block_order_witness(ring):
 
 
 def test_zcl_witness_is_the_block_order_product():
-    # table_specs ends with the inconsistent table
-    for spec in table_specs():
-        ring = ring_of(spec)
+    # table_specs ends with the inconsistent table, and most perturbed rings
+    # are not a Groebner basis either: the degree bound holds on them too
+    rings = [ring_of(spec) for spec in table_specs()] + perturbed_rings()
+    for ring in rings:
         wit = zcl_witness(ring)
         assert (wit.num_factors, wit.num_factors, wit.element) == (
             block_order_witness(ring)
@@ -189,19 +188,20 @@ def truncate(spec, j):
 
 
 def prefix_witnesses(ring):
-    """Per block ``j``: the longest nonzero prefix among the factors of
-    blocks ``1..j``, as ``(length, num_factors, terms)``."""
+    """Per block ``j``: the longest nonzero prefix among the
+    :func:`zero_divisor` factors of blocks ``1..j``, multiplied in block
+    order, as ``(length, num_factors, terms)``."""
     length, num_factors = 0, 0
-    element = cur = {TensorElem.UNIT: 1}
+    element = cur = TensorElem.one(ring)
     out = []
     for j, n in enumerate(ring.ranks, start=1):
         for p in range(1, min(n, 2) + 1):
             num_factors += 1
             if cur:
-                cur = _times_zero_divisor(ring, cur, (j, p))
+                cur = cur * zero_divisor(ring, e(j, p))
                 if cur:
                     length, element = num_factors, cur
-        out.append((length, num_factors, element))
+        out.append((length, num_factors, element.terms))
     return out
 
 
@@ -222,40 +222,50 @@ def test_each_block_prefix_is_the_witness_of_its_quotient():
     assert cases == 851
 
 
-def test_zcl_witness_multiplies_through_the_generator_table(count_calls):
+def test_zcl_witness_builds_no_tensor_product(count_calls):
     products = count_calls(TensorElem, "__mul__")
     for spec in (pure_braid(5), upper_mccool_mod_center(5)):
         assert not zcl_witness(cohomology_ring(spec)).element.is_zero()
     assert products == []
 
 
-def test_zcl_witness_fills_each_table_entry_once(count_calls):
-    ring = cohomology_ring(pure_braid(9))
+def test_zcl_witness_reduces_only_block_pairs_within_the_degree_bound(
+    count_calls,
+):
+    specs = [pure_braid(8), upper_mccool(7), parse_spec(INCONSISTENT)]
+    specs += [extend_with_torus(pure_braid_mod_center(6), 1)]
+    specs += [upper_mccool_mod_center(7), AdpSpec((2, 3, 2))]
+    rings = [cohomology_ring(spec) for spec in specs]
     reduced = count_calls(CohomologyRing, "reduce_mono")
-    looked_up = count_calls(CohomologyRing, "times")
-    zcl_witness(ring)
-    entries = {args[1:] for args in looked_up}
-    assert 0 < len(reduced) <= len(entries) < len(looked_up)
-
-
-def test_appended_table_entries_are_normal_forms(count_calls):
-    for spec in (pure_braid(7), upper_mccool_mod_center(6)):
-        ring = cohomology_ring(spec)
-        reduced = count_calls(CohomologyRing, "reduce_mono")
+    checked = 0
+    for ring in rings:
+        reduced.clear()
         zcl_witness(ring)
-        merged = {args[1] for args in reduced}
-        appended = 0
-        for (g, mono), entry in ring._times.items():
-            if mono and mono[-1][0] >= g[0]:
-                continue
-            sign, product = mono_mul((g,), mono)
-            assert product not in merged
-            expect = tuple(
-                (m, sign * c) for m, c in ring.reduce_mono(product).items()
-            )
-            assert entry == expect
-            appended += 1
-        assert 0 < appended < len(ring._times)
+        monos = {args[1] for args in reduced}
+        if min(ring.ranks) >= 2:
+            # both sides of every prefix term are full: nothing to reduce
+            assert monos == set()
+        checked += len(monos)
+        for mono in monos:
+            j = mono[-1][0]
+            rest = mono[:-2]
+            assert mono[-2:] == ((j, 1), (j, 2))
+            assert len(mono) <= j
+            assert all(g[0] < j for g in rest) and ring.is_normal(rest)
+            expect = ring.mul(ExtElem.monomial(rest), e(j, 1) * e(j, 2))
+            assert ExtElem(ring.reduce_mono(mono)) == expect
+    # a rank-one block before a larger one leaves short sides to reduce
+    assert checked > 0
+
+
+def test_zcl_witness_keys_share_one_tuple_per_monomial():
+    specs = [pure_braid(8), upper_mccool(7), parse_spec(INCONSISTENT)]
+    specs += [extend_with_torus(pure_braid_mod_center(6), 1)]
+    for spec in specs:
+        shared = {}
+        for key in zcl_witness(cohomology_ring(spec)).element.terms:
+            for mono in key:
+                assert shared.setdefault(mono, mono) is mono
 
 
 def test_claim_matches_direct_product():
@@ -379,13 +389,13 @@ def test_witness_term_is_a_coefficient_of_the_zcl_witness():
 
 
 def test_tc_certificate_builds_no_product(count_calls):
-    looked_up = count_calls(CohomologyRing, "times")
+    reduced = count_calls(CohomologyRing, "reduce_mono")
     witnessed = count_calls(invariants, "zcl_witness")
     cert = tc_certificate(pure_braid(6))
     assert (cert.lower_bound, cert.upper_bound) == (10, 11)
     cert = tc_certificate(extend_with_torus(pure_braid_mod_center(5), 1))
     assert cert.exact == 8
-    assert looked_up == []
+    assert reduced == []
     assert witnessed == []
 
 
