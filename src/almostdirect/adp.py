@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .words import (
     IAWord,
     Word,
-    _reduce,
     _word,
     beta,
     commutator_decompose,
@@ -220,21 +219,6 @@ class Relation:
         """
         return tuple(commutator_decompose(self.word, pairing))
 
-    def reassembles(self):
-        """True when the commutators of :meth:`pairs` multiply to ``word``.
-
-        One free reduction of the letters of every ``u v u^-1 v^-1`` in turn.
-        By Fox calculus this implies the chain-map identity of
-        :func:`~almostdirect.homology.verify_chain_map`, and it is stronger.
-        """
-        letters = []
-        for u, v in self.pairs():
-            letters += u.letters
-            letters += v.letters
-            letters += [(g, -e) for g, e in reversed(u.letters)]
-            letters += [(g, -e) for g, e in reversed(v.letters)]
-        return _reduce(letters) == self.word.letters
-
     def relator(self):
         """The relation as a trivial word of the group."""
         lhs = x(self.j, self.q) * x(self.i, self.p)
@@ -262,11 +246,11 @@ class Presentation:
     word ``w``, in the order they are given; :func:`build_presentation`
     makes them in relation order (see :func:`relation_keys`).  Every other
     relation is ``x(j,q) x(i,p) = x(i,p) x(j,q)``: its H2 row is the mixed
-    unit alone and it reassembles from no pairs by construction, so it is
-    never stored.  :meth:`keys`, iteration, ``len`` and ``pres[key]``
-    nevertheless cover every relation in relation order; ``pres[key]``
-    builds an unmoved relation on demand, with the empty word, and raises
-    ``KeyError`` for a key outside the ranks.
+    unit alone and it has no commutator pairs, so it is never stored.
+    :meth:`keys`, iteration, ``len`` and ``pres[key]`` nevertheless cover
+    every relation in relation order; ``pres[key]`` builds an unmoved
+    relation on demand, with the empty word, and raises ``KeyError`` for a
+    key outside the ranks.
     """
 
     __slots__ = ("ranks", "relations")
@@ -316,8 +300,8 @@ def build_presentation(spec):
     a product of commutators on demand.  One relation is made per entry of
     the spec's image table, in relation order; a generator the action fixes
     has the identity word, and its relation is not stored (see
-    :class:`Presentation`).  The presentation, its H2 matrix and the
-    reassembly check therefore cost one step per moved relation.
+    :class:`Presentation`).  The presentation and its H2 matrix therefore
+    cost one step per moved relation.
     """
     moved = spec._images
     relations = {}

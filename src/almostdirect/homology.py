@@ -23,13 +23,15 @@ monomial, so ``d2(grad u ^ grad v) = -grad [u, v]``.  The gradient of a
 product of commutators is the sum of their gradients, because each prefix
 abelianizes to 1.  So when the commutators of the pairs multiply to ``w``
 in the free group, ``d2(a2(r))`` and the gradient of the relator agree
-term by term.  ``verify`` therefore checks
-:meth:`~almostdirect.adp.Relation.reassembles`, one free reduction per
-relation, and keeps :func:`verify_chain_map` as the Laurent oracle of the
-tests.  Word equality is the stronger check: abelianized Fox derivatives
-see a word only through ``F/F''`` (the Magnus embedding), so appending an
-element of ``F''`` such as ``[[a, b], [a^2, b]]`` to ``w`` passes the
-oracle and fails the reassembly.
+term by term.  The pairs of
+:func:`~almostdirect.words.commutator_decompose` multiply to ``w`` by its
+loop invariant, so ``verify`` checks neither the words nor the chain map;
+:func:`verify_chain_map` is the Laurent oracle of the tests, which also
+multiply the pairs back.  Word equality is the stronger check:
+abelianized Fox derivatives see a word only through ``F/F''`` (the Magnus
+embedding), so appending an element of ``F''`` such as
+``[[a, b], [a^2, b]]`` to ``w`` passes the oracle and fails the
+reassembly.
 
 Applying the augmentation (every ``t -> 1``) to ``a2`` gives an integer
 matrix ``A`` whose rows are indexed by relations and columns by products of
@@ -55,11 +57,9 @@ Then ``A`` has full row rank, and the kernel of right multiplication by
 with ``kappa(i, r, s) = -A[(i, j, r, s), (e(j,p), e(j,q))]``.
 
 A relation whose generator the action fixes has the empty word ``w``.  It
-reassembles from no pairs by construction, and its row is the mixed unit
-alone, which no eta reads.  The presentation stores only the moved
-relations, and :func:`h2_matrix` builds their rows only: the other rows
-are implied by :class:`H2Matrix`, and the reassembly check of ``verify``
-runs on the stored relations.
+has no pairs, and its row is the mixed unit alone, which no eta reads.
+The presentation stores only the moved relations, and :func:`h2_matrix`
+builds their rows only: the other rows are implied by :class:`H2Matrix`.
 """
 
 from __future__ import annotations
@@ -243,22 +243,27 @@ def h2_matrix(pres):
     """
     rows = {}
     for key, rel in pres.relations.items():
-        mixed = ((rel.i, rel.p), (rel.j, rel.q))
-        row = {mixed: 1}
+        j = rel.j
+        mixed = ((rel.i, rel.p), (j, rel.q))
+        summed = {mixed: 1}
         sums = {}  # exponent sums of the letters read so far
         for b, eps in rel.word.letters:
             for a, s in sums.items():
                 if a < b and s:
-                    row[(a, b)] = row.get((a, b), 0) + s * eps
+                    summed[(a, b)] = summed.get((a, b), 0) + s * eps
             sums[b] = sums.get(b, 0) + eps
-        row = {pair: c for pair, c in row.items() if c}
-        for pair in row:
-            if pair != mixed and not (pair[0][0] == pair[1][0] == rel.j):
+        # one walk drops the cancelled entries and checks the others
+        row = {}
+        for pair, c in summed.items():
+            if not c:
+                continue
+            if pair != mixed and not (pair[0][0] == pair[1][0] == j):
                 raise RowStructureError(
                     key,
                     pair,
                     "row %s has an entry outside its blocks at %s" % (key, pair),
                 )
+            row[pair] = c
         if row.get(mixed) != 1:
             raise RowStructureError(
                 key, mixed, "row %s lacks its unit mixed entry" % (key,)

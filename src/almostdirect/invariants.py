@@ -301,7 +301,10 @@ def zcl_witness(ring):
                     else:
                         del terms[key]
         element = terms
-    return ZclWitness(num_factors, TensorElem(ring, element))
+    # every coefficient is nonzero: the product takes the dict as it is
+    product = TensorElem(ring)
+    product.terms = element
+    return ZclWitness(num_factors, product)
 
 
 def witness_term(ring):

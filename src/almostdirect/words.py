@@ -148,25 +148,27 @@ class Word:
             raise ValueError("word does not lie in a single block: %s" % self)
         return blocks.pop()
 
-    def __str__(self):
-        if not self.letters:
-            return "1"
+    def text(self, sep=" "):
+        """The runs of equal letters as ``x(b,i)^k``, joined by ``sep``:
+        spaces for ``str``, none for a porcelain token."""
+        letters = self.letters
         parts = []
-        i = 0
-        while i < len(self.letters):
-            g, e = self.letters[i]
-            j = i
-            while j < len(self.letters) and self.letters[j] == (g, e):
+        i, n = 0, len(letters)
+        while i < n:
+            letter = letters[i]
+            j = i + 1
+            while j < n and letters[j] == letter:
                 j += 1
+            g, e = letter
             power = e * (j - i)
             if power == 1:
                 parts.append("x(%d,%d)" % g)
             else:
                 parts.append("x(%d,%d)^%d" % (g[0], g[1], power))
             i = j
-        return " ".join(parts)
+        return sep.join(parts) or "1"
 
-    __repr__ = __str__
+    __str__ = __repr__ = text
 
     @classmethod
     def parse(cls, text):

@@ -32,9 +32,10 @@ from almostdirect.homology import (
 )
 from almostdirect.cli import load_spec, main, parse_spec
 from almostdirect.laurent import LaurentPoly, t
-from almostdirect.words import Word, commutator, x
+from almostdirect.words import x
 from test_acceptance import pair_matrix, specs_under_test
 from test_cli import INCONSISTENT, tamper_pairs
+from test_words import reassemble
 
 
 ONE = LaurentPoly.constant(1)
@@ -182,10 +183,8 @@ def test_both_pairings_reassemble_the_long_relators():
         pres = build_presentation(spec)
         for pairing in ("first", "last"):
             for rel in pres:
-                word = Word()
-                for u, v in rel.pairs(pairing):
-                    word = word * commutator(u, v)
-                assert word == rel.word, (name, rel, pairing)
+                pairs = rel.pairs(pairing)
+                assert reassemble(pairs) == rel.word, (name, rel, pairing)
                 longest = max(longest, len(rel.word))
             rows = pair_matrix(pres, pairing).to_dense()
             assert rows == h2_matrix(pres).to_dense(), (name, pairing)
@@ -193,15 +192,15 @@ def test_both_pairings_reassemble_the_long_relators():
 
 
 def test_reassembly_agrees_with_the_laurent_chain_map():
-    # verify checks that the pairs reassemble to w; the Laurent chain map
-    # is its oracle, on every spec under test and every golden spec file
+    # the pairs reassemble to w, which by Fox calculus gives the Laurent
+    # chain map, on every spec under test and every golden spec file
     specs = specs_under_test()
     specs += [load_spec(str(path)) for path in sorted(GOLDEN_SPECS.glob("*.spec"))]
     assert len(specs) == len(specs_under_test()) + 3
     for spec in specs:
         pres = build_presentation(spec)
         assert verify_chain_map(pres).ok, spec
-        assert all(rel.reassembles() for rel in pres), spec
+        assert all(reassemble(rel.pairs()) == rel.word for rel in pres), spec
 
 
 def magnus_row(rel):
@@ -268,29 +267,32 @@ def test_cohomology_builds_one_relation_per_moved_image(count_calls, capsys):
 
 
 def test_reassembly_and_the_chain_map_reject_a_stray_letter(monkeypatch):
+    def not_reassembled(pres):
+        return [
+            (r.i, r.j, r.p, r.q)
+            for r in pres
+            if reassemble(r.pairs()) != r.word
+        ]
+
     pres = build_presentation(pure_braid(4))
-    # the first stored relation: verify reassembles only the moved ones
     key = next(iter(pres.relations))
     # a stray commutator among the pairs of one relation: they no longer
     # multiply to its word
     tamper_pairs(monkeypatch, key, ((x(1, 1), x(3, 1)),))
-    assert [(r.i, r.j, r.p, r.q) for r in pres if not r.reassembles()] == [key]
+    assert not_reassembled(pres) == [key]
     assert [failure[0] for failure in verify_chain_map(pres).failures] == [key]
     # an unmoved relation, built on demand, is checked by the oracles too
     unmoved = (1, 3, 1, 3)
     assert unmoved in pres.keys() and unmoved not in pres.relations
     tamper_pairs(monkeypatch, unmoved, ((x(1, 1), x(3, 1)),))
     bad = [key, unmoved]
-    assert [(r.i, r.j, r.p, r.q) for r in pres if not r.reassembles()] == bad
+    assert not_reassembled(pres) == bad
     assert [failure[0] for failure in verify_chain_map(pres).failures] == bad
 
 
 def _one_relation(pairs):
     # x(2,1) x(1,1) = x(1,1) x(2,1) w, w the product of the given pairs
-    word = Word()
-    for u, v in pairs:
-        word = word * commutator(u, v)
-    rel = Relation(1, 2, 1, 1, word)
+    rel = Relation(1, 2, 1, 1, reassemble(pairs))
     return Presentation((1, 2), {(1, 2, 1, 1): rel})
 
 
