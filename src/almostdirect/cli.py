@@ -49,7 +49,7 @@ from .adp import (
     extend_with_torus,
     generators,
 )
-from .exterior import cohomology_ring
+from .exterior import cohomology_ring, mono_token
 from .homology import RowStructureError
 from .invariants import (
     TensorElem,
@@ -315,10 +315,6 @@ def word_token(w):
     return w.text("")
 
 
-def mono_token(mono):
-    return "".join("e(%d,%d)" % g for g in mono) or "1"
-
-
 class _MonoTokens(dict):
     """The :func:`mono_token` of each monomial, built on first lookup."""
 
@@ -522,10 +518,12 @@ def cmd_verify(spec, args, out):
         results = [("matrix-rank", False, detail), ("groebner", False, "")]
     else:
         witness = ring.critical_pair_verify()
-        if witness is None:
-            detail = "%d critical pairs" % sum(1 for _ in ring.critical_pairs())
-        else:
+        if witness is not None:
             detail = " ".join(mono_token(m) for m in witness)
+        elif args.porcelain:
+            detail = ""  # a record that passes prints no detail
+        else:
+            detail = "%d critical pairs" % sum(1 for _ in ring.critical_pairs())
         results = [("matrix-rank", True, "")]
         results.append(("groebner", witness is None, detail))
 

@@ -23,8 +23,8 @@ The certificate that ``verify`` runs is
 are a Groebner basis in every degree, that is ``E_k = N_k + J_k`` (a direct
 sum) for every ``k``, where ``E`` is the exterior algebra, ``J`` the ideal
 of the ``eta`` and ``N_k`` the span of the normal monomials of degree ``k``.
-It rewrites ``2 #eta + 3 sum_j C(n_j, 3)`` products of degree three, and
-the argument has three steps.
+It rewrites the ``sum_j 2 C(n_j + 1, 3)`` products ``e(j,r) eta(j;p,q)``
+with ``r <= q``, all of degree three, and the argument has three steps.
 
 *Normal form.*  Write ``NF`` for the normal form of :meth:`normal_form`.  A
 rewriting step replaces ``lead(eta) rest`` by ``-tail(eta) rest`` and so
@@ -40,28 +40,25 @@ of ``E_k``.
 monomial of ``g`` and the lead uses ``eta`` itself, ``NF(e_g eta) = 0`` by
 the step above.  That is the case when ``g`` lies in another block (the
 lead is then the only same-block pair) and when ``g = e(j,r)`` with
-``r > q`` (the lead is then the leftmost pair).  Two kinds of product
-remain:
-
-- ``g`` in the lead: the square products ``e(j,p) eta`` and
-  ``e(j,q) eta``, ``2 #eta`` of them;
-- ``g = e(j,r)``, ``r < q``, ``r != p``.  For indices ``a < b < c`` of
-  block ``j`` these are ``e_b eta(a,c)`` and ``e_a eta(b,c)``.  The
-  S-polynomial of ``eta(a,b)`` and ``eta(a,c)`` is ``e_c eta(a,b) +
-  e_b eta(a,c)``, whose first term vanishes, and the S-polynomial of
-  ``eta(a,b)`` and ``eta(b,c)`` likewise carries ``e_a eta(b,c)``.  The
-  third S-polynomial of the triple, of ``eta(a,c)`` and ``eta(b,c)``, is
-  a sum of the two products and is checked too.  These are the pairs of
-  leads that share a generator, ``3 C(n_j, 3)`` in block ``j``.
+``r > q`` (the lead is then the leftmost pair).  The products that remain
+are ``e(j,r) eta(j;p,q)`` with ``r <= q``: the square products ``r = p``
+and ``r = q``, whose merge with the lead vanishes, and the ``r < q``,
+``r != p``, whose leftmost pair is ``e(j,r)`` and a generator of the lead.
+Block ``j`` has ``sum_q q (q - 1) = 2 C(n_j + 1, 3)`` of them.
 
 So ``NF`` vanishes on ``J_3`` iff every check of :meth:`critical_pairs`
-rewrites to zero.  These are the checks of degree three of the exterior
-Buchberger criterion (T. Stokes, J. Automated Reasoning 6 (1990);
+rewrites to zero.  These products are the checks of degree three of the
+exterior Buchberger criterion (T. Stokes, J. Automated Reasoning 6 (1990);
 Aramova, Herzog and Hibi, J. Algebra 191 (1997), Sec. 1), truncated at
-degree three: the criterion also lists the S-polynomials of disjoint
-leads, in degree four.  The commutative coprime criterion does not
-dismiss those (a tail times a lead can vanish in an exterior algebra);
-the next step does.
+degree three.  The square products are its own checks, and each of its
+S-polynomials reduces to these products: for indices ``a < b < c`` of
+block ``j``, the S-polynomial of ``eta(a,b)`` and ``eta(a,c)`` is ``e_c
+eta(a,b) + e_b eta(a,c)``, whose first term rewrites to zero by itself,
+that of ``eta(a,b)`` and ``eta(b,c)`` is likewise ``e_a eta(b,c)`` up to
+such a term, and that of ``eta(a,c)`` and ``eta(b,c)`` is a sum of the
+two.  The criterion also lists the S-polynomials of disjoint leads, in
+degree four.  The commutative coprime criterion does not dismiss those (a
+tail times a lead can vanish in an exterior algebra); the next step does.
 
 *All degrees.*  The quotient ``A = E/J`` is also ``T(V)/(R)``, with ``R``
 spanned by the anticommutators ``x_b x_a + x_a x_b`` (``b > a``), the
@@ -112,6 +109,7 @@ __all__ = [
     "deg_lex_key",
     "deg_lex_compare",
     "mono_mul",
+    "mono_token",
     "ExtElem",
     "e",
     "CohomologyRing",
@@ -163,6 +161,11 @@ def mono_mul(m1, m2):
     return sign, tuple(out)
 
 
+def mono_token(mono):
+    """A monomial as text, ``e(1,1)e(2,1)``; the unit monomial is ``1``."""
+    return "".join("e(%d,%d)" % g for g in mono) or "1"
+
+
 class ExtElem(Sparse):
     """An element of the exterior algebra, exact coefficients.
 
@@ -183,7 +186,8 @@ class ExtElem(Sparse):
 
     @staticmethod
     def _key_str(m):
-        return "".join("e(%d,%d)" % g for g in m)
+        # the unit prints as its coefficient alone
+        return mono_token(m) if m else ""
 
     @classmethod
     def monomial(cls, mono, c=1):
@@ -446,50 +450,33 @@ class CohomologyRing:
         return out
 
     def critical_pairs(self):
-        """The checks of :meth:`critical_pair_verify`, as ``(lead, other)``.
+        """The checks of :meth:`critical_pair_verify`, as ``(lead, (g,))``.
 
-        ``other`` is either a generator ``(g,)`` of ``lead``, standing for
-        the product ``e_g eta``, or the leading pair of a later relation of
-        the same block that shares a generator with ``lead``, standing for
-        the S-polynomial of the two relations.  The square products come
-        first, then the pairs in relation order: ``2 #eta + 3 sum C(n_j, 3)``
-        checks, all of degree three (see the module docstring).
+        Each stands for the product ``e_g eta`` of the relation leading with
+        ``lead = ((j, p), (j, q))`` and a generator ``g = (j, r)``, ``r <= q``.
+        They come in relation order, then ``r = 1..q``: ``sum_j 2 C(n_j + 1,
+        3)`` checks, all of degree three (see the module docstring).
+
+        >>> from almostdirect.adp import pure_braid
+        >>> sum(1 for _ in cohomology_ring(pure_braid(4)).critical_pairs())
+        10
         """
         for lead in self._eta:
-            for g in lead:
-                yield lead, (g,)
-        by_block = {}
-        for lead in self._eta:
-            by_block.setdefault(lead[0][0], []).append(lead)
-        for block in by_block.values():
-            for a, b in combinations(block, 2):
-                if a[0] in b or a[1] in b:
-                    yield a, b
+            (j, _), (_, q) = lead
+            for r in range(1, q + 1):
+                yield lead, ((j, r),)
 
-    def _multiple(self, cofactor, lead):
-        """``e_cofactor eta`` for the relation leading with ``lead``.
+    def critical_product(self, lead, cofactor):
+        """``e_g eta``, the product a check ``(lead, (g,))`` rewrites to zero.
 
-        A term dict with one merge of ``cofactor`` into each monomial of
-        ``eta``; distinct monomials merge into distinct products.
+        A term dict with one merge of ``g`` into each monomial of ``eta``;
+        distinct monomials merge into distinct products.
         """
         out = {}
         for mono, c in self._eta[lead].items():
             prod = mono_mul(cofactor, mono)
             if prod is not None:
                 out[prod[1]] = prod[0] * c
-        return out
-
-    def critical_product(self, lead, other):
-        """The element that a critical pair must rewrite to zero."""
-        if len(other) == 1:
-            return ExtElem(self._multiple(other, lead))
-        union = tuple(sorted(set(lead) | set(other)))
-        out = {}
-        for rel, k in ((lead, 1), (other, -1)):
-            # the multiple of the relation with leading term +union
-            cofactor = tuple(g for g in union if g not in rel)
-            sign, _ = mono_mul(cofactor, rel)
-            add_scaled(out, self._multiple(cofactor, rel), k * sign)
         return ExtElem(out)
 
     def critical_pair_verify(self):
@@ -498,16 +485,16 @@ class CohomologyRing:
         Returns None when every product of :meth:`critical_pairs` has normal
         form zero, which by the degree-three criterion of the module
         docstring proves the relations a Groebner basis in every degree.
-        Otherwise returns the first failing ``(lead, other)``, which refutes
+        Otherwise returns the first failing ``(lead, (g,))``, which refutes
         the basis.
 
         >>> from almostdirect.adp import pure_braid
         >>> cohomology_ring(pure_braid(4)).critical_pair_verify() is None
         True
         """
-        for lead, other in self.critical_pairs():
-            if self.normal_form(self.critical_product(lead, other)):
-                return lead, other
+        for lead, cofactor in self.critical_pairs():
+            if self.normal_form(self.critical_product(lead, cofactor)):
+                return lead, cofactor
         return None
 
     def groebner_verify(self, through_degree=None):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .exterior import ExtElem, CohomologyRing, cohomology_ring, mono_mul
+from .exterior import ExtElem, CohomologyRing, cohomology_ring, mono_mul, mono_token
 from .sparse import Sparse
 
 __all__ = [
@@ -94,12 +94,15 @@ def lcs_ranks(ranks, max_k):
 
 
 def _trunc_mul(a, b, top):
+    # a factor (1 - t^k)^phi_k has only top/k + 1 nonzero coefficients
+    b = [(j, bj) for j, bj in enumerate(b) if bj]
     out = [0] * (top + 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                if i + j <= top:
-                    out[i + j] += ai * bj
+            for j, bj in b:
+                if i + j > top:
+                    break
+                out[i + j] += ai * bj
     return out
 
 
@@ -153,7 +156,7 @@ class TensorElem(Sparse):
 
     @staticmethod
     def _key_str(key):
-        return "%s(x)%s" % tuple(ExtElem._key_str(m) or "1" for m in key)
+        return "%s(x)%s" % tuple(map(mono_token, key))
 
     def __mul__(self, other):
         if not isinstance(other, TensorElem):

@@ -89,6 +89,19 @@ def test_lcs(capsys):
     assert "phi_1=3 phi_2=1 phi_3=2" in out
 
 
+def test_lcs_identity_reaches_a_thousand_degrees(capsys):
+    from almostdirect.invariants import lcs_ranks
+
+    argv = ["lcs", "builtin:purebraid:3", "--porcelain", "--max-k", "1000"]
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-1] == "lcs-identity ok"
+    phi = [line.split() for line in lines if line.startswith("phi ")]
+    assert [int(k) for _, k, _ in phi] == list(range(1, 1001))
+    assert tuple(int(p) for *_, p in phi) == lcs_ranks((1, 2), 1000)
+
+
 def test_zcl(capsys):
     rc, out, err = run(capsys, ["zcl", "builtin:purebraidbar:3"])
     assert rc == 0
@@ -127,7 +140,7 @@ def test_verify_names_the_failing_critical_pair(tmp_path, capsys):
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
     assert "verify groebner ok" in out.splitlines()
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4"])
-    assert "groebner               ok (11 critical pairs)" in out
+    assert "groebner               ok (10 critical pairs)" in out
 
 
 def test_spec_file_from_path(tmp_path, capsys):
@@ -385,9 +398,9 @@ def test_verify_reaches_fourteen_strands(count_calls, capsys):
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:14", "--porcelain"])
     assert rc == 0
     assert out.splitlines()[-1] == "verify-summary ok"
-    # 2 #eta square products and 3 C(n_j, 3) shared-lead S-polynomials per
-    # block, where all pairs of the 364 relations would be 66,430 more
-    assert len(products) == 2 * 364 + 3 * math.comb(14, 4) == 3731
+    # 2 C(n_j + 1, 3) products e(j,r) eta(j;p,q), r <= q, per block, where
+    # all pairs of the 364 relations would be 66,430 more
+    assert len(products) == 2 * math.comb(15, 4) == 2730
     assert len(rings) == 1
 
 
@@ -486,25 +499,6 @@ def tamper_pairs(monkeypatch, key, extra):
         return out
 
     monkeypatch.setattr(Relation, "pairs", tampered)
-
-
-def test_verify_chain_map_sees_past_the_metabelian_quotient(monkeypatch):
-    from almostdirect.homology import verify_chain_map
-    from almostdirect.words import commutator
-
-    key = (1, 3, 1, 2)
-    a, b = x(3, 1), x(3, 2)
-    # [[a, b], [a^2, b]] lies in F'' and is not trivial
-    u, v = commutator(a, b), commutator(a**2, b)
-    extra = commutator(u, v)
-    assert len(extra) == 16 and extra.exponent_sums() == {}
-    tamper_pairs(monkeypatch, key, ((u, v),))
-    pres = build_presentation(pure_braid(4))
-    # the Laurent chain map sees words through F/F'' only, so it passes,
-    # while the pairs no longer multiply back to the word
-    assert verify_chain_map(pres).ok
-    bad = [r for r in pres if reassemble(r.pairs()) != r.word]
-    assert [(r.i, r.j, r.p, r.q) for r in bad] == [key]
 
 
 def test_verify_matrix_rank_names_the_row_and_column(monkeypatch, capsys):

@@ -317,7 +317,7 @@ def test_critical_pairs_agree_with_the_rank_oracle():
 def test_critical_pairs_reject_the_inconsistent_table():
     ring = cohomology_ring(parse_spec(INCONSISTENT))
     assert not ring.groebner_verify().ok
-    # e(3,1) times eta(3;1,2), the first square product, survives rewriting
+    # e(3,1) times eta(3;1,2), the first product, survives rewriting
     assert ring.critical_pair_verify() == (((3, 1), (3, 2)), ((3, 1),))
 
 
@@ -347,7 +347,7 @@ def all_pairs_verify(ring):
     checks = [(lead, (g,)) for lead in leads for g in lead]
     checks += combinations(leads, 2)
     for lead, other in checks:
-        if ring.normal_form(ring.critical_product(lead, other)):
+        if ring.normal_form(critical_product_oracle(ring, lead, other)):
             return lead, other
     return None
 
@@ -409,17 +409,20 @@ def test_degree_three_certificate_agrees_with_all_pairs():
         if full is not None and not (set(full[0]) & set(full[1])):
             first_disjoint.append((full, witness))
     # a ring that all pairs reject first at two disjoint leads, in degree
-    # four, fails in degree three as well
+    # four, fails in degree three as well: at e(4,3) eta(4;2,4), the product
+    # inside the S-polynomial of eta(4;2,3) and eta(4;2,4)
     assert first_disjoint == [
         (
             (((4, 1), (4, 2)), ((4, 3), (4, 4))),
-            (((4, 2), (4, 3)), ((4, 2), (4, 4))),
+            (((4, 2), (4, 4)), ((4, 3),)),
         )
     ]
 
 
 def critical_product_oracle(ring, lead, other):
-    """``critical_product`` built through ``ExtElem`` products."""
+    """``e_g eta`` for ``other = (g,)``, else the S-polynomial of the
+    relations leading with ``lead`` and ``other``, built through
+    ``ExtElem`` products."""
 
     def eta(lead):
         (j, p), (_, q) = lead
@@ -442,15 +445,58 @@ def test_critical_product_matches_the_exterior_product():
     rings += perturbed_rings()
     checks = 0
     for ring in rings:
-        leads = list(ring.etas)
-        # the degree-three checks, then every pair of relations, disjoint
-        # leads included
-        pairs = list(ring.critical_pairs()) + list(combinations(leads, 2))
-        for lead, other in pairs:
+        pairs = set(ring.critical_pairs())
+        for lead, other in ring.critical_pairs():
             expect = critical_product_oracle(ring, lead, other)
             assert ring.critical_product(lead, other) == expect
             checks += 1
+        # the S-polynomial of two leads that share a generator is a signed
+        # sum of two products e_g eta, each a check or one that rewrites to
+        # zero by itself
+        for a, b in combinations(ring.etas, 2):
+            if not set(a) & set(b):
+                continue
+            union = tuple(sorted(set(a) | set(b)))
+            parts = []
+            for rel in (a, b):
+                (g,) = (g for g in union if g not in rel)
+                product = critical_product_oracle(ring, rel, (g,))
+                assert (rel, (g,)) in pairs or not ring.normal_form(product)
+                parts.append(mono_mul((g,), rel)[0] * product)
+            assert critical_product_oracle(ring, a, b) == parts[0] - parts[1]
     assert checks > len(rings)
+
+
+def test_critical_pairs_are_the_products_with_r_at_most_q():
+    for spec in specs_under_test() + [parse_spec(INCONSISTENT)]:
+        ring = ring_of(spec)
+        expect = [
+            (((j, p), (j, q)), ((j, r),))
+            for (j, p), (_, q) in ring.etas
+            for r in range(1, q + 1)
+        ]
+        assert list(ring.critical_pairs()) == expect
+        assert len(expect) == sum(2 * math.comb(n + 1, 3) for n in ring.ranks)
+
+
+def test_every_skipped_product_rewrites_to_zero():
+    rings = [ring_of(spec) for spec in specs_under_test()]
+    rings += [cohomology_ring(parse_spec(INCONSISTENT)), rank_three_block_ring()]
+    rings += perturbed_rings()
+    skipped = 0
+    for ring in rings:
+        checked = set(ring.critical_pairs())
+        for lead in ring.etas:
+            (j, _), (_, q) = lead
+            for i, r in ring.gens:
+                if (lead, ((i, r),)) in checked:
+                    continue
+                # g in another block, or after the leading pair
+                assert i != j or r > q
+                product = critical_product_oracle(ring, lead, ((i, r),))
+                assert not ring.normal_form(product), (ring.etas, lead, (i, r))
+                skipped += 1
+    assert skipped > len(rings)
 
 
 def test_ring_refuses_kappa_outside_the_earlier_blocks():
@@ -488,5 +534,5 @@ def test_critical_pairs_certify_nine_strands():
     assert len(ring.etas) == math.comb(9, 3)
     assert ring.critical_pair_verify() is None
     pairs = list(ring.critical_pairs())
-    assert len(pairs) == 2 * 84 + 3 * sum(math.comb(j, 3) for j in range(1, 9))
+    assert len(pairs) == 2 * math.comb(10, 4)
 

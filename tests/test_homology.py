@@ -290,6 +290,24 @@ def test_reassembly_and_the_chain_map_reject_a_stray_letter(monkeypatch):
     assert [failure[0] for failure in verify_chain_map(pres).failures] == bad
 
 
+def test_reassembly_sees_past_the_metabelian_quotient(monkeypatch):
+    from almostdirect.words import commutator
+
+    key = (1, 3, 1, 2)
+    a, b = x(3, 1), x(3, 2)
+    # [[a, b], [a^2, b]] lies in F'' and is not trivial
+    u, v = commutator(a, b), commutator(a**2, b)
+    extra = commutator(u, v)
+    assert len(extra) == 16 and extra.exponent_sums() == {}
+    tamper_pairs(monkeypatch, key, ((u, v),))
+    pres = build_presentation(pure_braid(4))
+    # the Laurent chain map sees words through F/F'' only, so it passes,
+    # while the pairs no longer multiply back to the word
+    assert verify_chain_map(pres).ok
+    bad = [r for r in pres if reassemble(r.pairs()) != r.word]
+    assert [(r.i, r.j, r.p, r.q) for r in bad] == [key]
+
+
 def _one_relation(pairs):
     # x(2,1) x(1,1) = x(1,1) x(2,1) w, w the product of the given pairs
     rel = Relation(1, 2, 1, 1, reassemble(pairs))
