@@ -427,7 +427,7 @@ def extend_with_torus(spec, m):
         raise ValueError("torus rank must be nonnegative")
     if m == 0:
         return spec
-    name = (spec.name + " x Z^%d" % m).strip()
+    name = "%s x Z^%d" % (spec.name or "spec", m)
     out = AdpSpec(spec.ranks + (1,) * m, name=name)
     # the new blocks have no actions, so the checked ones carry over
     out.actions = dict(spec.actions)

@@ -311,10 +311,6 @@ def load_spec(argument):
     return parse_spec(text)
 
 
-def word_token(w):
-    return w.text("")
-
-
 class _MonoTokens(dict):
     """The :func:`mono_token` of each monomial, built on first lookup."""
 
@@ -352,13 +348,13 @@ def cmd_present(spec, args, out):
         for key in pres.keys():
             i, j, p, q = key
             rel = moved.get(key)
-            word = "1" if rel is None else word_token(rel.word)
+            word = "1" if rel is None else rel.word.text("")
             out.append("relation %d %d %d %d %s" % (i, j, p, q, word))
             pairs = () if rel is None else rel.pairs(args.pairing)
             for k, (u, v) in enumerate(pairs, start=1):
                 out.append(
                     "pair %d %d %d %d %d %s %s"
-                    % (i, j, p, q, k, word_token(u), word_token(v))
+                    % (i, j, p, q, k, u.text(""), v.text(""))
                 )
     else:
         gens = " ".join("x(%d,%d)" % g for g in generators(spec.ranks))
@@ -418,7 +414,7 @@ def cmd_hilbert(spec, args, out):
     if args.check:
         ring = cohomology_ring(spec)
         # the normal monomials are a basis only when the relations are a
-        # Groebner basis, which the critical pairs certify
+        # Groebner basis, which the products e(j,r) eta(j;p,q) certify
         certified = ring.critical_pair_verify() is None
         for deg, expected in enumerate(betti):
             actual = ring.dimension(deg)
@@ -523,7 +519,8 @@ def cmd_verify(spec, args, out):
         elif args.porcelain:
             detail = ""  # a record that passes prints no detail
         else:
-            detail = "%d critical pairs" % sum(1 for _ in ring.critical_pairs())
+            checked = sum(1 for _ in ring.critical_pairs())
+            detail = "%d products e(j,r) eta(j;p,q)" % checked
         results = [("matrix-rank", True, "")]
         results.append(("groebner", witness is None, detail))
 
@@ -603,8 +600,8 @@ def build_parser():
     p.add_argument(
         "--check",
         action="store_true",
-        help="certify the computed ring from its critical pairs and count"
-        " its normal monomials in each degree",
+        help="certify the computed ring from its products e(j,r) eta(j;p,q)"
+        " and count its normal monomials in each degree",
     )
     p = add("lcs", cmd_lcs, "print lower central series ranks")
     p.add_argument(

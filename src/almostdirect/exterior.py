@@ -500,8 +500,8 @@ class CohomologyRing:
     def groebner_verify(self, through_degree=None):
         """Certify the kernel elements are a Groebner basis, degree by degree.
 
-        For each degree ``k`` the span of all products ``m * eta`` with
-        ``m`` a monomial of degree ``k - 2`` is rank-computed by exact
+        For each degree ``k`` the span of all exterior products ``m * eta``
+        with ``m`` a monomial of degree ``k - 2`` is rank-computed by exact
         elimination, independent of the rewriting above, and compared with
         the count forced by the Hilbert series of the quotient.  Equality up
         to degree ``l + 1`` pins the ideal degreewise, makes the normal
@@ -510,20 +510,14 @@ class CohomologyRing:
         """
         n_total = len(self.gens)
         top = through_degree or len(self.ranks) + 1
-        etas = list(self._eta.values())
+        etas = self.eta_elements()
         report = GroebnerReport()
         for k in range(2, top + 1):
             rows = []
             for m in combinations(self.gens, k - 2):
+                e_m = ExtElem.monomial(m)
                 for eta in etas:
-                    row = {}
-                    for mono, c in eta.items():
-                        prod = mono_mul(m, mono)
-                        if prod is None:
-                            continue
-                        sign, mm = prod
-                        row[mm] = row.get(mm, 0) + sign * c
-                    row = {mm: v for mm, v in row.items() if v}
+                    row = (e_m * eta).terms
                     if row:
                         rows.append(row)
             expected = comb(n_total, k) - self.dimension(k)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .exterior import ExtElem, CohomologyRing, cohomology_ring, mono_mul, mono_token
+from .exterior import ExtElem, CohomologyRing, mono_mul, mono_token
 from .sparse import Sparse
 
 __all__ = [
@@ -259,20 +259,17 @@ def zcl_witness(ring):
     """
     reduce_mono = ring.reduce_mono
     element = {TensorElem.UNIT: 1}
-    num_factors = 0
     for j, n in enumerate(ring.ranks, start=1):
         x = (j, 1)
         monos = {m for key in element for m in key}
         with_x = {m: m + (x,) for m in monos}
         terms = {}
         if n == 1:
-            num_factors += 1
             for (a, b), c in element.items():
                 terms[(a, with_x[b])] = c
                 terms[(with_x[a], b)] = c if len(b) & 1 else -c
             element = terms
             continue
-        num_factors += 2
         y = (j, 2)
         xy = (x, y)
         with_y = {m: m + (y,) for m in monos}
@@ -307,16 +304,18 @@ def zcl_witness(ring):
     # every coefficient is nonzero: the product takes the dict as it is
     product = TensorElem(ring)
     product.terms = element
-    return ZclWitness(num_factors, product)
+    (left, right), _ = witness_term(ring.ranks)
+    return ZclWitness(len(left) + len(right), product)
 
 
-def witness_term(ring):
+def witness_term(ranks):
     """One term of the zero-divisor product and its coefficient, in O(l).
 
-    Returns ``((X, Y), sign)``.  ``X`` picks ``e(j,1)`` in every block of
-    rank at least two; ``Y`` picks ``e(j,2)`` in those blocks and ``e(j,1)``
-    in the rank-one blocks; ``sign`` is the product of ``-(-1)^(j-1)`` over
-    the blocks of rank at least two.  The product :func:`zcl_witness`
+    Reads only the block ranks ``ranks`` of the ring.  Returns ``((X, Y),
+    sign)``.  ``X`` picks ``e(j,1)`` in every block of rank at least two;
+    ``Y`` picks ``e(j,2)`` in those blocks and ``e(j,1)`` in the rank-one
+    blocks; ``sign`` is the product of ``-(-1)^(j-1)`` over the blocks of
+    rank at least two.  The product :func:`zcl_witness`
     computes has coefficient ``sign`` on ``X (x) Y``, on every ring the
     constructor accepts, whether or not its relations are a Groebner basis.
 
@@ -345,15 +344,16 @@ def witness_term(ring):
     and the lower bound ``TC >= 2 a + b + 1`` needs no product at all.
 
     >>> from almostdirect.adp import pure_braid
+    >>> from almostdirect.exterior import cohomology_ring
     >>> ring = cohomology_ring(pure_braid(4))
-    >>> witness_term(ring)
+    >>> witness_term(ring.ranks)
     ((((2, 1), (3, 1)), ((1, 1), (2, 2), (3, 2))), -1)
-    >>> zcl_witness(ring).element.terms[witness_term(ring)[0]]
+    >>> zcl_witness(ring).element.terms[witness_term(ring.ranks)[0]]
     -1
     """
     left, right = [], []
     sign = 1
-    for j, n in enumerate(ring.ranks, start=1):
+    for j, n in enumerate(ranks, start=1):
         if n >= 2:
             left.append((j, 1))
             right.append((j, 2))
@@ -452,8 +452,14 @@ class TcCertificate:
 
 
 def tc_certificate(spec):
-    """Bracket TC of ``spec``; for ``G x Z^m`` pass ``extend_with_torus``."""
-    (left, right), _ = witness_term(cohomology_ring(spec))
+    """Bracket TC of ``spec``; for ``G x Z^m`` pass ``extend_with_torus``.
+
+    Both bounds read the block structure alone, so no ring is built: the
+    lower bound is the length of the product whose term
+    :func:`witness_term` has coefficient ``+-1`` on every ring the
+    constructor accepts.
+    """
+    (left, right), _ = witness_term(spec.ranks)
     degree = len(left) + len(right)
     torus_blocks = sum(
         1

@@ -63,7 +63,17 @@ def _word(letters):
     return w
 
 
-_LETTER_RE = re.compile(r"x\((\d+),(\d+)\)(?:\^(-?\d+))?")
+_LETTER_RE = re.compile(r"x\((\d+),(\d+)\)(?:\^(-?\d+))?|\S")
+
+
+def _scan(pattern, text, what):
+    # the factors of a payload, whitespace between them optional; every
+    # payload pattern ends in |\S, and a match of that alternative is a
+    # character no factor starts with: the syntax breaks there
+    for m in pattern.finditer(text):
+        if m.lastindex is None:
+            raise ValueError("bad %s syntax at %r" % (what, text[m.start() :]))
+        yield m
 
 
 class Word:
@@ -180,27 +190,13 @@ class Word:
         if text == "1" or not text:
             return cls()
         letters = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _LETTER_RE.match(text, pos)
-            if m is None:
-                raise ValueError("bad word syntax at %r" % text[pos:])
-            block, index = int(m.group(1)), int(m.group(2))
+        for m in _scan(_LETTER_RE, text, "word"):
+            block, index = int(m[1]), int(m[2])
             if block < 1 or index < 1:
                 raise ValueError("generator indices start at 1")
-            power = int(m.group(3)) if m.group(3) else 1
-            letters.extend(x_letters(block, index, power))
-            pos = m.end()
+            power = int(m[3]) if m[3] else 1
+            letters += [((block, index), 1 if power > 0 else -1)] * abs(power)
         return cls(letters)
-
-
-def x_letters(block, index, power=1):
-    """The letter sequence for ``x(block, index) ** power``."""
-    e = 1 if power > 0 else -1
-    return [((block, index), e)] * abs(power)
 
 
 def x(block, index, power=1):
@@ -272,7 +268,7 @@ def theta(i, s, t):
 
 
 _IA_RE = re.compile(
-    r"B\((\d+),(\d+)\)(?:\^(-?\d+))?|T\((\d+);(\d+),(\d+)\)(?:\^(-?\d+))?"
+    r"B\((\d+),(\d+)\)(?:\^(-?\d+))?|T\((\d+);(\d+),(\d+)\)(?:\^(-?\d+))?|\S"
 )
 
 
@@ -416,25 +412,16 @@ class IAWord:
         if text == "1" or not text:
             return cls(rank)
         factors = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _IA_RE.match(text, pos)
-            if m is None:
-                raise ValueError("bad IA word syntax at %r" % text[pos:])
-            if m.group(1) is not None:
-                gen = beta(int(m.group(1)), int(m.group(2)))
-                power = int(m.group(3)) if m.group(3) else 1
+        for m in _scan(_IA_RE, text, "IA word"):
+            if m[1] is not None:
+                gen = beta(int(m[1]), int(m[2]))
+                power = int(m[3]) if m[3] else 1
             else:
-                gen = theta(int(m.group(4)), int(m.group(5)), int(m.group(6)))
-                power = int(m.group(7)) if m.group(7) else 1
+                gen = theta(int(m[4]), int(m[5]), int(m[6]))
+                power = int(m[7]) if m[7] else 1
             if power == 0:
                 raise ValueError("IA factor exponent must be nonzero")
-            e = 1 if power > 0 else -1
-            factors.extend([(gen, e)] * abs(power))
-            pos = m.end()
+            factors += [(gen, 1 if power > 0 else -1)] * abs(power)
         return cls(rank, factors)
 
 

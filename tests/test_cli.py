@@ -114,6 +114,56 @@ def test_tc(capsys):
     assert "tc = 6 (bounds agree)" in out
 
 
+def test_torus_header_names_an_unnamed_spec(capsys):
+    magnus = Path(__file__).parent / "golden" / "specs" / "longword-1-3.spec"
+    rc, out, err = run(capsys, ["tc", str(magnus), "--torus", "1"])
+    assert out.splitlines()[0] == "spec x Z^1: blocks 1 3 1"
+    rc, out, err = run(capsys, ["tc", "builtin:purebraidbar:4", "--torus", "1"])
+    assert out.splitlines()[0] == "purebraidbar 4 x Z^1: blocks 2 3 1"
+    argv = ["tc", str(magnus), "--torus", "1", "--porcelain"]
+    rc, out, err = run(capsys, argv)
+    assert out.splitlines()[0] == "ranks 1 3 1"
+
+
+def test_tc_builds_no_presentation_matrix_or_ring(count_calls, capsys, tmp_path):
+    from almostdirect import adp, exterior
+    from almostdirect.exterior import CohomologyRing
+
+    calls = [
+        count_calls(adp, "build_presentation"),
+        count_calls(exterior, "build_presentation"),
+        count_calls(homology, "h2_matrix"),
+        count_calls(exterior, "h2_matrix"),
+        count_calls(CohomologyRing, "__init__"),
+    ]
+    path = tmp_path / "inconsistent.spec"
+    path.write_text(INCONSISTENT)
+    rc, out, err = run(capsys, ["tc", "builtin:purebraid:6", "--porcelain"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "ranks 1 2 3 4 5",
+        "tc-lower 10",
+        "tc-upper 11",
+        "tc-exact none",
+        "tc-witness-degree 9",
+        "tc-free-blocks 5",
+        "tc-torus-blocks 0",
+    ]
+    # the table has no iterated product, and tc still brackets it
+    rc, out, err = run(capsys, ["tc", str(path), "--porcelain"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "ranks 1 1 2",
+        "tc-lower 5",
+        "tc-upper 7",
+        "tc-exact none",
+        "tc-witness-degree 4",
+        "tc-free-blocks 3",
+        "tc-torus-blocks 0",
+    ]
+    assert calls == [[]] * 5
+
+
 def test_verify_passes_on_builtin(capsys):
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:3"])
     assert rc == 0
@@ -140,7 +190,7 @@ def test_verify_names_the_failing_critical_pair(tmp_path, capsys):
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
     assert "verify groebner ok" in out.splitlines()
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4"])
-    assert "groebner               ok (10 critical pairs)" in out
+    assert "groebner               ok (10 products e(j,r) eta(j;p,q))" in out
 
 
 def test_spec_file_from_path(tmp_path, capsys):
@@ -561,8 +611,8 @@ def test_only_present_decomposes_words(count_calls, capsys):
 
 
 def test_hilbert_check_fails_without_a_groebner_basis(capsys, tmp_path):
-    # the counts agree with prod (1 + n_j t), but the critical pairs refute
-    # the relations, so no count is certified
+    # the counts agree with prod (1 + n_j t), but the products
+    # e(j,r) eta(j;p,q) refute the relations, so no count is certified
     path = tmp_path / "inconsistent.spec"
     path.write_text(INCONSISTENT)
     rc, out, err = run(capsys, ["hilbert", str(path), "--check", "--porcelain"])

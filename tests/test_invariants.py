@@ -377,7 +377,7 @@ def witness_corpus():
 def test_witness_term_is_a_coefficient_of_the_zcl_witness():
     specs, rings, witnesses = witness_corpus()
     for ring, wit in zip(rings, witnesses):
-        key, sign = witness_term(ring)
+        key, sign = witness_term(ring.ranks)
         # a coefficient +-1 makes the product, and so each prefix, nonzero
         assert wit.element.terms[key] == sign
     # tc's lower bound is one more than the length of the product

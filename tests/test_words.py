@@ -39,19 +39,43 @@ def test_parse_str_round_trip():
         "x(1,1)",
         "x(1,1)^2 x(2,1)^-1",
         "x(3,2)^-4 x(1,1) x(3,2)",
+        "x(1,1)x(2,1)^-1",
         "1",
     ):
         w = Word.parse(text)
         assert Word.parse(str(w)) == w
+    assert Word.parse("x(1,1)x(2,1)^-1") == x(1, 1) * ~x(2, 1)
+    # a zero power is the identity
+    assert Word.parse("x(1,1)^0 x(1,2)") == x(1, 2)
     assert str(Word()) == "1"
     assert str(x(1, 1) * x(1, 1)) == "x(1,1)^2"
 
 
+def parse_error(parse, *args):
+    with pytest.raises(ValueError) as err:
+        parse(*args)
+    return str(err.value)
+
+
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        Word.parse("x(1,1) y(2,2)")
-    with pytest.raises(ValueError):
-        Word.parse("x(1)")
+    # the message quotes the payload from the first character that starts
+    # no factor
+    for text, rest in (
+        ("x(1,1) y(1,2)", "y(1,2)"),
+        ("x(1)", "x(1)"),
+        ("x(1,1)x(1,2)^-", "^-"),
+        ("1 x(1,1)", "1 x(1,1)"),
+    ):
+        assert parse_error(Word.parse, text) == "bad word syntax at %r" % rest
+    for text, rest in (
+        ("B(1,2) Q", "Q"),
+        ("B(1,2)T(1;2,3)^-1Q", "Q"),
+        ("B (1,2)", "B (1,2)"),
+    ):
+        message = parse_error(IAWord.parse, 3, text)
+        assert message == "bad IA word syntax at %r" % rest
+    message = parse_error(IAWord.parse, 3, "B(1,2)^0")
+    assert message == "IA factor exponent must be nonzero"
 
 
 def test_exponent_sums():
@@ -146,9 +170,11 @@ def test_ia_word_preserves_exponent_sums():
 
 
 def test_ia_word_parse_round_trip():
-    for text in ("B(1,2)", "B(1,2) T(3;1,2)^-1", "1"):
+    for text in ("B(1,2)", "B(1,2) T(3;1,2)^-1", "B(1,2)T(1;2,3)^-1", "1"):
         w = IAWord.parse(3, text)
         assert IAWord.parse(3, str(w)).factors == w.factors
+    w = IAWord.parse(3, "B(1,2)T(1;2,3)^-1")
+    assert w.factors == ((beta(1, 2), 1), (theta(1, 2, 3), -1))
 
 
 def test_ia_word_rejects_out_of_range():
