@@ -18,11 +18,12 @@ def main():
 
     # every pair of generators in distinct blocks contributes one relation
     # x(j,q) x(i,p) = x(i,p) x(j,q) w with w a commutator word in block j
-    # the presentation stores the relations with nontrivial tails only
+    # the presentation stores the words w of the relations with nontrivial
+    # tails only, keyed (i, j, p, q)
     pres = build_presentation(spec)
     print("\nrelations with nontrivial tails:")
-    for rel in pres.relations.values():
-        print("  x(%d,%d) x(%d,%d): w = %s" % (rel.j, rel.q, rel.i, rel.p, rel.word))
+    for (i, j, p, q), word in pres.relations.items():
+        print("  x(%d,%d) x(%d,%d): w = %s" % (j, q, i, p, word))
 
     # the integral H2 matrix has one row per relation; its kernel gives the
     # quadratic relations of the cohomology ring.  A relation with w = 1 has

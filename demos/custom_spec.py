@@ -34,7 +34,8 @@ def main_demo():
     print(text)
     assert parse_spec(text) == spec
 
-    # only the moved relations, those with a commutator tail, are stored
+    # only the words of the moved relations, those with a commutator tail,
+    # are stored
     pres = build_presentation(spec)
     print("relations: %d total, %d with commutator tails"
           % (len(pres), len(pres.relations)))

@@ -4,8 +4,9 @@ An :class:`AdpSpec` records an iterated semidirect product of free groups
 ``F(n_1) x| F(n_2) x| ... x| F(n_l)`` in which every block acts on every
 later block by automorphisms that fix the abelianization.  The action of the
 generator ``x(i,p)`` on block ``j > i`` is stored either as an ``IAWord``
-(automorphism written in the basic IA generators) or as an explicit tuple of
-image words; missing entries mean the trivial action.
+(automorphism written in the basic IA generators) or as a map from the
+generators it moves to their image words; missing entries mean the trivial
+action.
 
 :func:`build_presentation` turns a spec into the finite presentation with
 generators ``x(i,p)`` and one relation
@@ -71,20 +72,22 @@ class AdpSpec:
     """Ranks plus the IA actions of earlier blocks on later blocks.
 
     ``actions`` maps ``(i, j, p)`` with ``i < j`` to either
-    ``("magnus", IAWord)`` or ``("images", (w_1, ..., w_{n_j}))`` where
-    ``w_q`` is the image of ``x(j,q)``.  Actions that turn out to be trivial
-    are dropped, so specs compare equal iff they define the same product.
-    An invalid action raises :class:`ActionError`, naming its key.
+    ``("magnus", IAWord)`` or ``("images", {q: w_q})`` where ``w_q`` is the
+    image of ``x(j,q)``; a generator the map omits stays fixed.  An invalid
+    action raises :class:`ActionError`, naming its key.  Images equal to
+    their own generator are dropped, and so are actions left without an
+    image, so specs compare equal iff they define the same product.
 
-    A spec holds its image table, computed once here: the image of
-    ``x(j,q)`` under ``x(i,p)``, keyed ``(i, j, p, q)``, for every generator
-    the action moves.  A magnus action builds one table of images with
-    :meth:`~almostdirect.words.IAWord.images`; an images action lists them.
-    :meth:`action_image`, :func:`build_presentation`, ``==`` and ``hash``
-    read the table.
+    ``images`` is the spec's relation table, computed once here: the image
+    of ``x(j,q)`` under ``x(i,p)``, keyed ``(i, j, p, q)``, for every
+    generator the action moves, in relation order (see
+    :func:`relation_keys`).  A magnus action builds its images with
+    :meth:`~almostdirect.words.IAWord.images`.  ``actions`` comes in the
+    same order.  :meth:`action_image`, :func:`build_presentation`,
+    ``format_spec``, ``==`` and ``hash`` read the table.
     """
 
-    __slots__ = ("ranks", "actions", "name", "_images")
+    __slots__ = ("ranks", "actions", "name", "images")
 
     def __init__(self, ranks, actions=None, name=""):
         ranks = tuple(int(n) for n in ranks)
@@ -92,24 +95,24 @@ class AdpSpec:
             raise ValueError("ranks must be a nonempty tuple of positive ints")
         self.ranks = ranks
         self.name = name
-        self.actions = {}
-        self._images = {}
-        for (i, j, p), action in (actions or {}).items():
+        checked = {}  # in the order given, so the first invalid one raises
+        for key, action in (actions or {}).items():
             try:
-                self._check_key(i, j, p)
-                images = self._check_action(j, action)
+                self._check_key(*key)
+                moved = self._moved_images(key[1], action)
             except ValueError as err:
-                raise ActionError((i, j, p), str(err)) from None
-            moved = {
-                (i, j, p, q): w
-                for q, w in enumerate(images, start=1)
-                if w.letters != (((j, q), 1),)
-            }
+                raise ActionError(key, str(err)) from None
             if moved:
                 if action[0] == IMAGES:
-                    action = (IMAGES, images)
-                self.actions[(i, j, p)] = action
-                self._images.update(moved)
+                    action = (IMAGES, moved)
+                checked[key] = (action, moved)
+        self.actions = {}
+        self.images = {}
+        for key in sorted(checked, key=lambda k: (k[1], k[0], k[2])):
+            self.actions[key], moved = checked[key]
+            i, j, p = key
+            for q, w in moved.items():
+                self.images[(i, j, p, q)] = w
 
     def _check_key(self, i, j, p):
         l = len(self.ranks)
@@ -121,8 +124,8 @@ class AdpSpec:
                 % (p, self.ranks[i - 1], i)
             )
 
-    def _check_action(self, j, action):
-        # the image of each generator of block j, as a tuple of words
+    def _moved_images(self, j, action):
+        # {q: image} for each generator x(j,q) the action moves, by q
         kind, payload = action
         n = self.ranks[j - 1]
         if kind == MAGNUS:
@@ -131,16 +134,22 @@ class AdpSpec:
                     "IA word has rank %d but block %d has rank %d"
                     % (payload.rank, j, n)
                 )
-            return payload.images(j)
-        if kind == IMAGES:
-            images = tuple(payload)
-            if len(images) != n:
+            images = enumerate(payload.images(j), start=1)
+        elif kind == IMAGES:
+            if not isinstance(payload, dict):
+                raise ValueError("images must map each index q to a word")
+            images = sorted(payload.items())
+        else:
+            raise ValueError("unknown action kind %r" % (kind,))
+        moved = {}
+        for q, w in images:
+            if kind == IMAGES and not (1 <= q <= n):
                 raise ValueError(
-                    "need %d images for block %d, got %d" % (n, j, len(images))
+                    "image index %d exceeds rank %d of block %d" % (q, n, j)
                 )
-            for q, w in enumerate(images, start=1):
-                if w.letters == (((j, q), 1),):
-                    continue  # a fixed generator passes both checks
+            if w.letters == (((j, q), 1),):
+                continue  # a fixed generator
+            if kind == IMAGES:
                 # one scan: block membership, then the exponent sum of each
                 # index, which must be 1 at q and 0 elsewhere
                 sums = [0] * (n + 1)
@@ -156,14 +165,14 @@ class AdpSpec:
                     raise ValueError(
                         "image of x(%d,%d) is not IA: %s" % (j, q, w)
                     )
-            return images
-        raise ValueError("unknown action kind %r" % (kind,))
+            moved[q] = w
+        return moved
 
     @property
     def has_uncertified_images(self):
         """True when some action is given by raw images.
 
-        Image tuples are only checked to fix the abelianization; nothing
+        Image maps are only checked to fix the abelianization; nothing
         certifies that they define an invertible endomorphism.
         """
         return any(kind == IMAGES for kind, _ in self.actions.values())
@@ -173,7 +182,7 @@ class AdpSpec:
         self._check_key(i, j, p)
         if not (1 <= q <= self.ranks[j - 1]):
             raise ValueError("index %d exceeds rank of block %d" % (q, j))
-        image = self._images.get((i, j, p, q))
+        image = self.images.get((i, j, p, q))
         return x(j, q) if image is None else image
 
     def acts_trivially_beyond(self, i):
@@ -181,16 +190,16 @@ class AdpSpec:
         return not any(key[0] == i for key in self.actions)
 
     def __eq__(self, other):
-        # the image table is the canonical form: the magnus and images
+        # the relation table is the canonical form: the magnus and images
         # encodings of the same product compare equal
         return (
             isinstance(other, AdpSpec)
             and self.ranks == other.ranks
-            and self._images == other._images
+            and self.images == other.images
         )
 
     def __hash__(self):
-        return hash((self.ranks, frozenset(self._images.items())))
+        return hash((self.ranks, frozenset(self.images.items())))
 
     def __repr__(self):
         label = self.name or "adp"
@@ -242,15 +251,15 @@ def relation_keys(ranks):
 class Presentation:
     """All commutation relations of a spec, keyed ``(i, j, p, q)``.
 
-    ``relations`` stores the moved relations only, those with a nonempty
-    word ``w``, in the order they are given; :func:`build_presentation`
-    makes them in relation order (see :func:`relation_keys`).  Every other
+    ``relations`` maps the key of each moved relation to its word ``w``,
+    which is not empty, in the order given; :func:`build_presentation`
+    gives them in relation order (see :func:`relation_keys`).  Every other
     relation is ``x(j,q) x(i,p) = x(i,p) x(j,q)``: its H2 row is the mixed
     unit alone and it has no commutator pairs, so it is never stored.
     :meth:`keys`, iteration, ``len`` and ``pres[key]`` nevertheless cover
-    every relation in relation order; ``pres[key]`` builds an unmoved
-    relation on demand, with the empty word, and raises ``KeyError`` for a
-    key outside the ranks.
+    every relation in relation order; ``pres[key]`` builds the
+    :class:`Relation` on demand, with the empty word for an unmoved key,
+    and raises ``KeyError`` for a key outside the ranks.
     """
 
     __slots__ = ("ranks", "relations")
@@ -263,22 +272,22 @@ class Presentation:
         return relation_keys(self.ranks)
 
     def __getitem__(self, key):
-        rel = self.relations.get(key)
-        if rel is not None:
-            return rel
-        ranks = self.ranks
-        try:
-            i, j, p, q = key
-            valid = (
-                1 <= i < j <= len(ranks)
-                and 1 <= p <= ranks[i - 1]
-                and 1 <= q <= ranks[j - 1]
-            )
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            raise KeyError(key)
-        return Relation(i, j, p, q, Word())
+        word = self.relations.get(key)
+        if word is None:
+            ranks = self.ranks
+            try:
+                i, j, p, q = key
+                valid = (
+                    1 <= i < j <= len(ranks)
+                    and 1 <= p <= ranks[i - 1]
+                    and 1 <= q <= ranks[j - 1]
+                )
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise KeyError(key)
+            word = Word()
+        return Relation(*key, word)
 
     def __len__(self):
         # sum over i < j of n_i n_j
@@ -297,18 +306,16 @@ def build_presentation(spec):
     ``x(i,p)`` on block ``j``.  Every ``w`` has vanishing exponent sums,
     because :class:`AdpSpec` admits only IA actions, so it lies in the
     commutator subgroup of block ``j``; :meth:`Relation.pairs` writes it as
-    a product of commutators on demand.  One relation is made per entry of
-    the spec's image table, in relation order; a generator the action fixes
-    has the identity word, and its relation is not stored (see
-    :class:`Presentation`).  The presentation and its H2 matrix therefore
-    cost one step per moved relation.
+    a product of commutators on demand.  One word is made per entry of the
+    spec's relation table ``spec.images``, in its order; a generator the
+    action fixes has the identity word, and its relation is not stored
+    (see :class:`Presentation`).  The presentation and its H2 matrix
+    therefore cost one step per moved relation.
     """
-    moved = spec._images
-    relations = {}
-    for key in sorted(moved, key=lambda k: (k[1], k[0], k[2], k[3])):
-        i, j, p, q = key
-        relations[key] = Relation(i, j, p, q, x(j, q, -1) * moved[key])
-    return Presentation(spec.ranks, relations)
+    return Presentation(
+        spec.ranks,
+        {key: x(key[1], key[3], -1) * image for key, image in spec.images.items()},
+    )
 
 
 def _conjugate(c, g):
@@ -356,16 +363,14 @@ def _braid_block_spec(ranks, shift):
     for a in range(1, l + 1):
         s = a + shift + 1  # strand pulled over by block a
         for b in range(a + 1, l + 1):
-            fixed = [x(b, q) for q in range(1, ranks[b - 1] + 1)]
             for p in range(1, ranks[a - 1] + 1):
                 xp, xs = ((b, p), 1), ((b, s), 1)
-                images = list(fixed)
-                images[p - 1] = _conjugate((xp, xs), (b, p))
+                images = {p: _conjugate((xp, xs), (b, p))}
                 band = (xp, xs, ((b, p), -1), ((b, s), -1))
                 for q in range(p + 1, s):
-                    images[q - 1] = _conjugate(band, (b, q))
-                images[s - 1] = _conjugate((xp,), (b, s))
-                actions[(a, b, p)] = (IMAGES, tuple(images))
+                    images[q] = _conjugate(band, (b, q))
+                images[s] = _conjugate((xp,), (b, s))
+                actions[(a, b, p)] = (IMAGES, images)
     return AdpSpec(ranks, actions)
 
 
@@ -391,11 +396,9 @@ def _mccool_spec(ranks, shift):
     for a in range(1, l + 1):
         s = a + shift + 1
         for b in range(a + 1, l + 1):
-            fixed = tuple(x(b, q) for q in range(1, ranks[b - 1] + 1))
             for p in range(1, ranks[a - 1] + 1):
                 moved = _conjugate((((b, p), 1),), (b, s))
-                images = fixed[: s - 1] + (moved,) + fixed[s:]
-                actions[(a, b, p)] = (IMAGES, images)
+                actions[(a, b, p)] = (IMAGES, {s: moved})
     return AdpSpec(ranks, actions)
 
 
@@ -431,7 +434,7 @@ def extend_with_torus(spec, m):
     out = AdpSpec(spec.ranks + (1,) * m, name=name)
     # the new blocks have no actions, so the checked ones carry over
     out.actions = dict(spec.actions)
-    out._images = dict(spec._images)
+    out.images = dict(spec.images)
     return out
 
 

@@ -59,7 +59,7 @@ from .invariants import (
     tc_certificate,
     zcl_witness,
 )
-from .words import IAWord, Word, x
+from .words import IAWord, Word, commutator_decompose
 
 __all__ = ["SpecFileError", "parse_spec", "format_spec", "load_spec", "main"]
 
@@ -89,8 +89,7 @@ def parse_spec(text):
     ranks = None
     mode = None
     builtin = None
-    magnus_actions = {}
-    image_maps = {}
+    actions = {}
     first_line = {}
     saw_statement = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -113,7 +112,7 @@ def parse_spec(text):
         elif head == "mode":
             if mode is not None:
                 _fail(lineno, col, "duplicate mode line")
-            if magnus_actions or image_maps:
+            if actions:
                 _fail(lineno, col, "mode must come before action lines")
             mode = _parse_mode(lineno, tokens)
         elif head == "action":
@@ -125,8 +124,7 @@ def parse_spec(text):
                 tokens,
                 ranks,
                 mode or MAGNUS,
-                magnus_actions,
-                image_maps,
+                actions,
                 first_line,
             )
         else:
@@ -136,12 +134,6 @@ def parse_spec(text):
         return builtin
     if ranks is None:
         _fail(1, 1, "spec has no ranks line")
-    actions = {key: (MAGNUS, ia) for key, ia in magnus_actions.items()}
-    for (i, j, p), qmap in image_maps.items():
-        images = tuple(
-            qmap.get(q, x(j, q)) for q in range(1, ranks[j - 1] + 1)
-        )
-        actions[(i, j, p)] = (IMAGES, images)
     try:
         return AdpSpec(ranks, actions)
     except ActionError as err:
@@ -208,9 +200,7 @@ def _parse_mode(lineno, tokens):
     return value
 
 
-def _parse_action(
-    lineno, line, tokens, ranks, mode, magnus_actions, image_maps, first_line
-):
+def _parse_action(lineno, line, tokens, ranks, mode, actions, first_line):
     if len(tokens) < 5:
         _fail(lineno, tokens[0][1], "action line too short")
     j = _expect_int(lineno, *tokens[1], what="target block")
@@ -230,7 +220,7 @@ def _parse_action(
     if sep == "=":
         if mode != MAGNUS:
             _fail(lineno, sep_col, "'=' action line in images mode")
-        if (i, j, p) in magnus_actions:
+        if (i, j, p) in actions:
             _fail(lineno, tokens[0][1], "duplicate action %d %d %d" % (j, i, p))
         payload_col = sep_col + 1
         payload = line[sep_col:]
@@ -238,7 +228,7 @@ def _parse_action(
             ia = IAWord.parse(ranks[j - 1], payload)
         except ValueError as err:
             _fail(lineno, payload_col + 1, str(err))
-        magnus_actions[(i, j, p)] = ia
+        actions[(i, j, p)] = (MAGNUS, ia)
         first_line.setdefault((i, j, p), (lineno, tokens[0][1]))
     elif sep == ":":
         if mode != IMAGES:
@@ -253,7 +243,7 @@ def _parse_action(
                 "image index %d exceeds rank %d of block %d"
                 % (q, ranks[j - 1], j),
             )
-        qmap = image_maps.setdefault((i, j, p), {})
+        _, qmap = actions.setdefault((i, j, p), (IMAGES, {}))
         if q in qmap:
             _fail(
                 lineno,
@@ -276,25 +266,18 @@ def format_spec(spec):
     """Write a spec in the file grammar; inverse of :func:`parse_spec`.
 
     All-magnus specs print as magnus files; anything else normalizes to
-    images mode.
+    images mode, one line per entry of the relation table ``spec.images``.
+    Both read the spec in its relation order.
     """
     lines = ["ranks = " + " ".join(str(n) for n in spec.ranks)]
-    kinds = {kind for kind, _ in spec.actions.values()}
-    keys = sorted(spec.actions, key=lambda k: (k[1], k[0], k[2]))
-    if kinds <= {MAGNUS}:
+    if all(kind == MAGNUS for kind, _ in spec.actions.values()):
         lines.append("mode = magnus")
-        for i, j, p in keys:
-            _, ia = spec.actions[(i, j, p)]
+        for (i, j, p), (_, ia) in spec.actions.items():
             lines.append("action %d %d %d = %s" % (j, i, p, ia))
     else:
         lines.append("mode = images")
-        for i, j, p in keys:
-            for q in range(1, spec.ranks[j - 1] + 1):
-                image = spec.action_image(i, j, p, q)
-                if image.letters != (((j, q), 1),):
-                    lines.append(
-                        "action %d %d %d : %d -> %s" % (j, i, p, q, image)
-                    )
+        for (i, j, p, q), image in spec.images.items():
+            lines.append("action %d %d %d : %d -> %s" % (j, i, p, q, image))
     return "\n".join(lines) + "\n"
 
 
@@ -343,31 +326,27 @@ def elem_token(elem):
 
 def cmd_present(spec, args, out):
     pres = build_presentation(spec)
-    moved = pres.relations  # an unmoved relation has w = 1 and no pairs
-    if args.porcelain:
-        for key in pres.keys():
-            i, j, p, q = key
-            rel = moved.get(key)
-            word = "1" if rel is None else rel.word.text("")
-            out.append("relation %d %d %d %d %s" % (i, j, p, q, word))
-            pairs = () if rel is None else rel.pairs(args.pairing)
+    if not args.porcelain:
+        gens = " ".join("x(%d,%d)" % g for g in generators(spec.ranks))
+        out.append("generators: " + gens)
+        out.append("relations: %d" % len(pres))
+    unmoved = Word()  # w = 1, with no pairs
+    for key in pres.keys():
+        i, j, p, q = key
+        word = pres.relations.get(key, unmoved)
+        pairs = commutator_decompose(word, args.pairing) if word else ()
+        if args.porcelain:
+            out.append("relation %d %d %d %d %s" % (i, j, p, q, word.text("")))
             for k, (u, v) in enumerate(pairs, start=1):
                 out.append(
                     "pair %d %d %d %d %d %s %s"
                     % (i, j, p, q, k, u.text(""), v.text(""))
                 )
-    else:
-        gens = " ".join("x(%d,%d)" % g for g in generators(spec.ranks))
-        out.append("generators: " + gens)
-        out.append("relations: %d" % len(pres))
-        for key in pres.keys():
-            i, j, p, q = key
-            rel = moved.get(key)
+        else:
             out.append(
                 "  x(%d,%d) x(%d,%d) = x(%d,%d) x(%d,%d) w,  w = %s"
-                % (j, q, i, p, i, p, j, q, "1" if rel is None else rel.word)
+                % (j, q, i, p, i, p, j, q, word)
             )
-            pairs = () if rel is None else rel.pairs(args.pairing)
             if pairs:
                 out.append(
                     "    w as commutators: "

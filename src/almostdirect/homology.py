@@ -58,8 +58,9 @@ with ``kappa(i, r, s) = -A[(i, j, r, s), (e(j,p), e(j,q))]``.
 
 A relation whose generator the action fixes has the empty word ``w``.  It
 has no pairs, and its row is the mixed unit alone, which no eta reads.
-The presentation stores only the moved relations, and :func:`h2_matrix`
-builds their rows only: the other rows are implied by :class:`H2Matrix`.
+The presentation stores the words of the moved relations only, and
+:func:`h2_matrix` builds their rows only: the other rows are implied by
+:class:`H2Matrix`.
 """
 
 from __future__ import annotations
@@ -233,21 +234,22 @@ def h2_matrix(pres):
     Row ``(i, j, p, q)`` is the unit mixed entry ``e(i,p) e(j,q)`` plus
     ``sum_{a<b} c_ab(w) e_a e_b``, the degree-two Magnus coefficients of the
     relation word ``w`` (see the module docstring), summed in one pass over
-    its letters with running exponent sums.  Only the stored (moved)
-    relations of ``pres`` get a row; an unmoved relation has the empty word,
-    so its row is the implied unit row of :class:`H2Matrix`.  Raises
-    :class:`RowStructureError`, naming the row and column, unless the mixed
-    entry is 1 and every other entry sits in a same-block column of block
-    ``j``.  That structure gives the matrix an identity minor (full row
-    rank) and makes each eta of :func:`kernel_basis` annihilate every row.
+    its letters with running exponent sums.  Only the stored ``(key, word)``
+    pairs of ``pres.relations``, the moved relations, get a row; an unmoved
+    relation has the empty word, so its row is the implied unit row of
+    :class:`H2Matrix`.  Raises :class:`RowStructureError`, naming the row
+    and column, unless the mixed entry is 1 and every other entry sits in a
+    same-block column of block ``j``.  That structure gives the matrix an
+    identity minor (full row rank) and makes each eta of
+    :func:`kernel_basis` annihilate every row.
     """
     rows = {}
-    for key, rel in pres.relations.items():
-        j = rel.j
-        mixed = ((rel.i, rel.p), (j, rel.q))
+    for key, word in pres.relations.items():
+        i, j, p, q = key
+        mixed = ((i, p), (j, q))
         summed = {mixed: 1}
         sums = {}  # exponent sums of the letters read so far
-        for b, eps in rel.word.letters:
+        for b, eps in word.letters:
             for a, s in sums.items():
                 if a < b and s:
                     summed[(a, b)] = summed.get((a, b), 0) + s * eps

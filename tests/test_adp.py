@@ -41,16 +41,47 @@ def test_spec_validation():
 def test_images_validation():
     # image must stay in its block and abelianize to its generator
     with pytest.raises(ValueError):
-        AdpSpec((1, 2), {(1, 2, 1): (IMAGES, (x(1, 1), x(2, 2)))})
+        AdpSpec((1, 2), {(1, 2, 1): (IMAGES, {1: x(1, 1)})})
     with pytest.raises(ValueError):
-        AdpSpec((1, 2), {(1, 2, 1): (IMAGES, (x(2, 2), x(2, 1)))})
-    with pytest.raises(ValueError):
-        AdpSpec((1, 2), {(1, 2, 1): (IMAGES, (x(2, 1),))})
+        AdpSpec((1, 2), {(1, 2, 1): (IMAGES, {1: x(2, 2), 2: x(2, 1)})})
+
+
+def test_images_index_outside_the_block_names_the_key():
+    # the library check reads like the spec file parser's
+    for q in (0, 3):
+        with pytest.raises(ActionError) as info:
+            AdpSpec((1, 1, 2), {(2, 3, 1): (IMAGES, {q: x(3, 1)})})
+        assert info.value.key == (2, 3, 1)
+        assert str(info.value) == "image index %d exceeds rank 2 of block 3" % q
+
+
+def test_images_equal_to_their_generator_are_dropped():
+    conj = x(2, 2, -1) * x(2, 1) * x(2, 2)
+    spec = AdpSpec(
+        (1, 2, 2),
+        {
+            (1, 3, 1): (IMAGES, {1: x(3, 1), 2: x(3, 2)}),
+            (2, 3, 1): (IMAGES, {2: x(3, 2)}),
+            (1, 2, 1): (IMAGES, {2: x(2, 2), 1: conj}),
+        },
+    )
+    # only the moved image is kept; the two all-fixed actions are gone
+    assert spec.actions == {(1, 2, 1): (IMAGES, {1: conj})}
+    assert spec.images == {(1, 2, 1, 1): conj}
+    assert spec == AdpSpec((1, 2, 2), {(1, 2, 1): (IMAGES, {1: conj})})
+
+
+def test_images_payload_must_be_a_map():
+    for payload in ((x(2, 1), x(2, 2)), [x(2, 1)]):
+        with pytest.raises(ActionError) as info:
+            AdpSpec((1, 2), {(1, 2, 1): (IMAGES, payload)})
+        assert info.value.key == (1, 2, 1)
 
 
 def test_images_checks_report_the_first_failing_image():
-    # images are checked in order; within one image, leaving the block is
-    # reported before a wrong exponent sum
+    # images are checked in index order, whatever the order of the map;
+    # within one image, leaving the block is reported before a wrong
+    # exponent sum
     not_ia = x(2, 1, 2)
     leaves = x(1, 1) * x(2, 2) * x(1, 1, -1)
     cases = [
@@ -61,8 +92,9 @@ def test_images_checks_report_the_first_failing_image():
         ((x(2, 1), x(2, 2) * x(2, 1)), "image of x(2,2) is not IA"),
     ]
     for images, message in cases:
+        reversed_map = {2: images[1], 1: images[0]}
         with pytest.raises(ActionError) as info:
-            AdpSpec((1, 2), {(1, 2, 1): (IMAGES, images)})
+            AdpSpec((1, 2), {(1, 2, 1): (IMAGES, reversed_map)})
         assert str(info.value).startswith(message)
         assert info.value.key == (1, 2, 1)
 
@@ -75,7 +107,7 @@ def test_trivial_actions_are_dropped():
         },
     )
     assert spec.actions == {}
-    identity_images = AdpSpec((1, 2), {(1, 2, 1): (IMAGES, (x(2, 1), x(2, 2)))})
+    identity_images = AdpSpec((1, 2), {(1, 2, 1): (IMAGES, {1: x(2, 1), 2: x(2, 2)})})
     assert identity_images.actions == {}
 
 
@@ -88,7 +120,7 @@ def test_spec_equality_ignores_name():
     m = AdpSpec((1, 2), {(1, 2, 1): (MAGNUS, conj)})
     im = AdpSpec(
         (1, 2),
-        {(1, 2, 1): (IMAGES, (x(2, 2, -1) * x(2, 1) * x(2, 2), x(2, 2)))},
+        {(1, 2, 1): (IMAGES, {1: x(2, 2, -1) * x(2, 1) * x(2, 2), 2: x(2, 2)})},
     )
     assert m == im
 
@@ -162,10 +194,10 @@ def drop_first_block(spec):
     actions = {}
     for i, j, p in spec.actions:
         if i > 1:
-            images = tuple(
-                shift_down(spec.action_image(i, j, p, q))
+            images = {
+                q: shift_down(spec.action_image(i, j, p, q))
                 for q in range(1, spec.ranks[j - 1] + 1)
-            )
+            }
             actions[(i - 1, j - 1, p)] = (IMAGES, images)
     return AdpSpec(spec.ranks[1:], actions)
 
@@ -207,7 +239,8 @@ def test_extend_with_torus_equals_the_spec_built_from_its_actions():
             assert ext == built
             assert hash(ext) == hash(built)
             assert ext.actions == built.actions
-            assert ext._images == built._images
+            # the same table, in the same relation order
+            assert list(ext.images.items()) == list(built.images.items())
 
 
 def test_builtin_registry():
@@ -300,7 +333,7 @@ def test_action_image_reads_the_actions():
             if kind == MAGNUS:
                 expect = reference_apply(payload, x(j, q))
             elif kind == IMAGES:
-                expect = payload[q - 1]
+                expect = payload.get(q, x(j, q))
             else:
                 expect = x(j, q)
             assert spec.action_image(i, j, p, q) == expect
@@ -311,10 +344,10 @@ def test_magnus_and_images_encodings_compare_and_hash_equal():
         images = {
             (i, j, p): (
                 IMAGES,
-                tuple(
-                    spec.action_image(i, j, p, q)
+                {
+                    q: spec.action_image(i, j, p, q)
                     for q in range(1, spec.ranks[j - 1] + 1)
-                ),
+                },
             )
             for i, j, p in spec.actions
         }
@@ -363,19 +396,19 @@ def braid_block_oracle(ranks, shift):
         s = a + shift + 1
         for b in range(a + 1, l + 1):
             for p in range(1, ranks[a - 1] + 1):
-                images = []
+                images = {}
                 for q in range(1, ranks[b - 1] + 1):
                     if q == p:
                         conj = x(b, p) * x(b, s)
-                        images.append(conjugate(conj, x(b, q)))
+                        images[q] = conjugate(conj, x(b, q))
                     elif p < q < s:
                         conj = x(b, p) * x(b, s) * ~x(b, p) * ~x(b, s)
-                        images.append(conjugate(conj, x(b, q)))
+                        images[q] = conjugate(conj, x(b, q))
                     elif q == s:
-                        images.append(conjugate(x(b, p), x(b, q)))
+                        images[q] = conjugate(x(b, p), x(b, q))
                     else:
-                        images.append(x(b, q))
-                actions[(a, b, p)] = (IMAGES, tuple(images))
+                        images[q] = x(b, q)
+                actions[(a, b, p)] = (IMAGES, images)
     return AdpSpec(ranks, actions)
 
 
@@ -386,10 +419,10 @@ def mccool_oracle(ranks, shift):
         s = a + shift + 1
         for b in range(a + 1, l + 1):
             for p in range(1, ranks[a - 1] + 1):
-                images = tuple(
-                    conjugate(x(b, p), x(b, q)) if q == s else x(b, q)
+                images = {
+                    q: conjugate(x(b, p), x(b, q)) if q == s else x(b, q)
                     for q in range(1, ranks[b - 1] + 1)
-                )
+                }
                 actions[(a, b, p)] = (IMAGES, images)
     return AdpSpec(ranks, actions)
 
@@ -453,9 +486,15 @@ def test_fixed_generators_take_no_word_product(count_calls):
     assert len(calls) <= 120
 
 
+def relation_order(key):
+    return (key[1], key[0]) + key[2:]
+
+
 def test_presentation_keys_come_in_relation_order():
-    # build_presentation makes the relations in (j, i, p, q) order, and the
-    # presentation keeps them so; every builtin through eight strands
+    # the spec keeps its actions and its relation table in (j, i, p, q)
+    # order, whatever order the actions come in, and build_presentation
+    # makes the relations in that order; every builtin through eight
+    # strands, and each of them with its actions given in reverse
     from test_acceptance import specs_under_test
 
     specs = specs_under_test()
@@ -464,7 +503,15 @@ def test_presentation_keys_come_in_relation_order():
         specs += [partial_pure_braid(l, n - l) for l in range(1, n)]
         if n >= 3:
             specs += [pure_braid_mod_center(n), upper_mccool_mod_center(n)]
+    specs += [
+        AdpSpec(spec.ranks, dict(reversed(list(spec.actions.items()))))
+        for spec in specs
+    ]
     for spec in specs:
-        keys = build_presentation(spec).keys()
-        assert keys == sorted(keys, key=lambda k: (k[1], k[0], k[2], k[3]))
+        pres = build_presentation(spec)
+        keys = pres.keys()
+        assert keys == sorted(keys, key=relation_order)
         assert len(keys) == len(set(all_keys(spec)))
+        assert list(spec.actions) == sorted(spec.actions, key=relation_order)
+        assert list(spec.images) == sorted(spec.images, key=relation_order)
+        assert list(pres.relations) == list(spec.images)

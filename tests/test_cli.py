@@ -14,6 +14,7 @@ import almostdirect
 from almostdirect import homology
 from almostdirect.adp import (
     IMAGES,
+    MAGNUS,
     ActionError,
     AdpSpec,
     Relation,
@@ -31,7 +32,7 @@ from almostdirect.cli import (
     main,
     parse_spec,
 )
-from almostdirect.words import x
+from almostdirect.words import IAWord, x
 from test_words import reassemble
 
 # two rank-1 blocks acting on a rank-2 block by non-commuting conjugations:
@@ -296,6 +297,35 @@ def test_parse_spec_round_trips_images():
         assert parse_spec(format_spec(spec)) == spec
 
 
+# both kinds of action in one spec, given out of relation order: the
+# images action of x(2,2) leaves x(3,2) fixed, and the magnus action of
+# x(1,1) on block 3 moves both generators
+MIXED = AdpSpec(
+    (1, 2, 2),
+    {
+        (2, 3, 2): (IMAGES, {1: x(3, 2) * x(3, 1) * x(3, 2, -1), 2: x(3, 2)}),
+        (1, 3, 1): (MAGNUS, IAWord.parse(2, "B(1,2) B(2,1)")),
+        (1, 2, 1): (IMAGES, {2: x(2, 1) * x(2, 2) * x(2, 1, -1)}),
+    },
+)
+
+
+def test_format_spec_writes_a_mixed_spec_in_images_mode():
+    # the moved images of both kinds, one line each, in relation order
+    text = format_spec(MIXED)
+    assert text == (
+        "ranks = 1 2 2\n"
+        "mode = images\n"
+        "action 2 1 1 : 2 -> x(2,1) x(2,2) x(2,1)^-1\n"
+        "action 3 1 1 : 1 -> x(3,1)^-1 x(3,2)^-1 x(3,1) x(3,2) x(3,1)\n"
+        "action 3 1 1 : 2 -> x(3,1)^-1 x(3,2) x(3,1)\n"
+        "action 3 2 2 : 1 -> x(3,2) x(3,1) x(3,2)^-1\n"
+    )
+    reread = parse_spec(text)
+    assert reread == MIXED
+    assert format_spec(reread) == text
+
+
 def test_parse_spec_round_trips_torus_extension():
     spec = extend_with_torus(upper_mccool(3), 2)
     assert parse_spec(format_spec(spec)) == spec
@@ -370,7 +400,7 @@ def test_action_errors_name_the_line_of_the_failing_action(capsys, tmp_path):
     with pytest.raises(ActionError) as info:
         AdpSpec(
             (1, 1, 2),
-            {(2, 3, 1): (IMAGES, (x(3, 1), x(3, 1) * x(3, 2) * x(3, 1)))},
+            {(2, 3, 1): (IMAGES, {1: x(3, 1), 2: x(3, 1) * x(3, 2) * x(3, 1)})},
         )
     assert info.value.key == (2, 3, 1)
     path = tmp_path / "bad.spec"
@@ -523,14 +553,11 @@ def test_the_pipeline_lists_no_matrix_columns(count_calls, capsys):
 def tamper_word(monkeypatch, key, extra):
     # verify then sees the presentation of purebraid 4 with the word of one
     # relation multiplied by extra; its pairs are decomposed from that word
-    from dataclasses import replace
-
     from almostdirect import exterior
 
     def tampered(spec):
         pres = build_presentation(spec)
-        rel = pres.relations[key]
-        pres.relations[key] = replace(rel, word=rel.word * extra)
+        pres.relations[key] = pres.relations[key] * extra
         return pres
 
     monkeypatch.setattr(exterior, "build_presentation", tampered)
@@ -590,8 +617,11 @@ def test_verify_builds_one_presentation_and_one_matrix(count_calls, capsys):
 
 def test_only_present_decomposes_words(count_calls, capsys):
     import almostdirect.adp as adp
+    import almostdirect.cli as cli
 
-    decomposed = count_calls(adp, "commutator_decompose")
+    # Relation.pairs and cmd_present are the two callers
+    in_relations = count_calls(adp, "commutator_decompose")
+    in_present = count_calls(cli, "commutator_decompose")
     for argv in (
         ["cohomology"],
         ["zcl"],
@@ -600,13 +630,17 @@ def test_only_present_decomposes_words(count_calls, capsys):
         ["verify"],
     ):
         assert main([argv[0], "builtin:purebraid:5", *argv[1:]]) == 0
-    assert decomposed == []
+    assert in_relations == in_present == []
     # present decomposes each of the 25 moved relations of the 35 once,
     # with its pairing; an unmoved relation has no pairs
-    moved = len(pure_braid(5)._images)
-    assert moved == 25
+    moved = pure_braid(5).images
+    assert len(moved) == 25
     assert main(["present", "builtin:purebraid:5", "--pairing", "last"]) == 0
-    assert [args[1:] for args in decomposed] == [("last",)] * moved
+    assert in_relations == []
+    assert [args[1:] for args in in_present] == [("last",)] * len(moved)
+    assert [args[0] for args in in_present] == [
+        x(j, q, -1) * image for (i, j, p, q), image in moved.items()
+    ]
     capsys.readouterr()
 
 

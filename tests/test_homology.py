@@ -32,7 +32,7 @@ from almostdirect.homology import (
 )
 from almostdirect.cli import load_spec, main, parse_spec
 from almostdirect.laurent import LaurentPoly, t
-from almostdirect.words import x
+from almostdirect.words import Word, x
 from test_acceptance import pair_matrix, specs_under_test
 from test_cli import INCONSISTENT, tamper_pairs
 from test_words import reassemble
@@ -237,14 +237,16 @@ def test_presentation_stores_the_moved_relations_and_implies_the_rest():
         assert len(pres) == len(every) == sum(
             ranks[i] * ranks[j] for i, j in combinations(range(len(ranks)), 2)
         )
-        # one stored relation per moved image, in relation order
-        assert list(pres.relations) == [k for k in every if k in spec._images]
-        assert set(pres.relations) == set(spec._images)
+        # one stored word per moved image, in relation order
+        assert list(pres.relations) == [k for k in every if k in spec.images]
+        assert set(pres.relations) == set(spec.images)
+        assert all(pres.relations.values())
         for key, rel in zip(every, pres, strict=True):
             i, j, p, q = key
             assert (rel.i, rel.j, rel.p, rel.q) == key
             assert pres[key] == rel
             assert rel.word == x(j, q, -1) * spec.action_image(i, j, p, q)
+            assert pres.relations.get(key, Word()) == rel.word
         l = len(ranks)
         for outside in ((1, 1, 1, 1), (2, 1, 1, 1), (1, l + 1, 1, 1), (1, 2, 9, 9)):
             with pytest.raises(KeyError):
@@ -258,12 +260,28 @@ def test_presentation_stores_the_moved_relations_and_implies_the_rest():
     assert len(specs) == len(specs_under_test()) + 7
 
 
-def test_cohomology_builds_one_relation_per_moved_image(count_calls, capsys):
+def test_cohomology_builds_no_relation_and_stores_the_moved_words(
+    count_calls, monkeypatch, capsys
+):
+    from almostdirect import exterior
+
     made = count_calls(Relation, "__init__")
+    built = []
+
+    def recorded(spec):
+        built.append(build_presentation(spec))
+        return built[-1]
+
+    monkeypatch.setattr(exterior, "build_presentation", recorded)
     assert main(["cohomology", "builtin:uppermccool:10", "--porcelain"]) == 0
     capsys.readouterr()
-    # 120 of the 870 relations of uppermccool 10 are moved
-    assert len(made) == len(upper_mccool(10)._images) == 120
+    assert made == []
+    # 120 of the 870 relations of uppermccool 10 are moved, and the
+    # presentation stores their words only
+    (pres,) = built
+    assert len(pres) == 870
+    assert len(pres.relations) == len(upper_mccool(10).images) == 120
+    assert all(isinstance(w, Word) and w for w in pres.relations.values())
 
 
 def test_reassembly_and_the_chain_map_reject_a_stray_letter(monkeypatch):
@@ -310,8 +328,7 @@ def test_reassembly_sees_past_the_metabelian_quotient(monkeypatch):
 
 def _one_relation(pairs):
     # x(2,1) x(1,1) = x(1,1) x(2,1) w, w the product of the given pairs
-    rel = Relation(1, 2, 1, 1, reassemble(pairs))
-    return Presentation((1, 2), {(1, 2, 1, 1): rel})
+    return Presentation((1, 2), {(1, 2, 1, 1): reassemble(pairs)})
 
 
 def test_h2_matrix_rejects_entries_outside_the_blocks():

@@ -380,9 +380,14 @@ def test_witness_term_is_a_coefficient_of_the_zcl_witness():
         key, sign = witness_term(ring.ranks)
         # a coefficient +-1 makes the product, and so each prefix, nonzero
         assert wit.element.terms[key] == sign
+        # each factor adds one generator to every term: two factors per
+        # block of rank at least 2, one per rank-1 block
+        factors = sum(2 if n >= 2 else 1 for n in ring.ranks)
+        assert all(len(a) + len(b) == factors for a, b in wit.element.terms)
     # tc's lower bound is one more than the length of the product
-    for spec, wit in zip(specs, witnesses):
-        assert tc_certificate(spec).witness_degree == wit.num_factors
+    for spec in specs:
+        factors = sum(2 if n >= 2 else 1 for n in spec.ranks)
+        assert tc_certificate(spec).witness_degree == factors
     uncertified = sum(ring.critical_pair_verify() is not None for ring in rings)
     assert len(rings) == len(specs) + 900
     assert 0 < uncertified < len(rings)
