@@ -26,9 +26,11 @@ def main():
         print("  x(%d,%d) x(%d,%d): w = %s" % (j, q, i, p, word))
 
     # the integral H2 matrix has one row per relation; its kernel gives the
-    # quadratic relations of the cohomology ring.  A relation with w = 1 has
-    # the unit row e(i,p) e(j,q), which the matrix implies without storing
-    matrix = h2_matrix(pres)
+    # quadratic relations of the cohomology ring.  Each row is read off the
+    # image of x(j,q), which has the degree-two Magnus coefficients of w.  A
+    # relation with w = 1 has the unit row e(i,p) e(j,q), which the matrix
+    # implies without storing
+    matrix = h2_matrix(spec.ranks, spec.images)
     print("\nmatrix: %d rows, of which %d are stored and %d are unit rows;"
           " %d columns, full row rank: %s"
           % (len(pres), len(matrix.rows), len(pres) - len(matrix.rows),

@@ -4,8 +4,8 @@ The pipeline: an :class:`~almostdirect.adp.AdpSpec` describes an iterated
 semidirect product of free groups with IA actions;
 :func:`~almostdirect.adp.build_presentation` computes its commutator
 presentation; :func:`~almostdirect.homology.h2_matrix` and
-:func:`~almostdirect.homology.kernel_basis` extract the quadratic relations
-of the cohomology ring; :func:`~almostdirect.exterior.cohomology_ring`
+:func:`~almostdirect.homology.kernel_basis` read the ring's quadratic
+relations off the action images; :func:`~almostdirect.exterior.cohomology_ring`
 packages them as an exterior algebra quotient with certified normal forms;
 and :mod:`~almostdirect.invariants` reads off Hilbert series, lower central
 series ranks, and topological complexity certificates.

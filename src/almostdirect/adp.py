@@ -84,7 +84,7 @@ class AdpSpec:
     :func:`relation_keys`).  A magnus action builds its images with
     :meth:`~almostdirect.words.IAWord.images`.  ``actions`` comes in the
     same order.  :meth:`action_image`, :func:`build_presentation`,
-    ``format_spec``, ``==`` and ``hash`` read the table.
+    ``format_spec``, ``==``, ``hash`` and the H2 rows read the table.
     """
 
     __slots__ = ("ranks", "actions", "name", "images")
@@ -309,8 +309,7 @@ def build_presentation(spec):
     a product of commutators on demand.  One word is made per entry of the
     spec's relation table ``spec.images``, in its order; a generator the
     action fixes has the identity word, and its relation is not stored
-    (see :class:`Presentation`).  The presentation and its H2 matrix
-    therefore cost one step per moved relation.
+    (see :class:`Presentation`).  The ring reads its rows off the images.
     """
     return Presentation(
         spec.ranks,

@@ -481,10 +481,8 @@ def cmd_tc(spec, args, out):
 
 
 def cmd_verify(spec, args, out):
-    # h2_matrix, inside cohomology_ring, raises unless each row has a unit
-    # in its own mixed column and its other entries in same-block columns
-    # of block j, so the rows hold an identity minor and kappa = -A[row,
-    # col] makes A.eta vanish
+    # h2_matrix, inside cohomology_ring, raises on a row off the structure
+    # that gives the matrix full rank and its kernel the etas
     try:
         ring = cohomology_ring(spec)
     except RowStructureError as err:

@@ -98,9 +98,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb, prod
+from math import comb
 
-from .adp import build_presentation, generators
+from .adp import generators
 from .homology import h2_matrix, kernel_basis
 from .linalg import span_rank
 from .sparse import Sparse, add_scaled
@@ -114,6 +114,7 @@ __all__ = [
     "e",
     "CohomologyRing",
     "cohomology_ring",
+    "poincare_vector",
     "GroebnerReport",
     "GroebnerDegree",
 ]
@@ -159,6 +160,19 @@ def mono_mul(m1, m2):
     out.extend(m2[j:])
     sign = -1 if inversions & 1 else 1
     return sign, tuple(out)
+
+
+def poincare_vector(ranks):
+    """Coefficients of ``prod (1 + n t)``: the Betti numbers of the ring.
+
+    >>> poincare_vector((1, 2, 3))
+    (1, 6, 11, 6)
+    """
+    coeffs = [1]
+    for n in ranks:
+        prev = coeffs + [0]
+        coeffs = [prev[k] + n * prev[k - 1] for k in range(len(prev))]
+    return tuple(coeffs)
 
 
 def mono_token(mono):
@@ -411,12 +425,10 @@ class CohomologyRing:
         """Number of normal monomials of degree ``k``, i.e. ``len(basis(k))``.
 
         A normal monomial picks one generator from each of ``k`` blocks, so
-        the count is the sum of ``prod(n_j)`` over the ``k``-subsets of
-        blocks; no monomial is built.
+        the count is the coefficient of ``t^k`` in ``prod (1 + n_j t)``.
         """
-        if k < 0:
-            return 0
-        return sum(map(prod, combinations(self.ranks, k)))
+        betti = poincare_vector(self.ranks)
+        return betti[k] if 0 <= k < len(betti) else 0
 
     def xi(self, subsets):
         """The triangular basis element attached to one index set per block.
@@ -497,7 +509,7 @@ class CohomologyRing:
                 return lead, cofactor
         return None
 
-    def groebner_verify(self, through_degree=None):
+    def groebner_verify(self):
         """Certify the kernel elements are a Groebner basis, degree by degree.
 
         For each degree ``k`` the span of all exterior products ``m * eta``
@@ -509,10 +521,9 @@ class CohomologyRing:
         ``l``; a quadratic Groebner basis also makes the ring Koszul.
         """
         n_total = len(self.gens)
-        top = through_degree or len(self.ranks) + 1
         etas = self.eta_elements()
         report = GroebnerReport()
-        for k in range(2, top + 1):
+        for k in range(2, len(self.ranks) + 2):
             rows = []
             for m in combinations(self.gens, k - 2):
                 e_m = ExtElem.monomial(m)
@@ -528,9 +539,9 @@ class CohomologyRing:
 
 
 def cohomology_ring(spec):
-    """Build the cohomology ring of an almost-direct product spec."""
-    pres = build_presentation(spec)
-    return CohomologyRing(spec.ranks, kernel_basis(h2_matrix(pres)))
+    """Build the cohomology ring of a spec, its H2 rows read off the images."""
+    ranks = spec.ranks
+    return CohomologyRing(ranks, kernel_basis(h2_matrix(ranks, spec.images)))
 
 
 if __name__ == "__main__":

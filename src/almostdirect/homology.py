@@ -40,12 +40,17 @@ so row ``r`` is ``e(i,p) e(j,q) + sum_k ab(u_k) ^ ab(v_k)``, ``ab`` the
 exponent-sum vector (Fox's fundamental formula).  That pair formula belongs
 to the oracle.  When the pairs multiply to ``w``, the sum is the class of
 ``w`` in ``gamma2 F / gamma3 F = Lambda^2 H`` (Magnus-Karrass-Solitar,
-*Combinatorial Group Theory*, Ch. 5), which depends on ``w`` alone, and
-:func:`h2_matrix` reads that class off the letters ``g_1^eps_1 ...
-g_m^eps_m`` of ``w``: its coefficient on ``e_a e_b``, ``a < b``, is the
-degree-two Magnus coefficient
+*Combinatorial Group Theory*, Ch. 5), which depends on ``w`` alone.  Its
+coefficient on ``e_a e_b``, ``a < b``, is the degree-two Magnus
+coefficient of the letters ``g_1^eps_1 ... g_m^eps_m`` of ``w``
 
-    c_ab(w) = sum eps_k eps_l  over k < l with g_k = a, g_l = b.
+    c_ab(w) = sum eps_k eps_l  over k < l with g_k = a, g_l = b,
+
+which :func:`h2_matrix` reads off the image ``phi(x(j,q))`` instead.  The
+two agree: ``w`` is the free reduction of ``x(j,q)^-1 phi(x(j,q))``, a
+cancelling pair ``g^e g^-e`` adds terms to ``c_ab`` that cancel in sign,
+and the leading ``x(j,q)^-1`` only adds ``-sigma_b(phi(x(j,q)))``, the
+exponent sum of ``b``, to column ``(x(j,q), b)``, ``b > x(j,q)``: 0 for IA.
 
 It raises :class:`RowStructureError` unless each row has a single 1 in its
 mixed column and its other entries in the columns of the acted-on block.
@@ -58,7 +63,7 @@ with ``kappa(i, r, s) = -A[(i, j, r, s), (e(j,p), e(j,q))]``.
 
 A relation whose generator the action fixes has the empty word ``w``.  It
 has no pairs, and its row is the mixed unit alone, which no eta reads.
-The presentation stores the words of the moved relations only, and
+The spec's image table holds the moved generators only, so
 :func:`h2_matrix` builds their rows only: the other rows are implied by
 :class:`H2Matrix`.
 """
@@ -228,23 +233,23 @@ class RowStructureError(ValueError):
         self.col = col
 
 
-def h2_matrix(pres):
+def h2_matrix(ranks, table):
     """The augmented chain map over all relations, as one integer matrix.
 
-    Row ``(i, j, p, q)`` is the unit mixed entry ``e(i,p) e(j,q)`` plus
-    ``sum_{a<b} c_ab(w) e_a e_b``, the degree-two Magnus coefficients of the
-    relation word ``w`` (see the module docstring), summed in one pass over
-    its letters with running exponent sums.  Only the stored ``(key, word)``
-    pairs of ``pres.relations``, the moved relations, get a row; an unmoved
-    relation has the empty word, so its row is the implied unit row of
-    :class:`H2Matrix`.  Raises :class:`RowStructureError`, naming the row
-    and column, unless the mixed entry is 1 and every other entry sits in a
-    same-block column of block ``j``.  That structure gives the matrix an
-    identity minor (full row rank) and makes each eta of
-    :func:`kernel_basis` annihilate every row.
+    ``table`` maps relation keys ``(i, j, p, q)`` to words, and each gets
+    the row of the module docstring: the mixed unit plus the ``c_ab`` of
+    its word, in one pass over the letters with running exponent sums.
+    The ring passes its images ``spec.images``; the relation words
+    ``pres.relations`` give the same rows.  Any other key has the implied
+    unit row of :class:`H2Matrix`.  Raises :class:`RowStructureError`,
+    naming the row and column, unless the mixed entry is 1 and every other
+    entry sits in a same-block column of block ``j``: the structure that
+    gives the matrix an identity minor and makes each eta of
+    :func:`kernel_basis` annihilate every row.  Every image of a spec has
+    it, so only a table of the caller's own can break it.
     """
     rows = {}
-    for key, word in pres.relations.items():
+    for key, word in table.items():
         i, j, p, q = key
         mixed = ((i, p), (j, q))
         summed = {mixed: 1}
@@ -271,7 +276,7 @@ def h2_matrix(pres):
                 key, mixed, "row %s lacks its unit mixed entry" % (key,)
             )
         rows[key] = row
-    return H2Matrix(pres.ranks, rows)
+    return H2Matrix(ranks, rows)
 
 
 def kernel_basis(matrix):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .exterior import ExtElem, CohomologyRing, mono_mul, mono_token
+from .exterior import ExtElem, CohomologyRing, mono_mul, mono_token, poincare_vector
 from .sparse import Sparse
 
 __all__ = [
@@ -43,19 +43,6 @@ __all__ = [
     "TcCertificate",
     "tc_certificate",
 ]
-
-
-def poincare_vector(ranks):
-    """Coefficients of ``prod (1 + n t)``: the Betti numbers of the ring.
-
-    >>> poincare_vector((1, 2, 3))
-    (1, 6, 11, 6)
-    """
-    coeffs = [1]
-    for n in ranks:
-        prev = coeffs + [0]
-        coeffs = [prev[k] + n * prev[k - 1] for k in range(len(prev))]
-    return tuple(coeffs)
 
 
 def _mobius(n):

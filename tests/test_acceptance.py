@@ -198,17 +198,18 @@ def test_criterion_05_groebner_certification():
 
 
 def test_criterion_06_decomposition_independence():
-    # the integral matrix, read off the relation words, equals the matrix
-    # of the pair formula under either split of the words into commutators
+    # the integral matrix of the ring, read off the images, equals the
+    # matrix of the pair formula under either split of the relation words
+    # into commutators
     specs = specs_under_test()
     ok = True
     for spec in specs:
         pres = build_presentation(spec)
-        rows = h2_matrix(pres).to_dense()
+        rows = h2_matrix(spec.ranks, spec.images).to_dense()
         for pairing in ("first", "last"):
             ok = ok and pair_matrix(pres, pairing).to_dense() == rows
     assert report(
-        6, ok, "word rows vs first and last pairing on %d specs" % len(specs)
+        6, ok, "image rows vs first and last pairing on %d specs" % len(specs)
     )
 
 

@@ -17,6 +17,7 @@ from almostdirect.adp import (
     MAGNUS,
     ActionError,
     AdpSpec,
+    Presentation,
     Relation,
     build_presentation,
     extend_with_torus,
@@ -132,7 +133,6 @@ def test_tc_builds_no_presentation_matrix_or_ring(count_calls, capsys, tmp_path)
 
     calls = [
         count_calls(adp, "build_presentation"),
-        count_calls(exterior, "build_presentation"),
         count_calls(homology, "h2_matrix"),
         count_calls(exterior, "h2_matrix"),
         count_calls(CohomologyRing, "__init__"),
@@ -162,7 +162,7 @@ def test_tc_builds_no_presentation_matrix_or_ring(count_calls, capsys, tmp_path)
         "tc-free-blocks 3",
         "tc-torus-blocks 0",
     ]
-    assert calls == [[]] * 5
+    assert calls == [[]] * 4
 
 
 def test_verify_passes_on_builtin(capsys):
@@ -550,18 +550,22 @@ def test_the_pipeline_lists_no_matrix_columns(count_calls, capsys):
     assert calls == []
 
 
-def tamper_word(monkeypatch, key, extra):
-    # verify then sees the presentation of purebraid 4 with the word of one
-    # relation multiplied by extra; its pairs are decomposed from that word
+def tamper_image(monkeypatch, key, extra):
+    # verify then builds its matrix from the image table of purebraid 4
+    # with the image at key multiplied by extra; returns that table
     from almostdirect import exterior
 
-    def tampered(spec):
-        pres = build_presentation(spec)
-        pres.relations[key] = pres.relations[key] * extra
-        return pres
+    real = exterior.h2_matrix
 
-    monkeypatch.setattr(exterior, "build_presentation", tampered)
-    return tampered(pure_braid(4))
+    def tampered(ranks, table):
+        table = dict(table)
+        table[key] = table[key] * extra
+        return real(ranks, table)
+
+    monkeypatch.setattr(exterior, "h2_matrix", tampered)
+    images = dict(pure_braid(4).images)
+    images[key] = images[key] * extra
+    return images
 
 
 def tamper_pairs(monkeypatch, key, extra):
@@ -583,9 +587,11 @@ def test_verify_matrix_rank_names_the_row_and_column(monkeypatch, capsys):
     from almostdirect.words import commutator
 
     key = (1, 3, 1, 2)
-    # the extra commutator reassembles, but puts an entry in column
-    # e(1,1)e(2,1), outside block 3
-    pres = tamper_word(monkeypatch, key, commutator(x(1, 1), x(2, 1)))
+    # the extra commutator reassembles and passes the Laurent chain map,
+    # but puts an entry in column e(1,1)e(2,1), outside block 3
+    images = tamper_image(monkeypatch, key, commutator(x(1, 1), x(2, 1)))
+    words = {k: x(k[1], k[3], -1) * w for k, w in images.items()}
+    pres = Presentation((1, 2, 3), words)
     assert all(reassemble(rel.pairs()) == rel.word for rel in pres)
     assert verify_chain_map(pres).ok
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
@@ -601,18 +607,45 @@ def test_verify_matrix_rank_names_the_row_and_column(monkeypatch, capsys):
     assert "  matrix-rank            fail (1 3 1 2 e(1,1)e(2,1))" in out.splitlines()
 
 
-def test_verify_builds_one_presentation_and_one_matrix(count_calls, capsys):
+def test_verify_builds_no_presentation_and_one_matrix(count_calls, capsys):
     import almostdirect.adp as adp
     from almostdirect import exterior
 
-    built = count_calls(exterior, "build_presentation")
+    built = count_calls(adp, "build_presentation")
     matrices = count_calls(exterior, "h2_matrix")
     decomposed = count_calls(adp, "commutator_decompose")
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
     assert rc == 0
-    assert len(built) == 1 and len(matrices) == 1
-    # h2_matrix reads each row off the relation word, never off its pairs
+    assert built == [] and len(matrices) == 1
+    # h2_matrix reads each row off the spec's image table, never off pairs
+    spec = pure_braid(4)
+    assert matrices[0] == (spec.ranks, spec.images)
     assert decomposed == []
+
+
+def test_only_present_builds_a_presentation(count_calls, capsys, tmp_path):
+    import almostdirect.adp as adp
+    import almostdirect.cli as cli
+    from almostdirect import exterior
+
+    assert not hasattr(exterior, "build_presentation")
+    calls = [
+        count_calls(adp, "build_presentation"),
+        count_calls(cli, "build_presentation"),
+    ]
+    path = tmp_path / "inconsistent.spec"
+    path.write_text(INCONSISTENT)
+    # the table has no iterated product: hilbert --check and verify fail
+    refs = (("builtin:purebraid:5", ()), (str(path), ("hilbert", "verify")))
+    for ref, failing in refs:
+        for argv in (["cohomology"], ["zcl"], ["hilbert", "--check"], ["verify"]):
+            rc = 2 if argv[0] in failing else 0
+            for form in ([], ["--porcelain"]):
+                assert main([argv[0], ref, *argv[1:], *form]) == rc, argv
+    assert calls == [[], []]
+    assert main(["present", "builtin:purebraid:5"]) == 0
+    assert [len(c) for c in calls] == [0, 1]
+    capsys.readouterr()
 
 
 def test_only_present_decomposes_words(count_calls, capsys):

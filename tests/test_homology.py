@@ -116,7 +116,8 @@ def test_chain_map_failures_are_reported():
 def test_h2_matrix_two_strand_oracle():
     # the two relations of the three strand group pair the mixed slots with
     # the identity and hit the inner slot with opposite signs
-    m = h2_matrix(build_presentation(pure_braid(3)))
+    spec = pure_braid(3)
+    m = h2_matrix(spec.ranks, spec.images)
     assert list(m.rows) == [(1, 2, 1, 1), (1, 2, 1, 2)]
     assert m.col_labels == [((1, 1), (2, 1)), ((1, 1), (2, 2)), ((2, 1), (2, 2))]
     assert m.to_dense() == [[1, 0, -1], [0, 1, 1]]
@@ -124,7 +125,7 @@ def test_h2_matrix_two_strand_oracle():
 
 def test_h2_matrix_full_row_rank_on_builtins():
     for spec in (pure_braid(4), upper_mccool(4), partial_pure_braid(2, 2)):
-        assert h2_matrix(build_presentation(spec)).has_full_row_rank()
+        assert h2_matrix(spec.ranks, spec.images).has_full_row_rank()
 
 
 def test_full_row_rank_fails_on_dependent_or_empty_rows():
@@ -165,7 +166,7 @@ def test_chain_a2_augments_to_matrix_row():
     assert len(specs) == 23
     for spec in specs:
         pres = build_presentation(spec)
-        m = h2_matrix(pres)
+        m = h2_matrix(spec.ranks, spec.images)
         cols = m.col_labels
         # every row, the implied unit rows of the unmoved relations too
         for rel, row in zip(pres, m.to_dense(), strict=True):
@@ -187,7 +188,8 @@ def test_both_pairings_reassemble_the_long_relators():
                 assert reassemble(pairs) == rel.word, (name, rel, pairing)
                 longest = max(longest, len(rel.word))
             rows = pair_matrix(pres, pairing).to_dense()
-            assert rows == h2_matrix(pres).to_dense(), (name, pairing)
+            words = h2_matrix(pres.ranks, pres.relations).to_dense()
+            assert rows == words, (name, pairing)
     assert longest >= 80
 
 
@@ -252,7 +254,7 @@ def test_presentation_stores_the_moved_relations_and_implies_the_rest():
             with pytest.raises(KeyError):
                 pres[outside]
         # the dense matrix over every relation, unit rows included
-        m = h2_matrix(pres)
+        m = h2_matrix(pres.ranks, pres.relations)
         cols = m.col_labels
         dense = [[magnus_row(pres[k]).get(c, 0) for c in cols] for k in every]
         assert m.to_dense() == dense, spec
@@ -266,22 +268,42 @@ def test_cohomology_builds_no_relation_and_stores_the_moved_words(
     from almostdirect import exterior
 
     made = count_calls(Relation, "__init__")
+    presented = count_calls(Presentation, "__init__")
     built = []
 
-    def recorded(spec):
-        built.append(build_presentation(spec))
+    def recorded(ranks, table):
+        built.append(h2_matrix(ranks, table))
         return built[-1]
 
-    monkeypatch.setattr(exterior, "build_presentation", recorded)
+    monkeypatch.setattr(exterior, "h2_matrix", recorded)
     assert main(["cohomology", "builtin:uppermccool:10", "--porcelain"]) == 0
     capsys.readouterr()
-    assert made == []
-    # 120 of the 870 relations of uppermccool 10 are moved, and the
-    # presentation stores their words only
-    (pres,) = built
-    assert len(pres) == 870
-    assert len(pres.relations) == len(upper_mccool(10).images) == 120
-    assert all(isinstance(w, Word) and w for w in pres.relations.values())
+    assert made == presented == []
+    # 120 of the 870 relations of uppermccool 10 are moved, and the matrix
+    # stores their rows only, keyed as the images
+    (m,) = built
+    images = upper_mccool(10).images
+    assert len(relation_keys(m.ranks)) == 870
+    assert list(m.rows) == list(images) and len(images) == 120
+    assert all(len(row) > 1 for row in m.rows.values())
+
+
+def test_rows_off_the_images_equal_rows_off_the_relation_words():
+    # w = x(j,q)^-1 phi(x(j,q)) and its image phi(x(j,q)) have the same
+    # degree-two Magnus coefficients (the module docstring of homology)
+    specs = specs_under_test() + [parse_spec(INCONSISTENT)]
+    specs += [
+        load_spec(str(GOLDEN_SPECS / ("longword-%s.spec" % name)))
+        for name in ("1-3", "2-2")
+    ]
+    rng = random.Random(5)
+    specs += [random_spec(rng, max_factors=8) for _ in range(200)]
+    for spec in specs:
+        pres = build_presentation(spec)
+        images = h2_matrix(spec.ranks, spec.images).rows
+        words = h2_matrix(pres.ranks, pres.relations).rows
+        assert list(images.items()) == list(words.items()), spec
+    assert len(specs) == len(specs_under_test()) + 203
 
 
 def test_reassembly_and_the_chain_map_reject_a_stray_letter(monkeypatch):
@@ -335,7 +357,7 @@ def test_h2_matrix_rejects_entries_outside_the_blocks():
     # [x(1,1), x(2,2)] puts a mixed entry into a column of another row
     pres = _one_relation(((x(1, 1), x(2, 2)),))
     with pytest.raises(ValueError) as info:
-        h2_matrix(pres)
+        h2_matrix(pres.ranks, pres.relations)
     assert str((1, 2, 1, 1)) in str(info.value)
     assert str(((1, 1), (2, 2))) in str(info.value)
     # verify prints the same row and column as its matrix-rank witness
@@ -347,14 +369,16 @@ def test_h2_matrix_rejects_a_row_without_its_unit():
     # [x(1,1), x(2,1)] adds 1 to the row's own mixed entry
     pres = _one_relation(((x(1, 1), x(2, 1)),))
     with pytest.raises(ValueError, match="lacks its unit mixed entry"):
-        h2_matrix(pres)
+        h2_matrix(pres.ranks, pres.relations)
     # a pair inside block 2 is allowed
-    m = h2_matrix(_one_relation(((x(2, 1), x(2, 2)),)))
+    pres = _one_relation(((x(2, 1), x(2, 2)),))
+    m = h2_matrix(pres.ranks, pres.relations)
     assert m.rows[(1, 2, 1, 1)] == {((1, 1), (2, 1)): 1, ((2, 1), (2, 2)): 1}
 
 
 def test_kernel_basis_two_strand_oracle():
-    m = h2_matrix(build_presentation(pure_braid(3)))
+    spec = pure_braid(3)
+    m = h2_matrix(spec.ranks, spec.images)
     assert kernel_basis(m) == {
         ((2, 1), (2, 2)): {
             ((2, 1), (2, 2)): 1,
@@ -366,14 +390,14 @@ def test_kernel_basis_two_strand_oracle():
 
 def test_kernel_count_is_sum_of_block_pair_counts():
     for spec in (pure_braid(5), upper_mccool(5), partial_pure_braid(3, 2)):
-        m = h2_matrix(build_presentation(spec))
+        m = h2_matrix(spec.ranks, spec.images)
         expect = sum(n * (n - 1) // 2 for n in spec.ranks)
         assert len(kernel_basis(m)) == expect
 
 
 def test_kernel_keys_are_the_same_block_pairs_in_block_order():
     for spec in specs_under_test():
-        etas = kernel_basis(h2_matrix(build_presentation(spec)))
+        etas = kernel_basis(h2_matrix(spec.ranks, spec.images))
         assert list(etas) == [
             ((j, p), (j, q))
             for j, n in enumerate(spec.ranks, start=1)
@@ -387,7 +411,7 @@ def test_kernel_elements_annihilate_the_matrix():
     specs = [pure_braid(4), upper_mccool(5), partial_pure_braid(2, 3)]
     specs += [random_spec(rng) for _ in range(10)]
     for spec in specs:
-        m = h2_matrix(build_presentation(spec))
+        m = h2_matrix(spec.ranks, spec.images)
         cols = m.col_labels
         # every row, the implied unit rows of the unmoved relations too
         dense = m.to_dense()
@@ -402,7 +426,7 @@ def test_kernel_elements_annihilate_the_matrix():
 def test_kernel_mixed_terms_only_pair_into_the_same_block():
     # the tail terms live on pairs (e(i,r), e(j,s)) with the eta's own block j
     for spec in (pure_braid(5), upper_mccool(5)):
-        m = h2_matrix(build_presentation(spec))
+        m = h2_matrix(spec.ranks, spec.images)
         for lead, eta in kernel_basis(m).items():
             j = lead[0][0]
             for (i, r), (b, s) in eta.keys() - {lead}:
