@@ -162,6 +162,26 @@ def mono_mul(m1, m2):
     return sign, tuple(out)
 
 
+def _reduce(mono, memo, rules):
+    # the recursion of CohomologyRing.reduce_mono; a module function, not a
+    # closure, so that it holds no reference to itself
+    for k in range(len(mono) - 1):
+        if mono[k][0] == mono[k + 1][0]:
+            break
+    else:
+        return {mono: 1}
+    out = memo.get(mono)
+    if out is None:
+        out = {}
+        rest = mono[:k] + mono[k + 2 :]
+        for rep, c in rules[mono[k : k + 2]].items():
+            prod = mono_mul(rep, rest)
+            if prod is not None:
+                add_scaled(out, _reduce(prod[1], memo, rules), prod[0] * c)
+        memo[mono] = out
+    return out
+
+
 def poincare_vector(ranks):
     """Coefficients of ``prod (1 + n t)``: the Betti numbers of the ring.
 
@@ -357,41 +377,17 @@ class CohomologyRing:
         order, so the rewriting terminates.  Monomials are sorted block
         first, so that pair is two adjacent generators, at positions ``k``
         and ``k + 1``, and moving it to the front takes ``2k``
-        transpositions: an even permutation, with sign ``+1``.  Memoized.
+        transpositions: an even permutation, with sign ``+1``.
+
+        The memo stores only what it rewrites: the normal form of each
+        monomial with a same-block pair, never a normal monomial, which is
+        its own normal form.  Each rewrite moves one generator to an earlier
+        block, so a monomial of degree ``d`` rewrites at most ``d(l-1)``
+        times in a row and the recursion is at most ``d(l-1) + 1`` deep;
+        on the certificate at ``purebraid 30`` it is 3 deep.  The returned
+        dict may be the memo's own: do not change it.
         """
-        memo = self._memo
-        pending = {}
-        stack = [mono]
-        while stack:
-            cur = stack[-1]
-            if cur in memo:
-                stack.pop()
-                continue
-            if cur in pending:
-                out = {}
-                for child, coeff in pending.pop(cur):
-                    add_scaled(out, memo[child], coeff)
-                memo[cur] = out
-                stack.pop()
-                continue
-            for k in range(len(cur) - 1):
-                if cur[k][0] == cur[k + 1][0]:
-                    break
-            else:
-                memo[cur] = {cur: 1}
-                stack.pop()
-                continue
-            rest = cur[:k] + cur[k + 2 :]
-            parts = []
-            for rep, c in self._rules[cur[k : k + 2]].items():
-                prod = mono_mul(rep, rest)
-                if prod is None:
-                    continue
-                s2, m2 = prod
-                parts.append((m2, s2 * c))
-            pending[cur] = parts
-            stack.extend(m2 for m2, _ in parts if m2 not in memo)
-        return memo[mono]
+        return _reduce(mono, self._memo, self._rules)
 
     def normal_form(self, f):
         """The unique representative of ``f`` with no same-block pairs."""

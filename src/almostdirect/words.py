@@ -196,7 +196,8 @@ class Word:
                 raise ValueError("generator indices start at 1")
             power = int(m[3]) if m[3] else 1
             letters += [((block, index), 1 if power > 0 else -1)] * abs(power)
-        return cls(letters)
+        # every exponent is +1 or -1 already: reduce without validating
+        return _word(_reduce(letters))
 
 
 def x(block, index, power=1):

@@ -159,6 +159,10 @@ def test_criterion_03_hilbert_function():
         expect = poincare_vector(spec.ranks)
         dims = tuple(ring.dimension(k) for k in range(len(spec.ranks) + 1))
         ok = ok and dims == expect
+        # dimension reads the same recurrence as poincare_vector; the
+        # enumerated basis is what can disagree with it
+        counted = tuple(len(ring.basis(k)) for k in range(len(spec.ranks) + 1))
+        ok = ok and counted == expect
     p4 = tuple(ring_of(pure_braid(4)).dimension(k) for k in range(4))
     ok = ok and p4 == (1, 6, 11, 6)
     assert report(

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from itertools import combinations
@@ -26,6 +27,7 @@ from almostdirect.exterior import (
     mono_mul,
 )
 from almostdirect.homology import kernel_basis
+from almostdirect.invariants import zcl_witness
 from almostdirect.linalg import span_rank
 from test_acceptance import pair_matrix, ring_of, specs_under_test
 from test_cli import INCONSISTENT
@@ -160,6 +162,34 @@ def test_rewriting_takes_the_leftmost_same_block_pair():
         {((1, 1), (2, 1), (3, 1)): -2, ((1, 1), (2, 1), (3, 3)): -1}
     )
     assert ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c))
+
+
+def test_the_memo_stores_only_rewritten_monomials():
+    ring = cohomology_ring(pure_braid(6))
+    normal = ((1, 1), (2, 1), (4, 3))
+    assert ring.reduce_mono(normal) == {normal: 1}
+    assert ring._memo == {}
+    assert ring.critical_pair_verify() is None
+    size = len(ring._memo)
+    assert size > 0
+    assert not any(ring.is_normal(m) for m in ring._memo)
+    for m in ring.basis(3):
+        assert ring.reduce_mono(m) == {m: 1}
+    assert len(ring._memo) == size
+
+
+def test_rewriting_leaves_no_reference_cycles():
+    # a rewriting helper that refers to itself through a closure cell is a
+    # cycle that only the collector frees
+    ring = cohomology_ring(pure_braid(8))
+    gc.collect()
+    gc.disable()
+    try:
+        assert ring.critical_pair_verify() is None
+        zcl_witness(ring)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_zero_kappa_coefficients_are_dropped():
