@@ -41,7 +41,6 @@ from .exterior import (
     ExtElem,
     e,
     mono_mul,
-    deg_lex_compare,
     CohomologyRing,
     cohomology_ring,
 )
@@ -50,12 +49,8 @@ from .invariants import (
     lcs_ranks,
     lcs_identity_holds,
     TensorElem,
-    tensor,
-    zero_divisor,
     zcl_witness,
     witness_term,
-    claim_expansion,
-    torus_shuffle_expansion,
     tc_certificate,
 )
 from .cli import parse_spec, format_spec, load_spec

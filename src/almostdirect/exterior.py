@@ -107,7 +107,6 @@ from .sparse import Sparse, add_scaled
 
 __all__ = [
     "deg_lex_key",
-    "deg_lex_compare",
     "mono_mul",
     "mono_token",
     "ExtElem",
@@ -122,12 +121,6 @@ __all__ = [
 
 def deg_lex_key(mono):
     return (len(mono), mono)
-
-
-def deg_lex_compare(m1, m2):
-    """-1, 0 or 1 as ``m1`` sorts before, equal to, or after ``m2``."""
-    k1, k2 = deg_lex_key(m1), deg_lex_key(m2)
-    return (k1 > k2) - (k1 < k2)
 
 
 def mono_mul(m1, m2):
@@ -226,20 +219,6 @@ class ExtElem(Sparse):
     @classmethod
     def monomial(cls, mono, c=1):
         return cls({tuple(mono): c})
-
-    def leading_term(self):
-        """The deg-lex largest monomial and its coefficient."""
-        if not self.terms:
-            raise ValueError("zero element has no leading term")
-        m = max(self.terms, key=deg_lex_key)
-        return m, self.terms[m]
-
-    def homogeneous_degree(self):
-        """The common degree of all terms; error if inhomogeneous or zero."""
-        degrees = {len(m) for m in self.terms}
-        if len(degrees) != 1:
-            raise ValueError("element is not homogeneous: %s" % self)
-        return degrees.pop()
 
 
 def e(block, index):
@@ -365,10 +344,6 @@ class CohomologyRing:
     def eta_elements(self):
         return [ExtElem(terms) for terms in self._eta.values()]
 
-    def is_normal(self, mono):
-        blocks = [g[0] for g in mono]
-        return len(blocks) == len(set(blocks))
-
     def reduce_mono(self, mono):
         """Normal form of one monomial as a ``{monomial: coefficient}`` dict.
 
@@ -396,10 +371,6 @@ class CohomologyRing:
             add_scaled(terms, self.reduce_mono(mono), coeff)
         return ExtElem(terms)
 
-    def mul(self, a, b):
-        """Product in the quotient: exterior product followed by normal form."""
-        return self.normal_form(a * b)
-
     def basis(self, k):
         """Normal monomials of degree ``k`` in deg-lex order."""
         if k < 0 or k > len(self.ranks):
@@ -425,37 +396,6 @@ class CohomologyRing:
         """
         betti = poincare_vector(self.ranks)
         return betti[k] if 0 <= k < len(betti) else 0
-
-    def xi(self, subsets):
-        """The triangular basis element attached to one index set per block.
-
-        ``subsets[j-1]`` is a strictly increasing tuple of indices of block
-        ``j``.  Blocks contribute ``e(j, q)`` for a single index, and
-        ``eta(j; q1, q2) e(j, q3) ...`` for two or more, multiplied in block
-        order inside the exterior algebra.  The deg-lex leading term is the
-        plain monomial of ``subsets`` with coefficient 1, so these elements
-        form a basis of their degree, with every element whose subsets
-        include a pair lying in the ideal.
-        """
-        if len(subsets) != len(self.ranks):
-            raise ValueError("need one index set per block")
-        out = ExtElem.one()
-        for j, qs in enumerate(subsets, start=1):
-            qs = tuple(qs)
-            if any(not 1 <= q <= self.ranks[j - 1] for q in qs):
-                raise ValueError("index out of range in block %d" % j)
-            if list(qs) != sorted(set(qs)):
-                raise ValueError("indices must be strictly increasing")
-            if not qs:
-                continue
-            if len(qs) == 1:
-                factor = e(j, qs[0])
-            else:
-                factor = self.eta(j, qs[0], qs[1])
-                for q in qs[2:]:
-                    factor = factor * e(j, q)
-            out = out * factor
-        return out
 
     def critical_pairs(self):
         """The checks of :meth:`critical_pair_verify`, as ``(lead, (g,))``.

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .adp import relation_keys
 from .fox import abel_gradient
 from .laurent import LaurentPoly, t
 from .linalg import span_rank
@@ -81,7 +80,6 @@ from .sparse import add_scaled
 __all__ = [
     "wedge",
     "chain_a2",
-    "koszul_d1",
     "koszul_d2",
     "delta2",
     "verify_chain_map",
@@ -90,23 +88,7 @@ __all__ = [
     "RowStructureError",
     "h2_matrix",
     "kernel_basis",
-    "generator_pairs",
 ]
-
-
-def generator_pairs(ranks):
-    """All products of two distinct generators, in column order.
-
-    Columns are grouped by block pair, ordered by (second block, first
-    block), then lexicographically by the index pair.
-    """
-    return [
-        ((b1, p), (b2, q))
-        for b2, n2 in enumerate(ranks, start=1)
-        for b1 in range(1, b2 + 1)
-        for p in range(1, ranks[b1 - 1] + 1)
-        for q in range(p + 1 if b1 == b2 else 1, n2 + 1)
-    ]
 
 
 def wedge(f, g):
@@ -129,13 +111,6 @@ def chain_a2(rel):
     for u, v in rel.pairs():
         add_scaled(terms, wedge(abel_gradient(u), abel_gradient(v)), scale)
     return terms
-
-
-def koszul_d1(f):
-    out = LaurentPoly()
-    for (i, p), val in f.items():
-        out = out + val * (t(i, p) - 1)
-    return out
 
 
 def koszul_d2(k2):
@@ -181,9 +156,8 @@ class H2Matrix:
     column pairs to nonzero integers.  A key of the ranks without an entry
     has the implied unit row ``{e(i,p) e(j,q): 1}``, the row of a relation
     with the empty word, so :func:`h2_matrix` stores the rows of moved
-    relations only.  :meth:`to_dense` and :meth:`has_full_row_rank` read
-    every row, implied or stored, in relation order.  The column labels are
-    read off when asked for, in the order of :func:`generator_pairs`.
+    relations only.  :meth:`has_full_row_rank` reads every row, implied or
+    stored.
     """
 
     __slots__ = ("ranks", "rows")
@@ -191,21 +165,6 @@ class H2Matrix:
     def __init__(self, ranks, rows):
         self.ranks = ranks
         self.rows = rows
-
-    @property
-    def col_labels(self):
-        return generator_pairs(self.ranks)
-
-    def to_dense(self):
-        cols = self.col_labels
-        dense = []
-        for key in relation_keys(self.ranks):
-            row = self.rows.get(key)
-            if row is None:
-                i, j, p, q = key
-                row = {((i, p), (j, q)): 1}
-            dense.append([row.get(c, 0) for c in cols])
-        return dense
 
     def has_full_row_rank(self):
         # each implied unit row is the only pivot its mixed column needs:

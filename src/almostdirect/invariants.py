@@ -21,10 +21,9 @@ builds on :class:`~almostdirect.sparse.Sparse`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
-from .exterior import ExtElem, CohomologyRing, mono_mul, mono_token, poincare_vector
+from .exterior import mono_mul, mono_token, poincare_vector
 from .sparse import Sparse
 
 __all__ = [
@@ -32,14 +31,9 @@ __all__ = [
     "lcs_ranks",
     "lcs_identity_holds",
     "TensorElem",
-    "tensor",
-    "zero_divisor",
     "ZclWitness",
     "zcl_witness",
     "witness_term",
-    "claim_expansion",
-    "torus_shuffle_expansion",
-    "torus_ring",
     "TcCertificate",
     "tc_certificate",
 ]
@@ -175,30 +169,6 @@ class TensorElem(Sparse):
         return TensorElem(ring, terms)
 
 
-def tensor(ring, a, b):
-    """The element ``a (x) b`` of the tensor square."""
-    a = ring.normal_form(a)
-    b = ring.normal_form(b)
-    terms = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            terms[(ma, mb)] = ca * cb
-    return TensorElem(ring, terms)
-
-
-def zero_divisor(ring, u):
-    """The basic zero divisor ``1 (x) u - u (x) 1``.
-
-    ``u`` must be homogeneous of positive degree, so that the diagonal
-    image of ``u`` is a zero divisor of the tensor square.
-    """
-    u = ring.normal_form(u)
-    if u.is_zero() or u.homogeneous_degree() < 1:
-        raise ValueError("zero divisors come from positive-degree elements")
-    one = ExtElem.one()
-    return tensor(ring, one, u) - tensor(ring, u, one)
-
-
 @dataclass
 class ZclWitness:
     """The product of the standard zero divisors.
@@ -231,7 +201,7 @@ def zcl_witness(ring):
 
     or ``a (x) bx - (-1)^|b| ax (x) b`` at rank one.  The appended
     monomials are normal, and the reductions are those of the product of
-    :func:`zero_divisor` factors, so the result agrees term for term.
+    the factors ``z(u)``, so the result agrees term for term.
 
     A rewrite keeps the degree of a monomial and keeps it in blocks
     ``1..j``, because the constructor refuses a tail outside the earlier
@@ -349,72 +319,6 @@ def witness_term(ranks):
         else:
             right.append((j, 1))
     return (tuple(left), tuple(right)), sign
-
-
-def claim_expansion(ring):
-    """Closed form of the full witness product when every rank is >= 2.
-
-    With ``x_j = e(j,1)`` and ``y_j = e(j,2)`` the product of all
-    ``2 l`` zero divisors expands, modulo the ideal, to
-
-        sign * sum over subsets I of (-1)^{|I|} X[I] (x) Y[I]
-
-    where ``X[I]`` picks ``x_j`` for ``j`` in ``I`` and ``y_j`` otherwise,
-    ``Y[I]`` picks the complementary generators, and the global sign is
-    ``(-1)^{floor(l / 2)}``.
-    """
-    l = ring.num_blocks
-    if any(n < 2 for n in ring.ranks):
-        raise ValueError("the closed form needs every block of rank >= 2")
-    sign = -1 if (l // 2) & 1 else 1
-    terms = {}
-    for size in range(l + 1):
-        for chosen in combinations(range(1, l + 1), size):
-            inside = set(chosen)
-            x_mono = tuple(
-                (j, 1 if j in inside else 2) for j in range(1, l + 1)
-            )
-            y_mono = tuple(
-                (j, 2 if j in inside else 1) for j in range(1, l + 1)
-            )
-            terms[(x_mono, y_mono)] = sign * (-1) ** size
-    return TensorElem(ring, terms)
-
-
-def torus_ring(m):
-    """The cohomology ring of the ``m``-torus: ``m`` rank-1 blocks."""
-    if m < 1:
-        raise ValueError("torus rank must be positive")
-    return CohomologyRing((1,) * m, {})
-
-
-def torus_shuffle_expansion(m):
-    """Closed form of the product of the ``m`` torus zero divisors.
-
-    Expanding ``prod (1 (x) z_i - z_i (x) 1)`` gives one term per ordered
-    partition of the index set into the left and right tensor factors,
-    signed by the shuffle permutation:
-
-        sum over subsets I of (-1)^{|I|} sign(I) z[I] (x) z[complement]
-
-    where ``sign(I)`` is the parity of the shuffle sorting ``I`` followed
-    by its complement.
-    """
-    ring = torus_ring(m)
-    terms = {}
-    indices = range(1, m + 1)
-    for size in range(m + 1):
-        for chosen in combinations(indices, size):
-            inside = set(chosen)
-            rest = tuple(i for i in indices if i not in inside)
-            inversions = sum(
-                1 for a in chosen for b in rest if b < a
-            )
-            sign = (-1) ** (size + inversions)
-            left = tuple((i, 1) for i in chosen)
-            right = tuple((i, 1) for i in rest)
-            terms[(left, right)] = sign
-    return TensorElem(ring, terms)
 
 
 @dataclass

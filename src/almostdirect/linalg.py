@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 from .sparse import add_scaled
 
-__all__ = ["span_rank", "spans_equal"]
+__all__ = ["span_rank"]
 
 
 def _integer_row(row):
@@ -47,36 +47,30 @@ class Eliminator:
         self.pivots = {}
         self.rank = 0
 
-    def _reduce(self, row):
-        # reduce until the leading column has no pivot; {} if in the span
+    def add(self, row):
+        """Reduce ``row`` against the pivots; returns True if independent."""
+        row = _integer_row(row)
+        # reduce until the leading column has no pivot; a row in the span
+        # reduces to {}
         while row:
             lead = max(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                return row
+                break
             a, b = row[lead], piv[lead]
             g = gcd(a, b)
             fa, fb = b // g, a // g
             new = {c: v * fa for c, v in row.items()}
             row = _reduce_content(add_scaled(new, piv, -fb))
-        return row
-
-    def add(self, row):
-        """Reduce ``row`` against the pivots; returns True if independent."""
-        row = self._reduce(_integer_row(row))
-        if not row:
+        else:
             return False
+        # the break left lead at the leading column, which scaling keeps
         row = _reduce_content(row)
-        lead = max(row)
         if row[lead] < 0:
             row = {c: -v for c, v in row.items()}
         self.pivots[lead] = row
         self.rank += 1
         return True
-
-    def reduces_to_zero(self, row):
-        """True when ``row`` lies in the span of the rows added so far."""
-        return not self._reduce(_integer_row(row))
 
 
 def _keyed(rows):
@@ -102,23 +96,6 @@ def span_rank(rows):
     for row in _keyed(rows):
         elim.add(row)
     return elim.rank
-
-
-def spans_equal(rows1, rows2):
-    """True when the two row families span the same rational subspace."""
-    rows1 = list(rows1)
-    rows2 = list(rows2)
-    keyed = _keyed(rows1 + rows2)
-    k1, k2 = keyed[: len(rows1)], keyed[len(rows1) :]
-    elim1 = Eliminator()
-    for row in k1:
-        elim1.add(row)
-    elim2 = Eliminator()
-    for row in k2:
-        elim2.add(row)
-    return all(elim1.reduces_to_zero(r) for r in k2) and all(
-        elim2.reduces_to_zero(r) for r in k1
-    )
 
 
 if __name__ == "__main__":

@@ -539,17 +539,6 @@ def test_verify_round_trip_compares_the_reread_images_spec(
     assert "verify round-trip fail" in out.splitlines()
 
 
-def test_the_pipeline_lists_no_matrix_columns(count_calls, capsys):
-    # the rows of h2_matrix are keyed by relation and the kernel reads them
-    # by block; only H2Matrix.col_labels lists the columns
-    calls = count_calls(homology, "generator_pairs")
-    ref = "builtin:purebraid:6"
-    for argv in (["cohomology", ref], ["verify", ref], ["hilbert", ref, "--check"]):
-        rc, out, err = run(capsys, argv + ["--porcelain"])
-        assert rc == 0, argv
-    assert calls == []
-
-
 def tamper_image(monkeypatch, key, extra):
     # verify then builds its matrix from the image table of purebraid 4
     # with the image at key multiplied by extra; returns that table

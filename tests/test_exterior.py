@@ -21,7 +21,6 @@ from almostdirect.exterior import (
     CohomologyRing,
     ExtElem,
     cohomology_ring,
-    deg_lex_compare,
     deg_lex_key,
     e,
     mono_mul,
@@ -29,6 +28,7 @@ from almostdirect.exterior import (
 from almostdirect.homology import kernel_basis
 from almostdirect.invariants import zcl_witness
 from almostdirect.linalg import span_rank
+from oracles import is_normal, leading_term, xi
 from test_acceptance import pair_matrix, ring_of, specs_under_test
 from test_cli import INCONSISTENT
 
@@ -51,9 +51,8 @@ def test_deg_lex_order():
     assert deg_lex_key(()) < deg_lex_key(((1, 1),))
     assert deg_lex_key(((3, 1),)) < deg_lex_key(((1, 1), (1, 2)))
     assert deg_lex_key(((1, 1), (2, 1))) < deg_lex_key(((1, 1), (2, 2)))
-    assert deg_lex_compare(((1, 1),), ((1, 2),)) < 0
-    assert deg_lex_compare(((1, 2),), ((1, 2),)) == 0
-    assert deg_lex_compare(((1, 1), (1, 2)), ((1, 2),)) > 0
+    assert deg_lex_key(((1, 1),)) < deg_lex_key(((1, 2),))
+    assert deg_lex_key(((1, 1), (1, 2))) > deg_lex_key(((1, 2),))
 
 
 def test_mono_mul_signs():
@@ -80,7 +79,7 @@ def test_exterior_element_arithmetic():
 
 def test_leading_term_uses_deg_lex():
     el = e(1, 1) + e(1, 1) * e(2, 1)
-    assert el.leading_term() == (((1, 1), (2, 1)), 1)
+    assert leading_term(el) == (((1, 1), (2, 1)), 1)
 
 
 def test_two_strand_normal_form_oracle():
@@ -122,9 +121,10 @@ def test_products_in_the_quotient_associate():
                 start=ExtElem.one(),
             )
 
+        nf = ring.normal_form
         for _ in range(10):
             a, b, c = word(), word(), word()
-            assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+            assert nf(nf(a * b) * c) == nf(a * nf(b * c))
 
 
 def rank_three_block_ring():
@@ -158,10 +158,11 @@ def test_rewriting_takes_the_leftmost_same_block_pair():
     # rewriting e(3,2) e(3,3) first gives another normal form, so the
     # bracketings of the associativity check disagree on this ring
     a, b, c = e(3, 1), e(3, 2), e(3, 3)
-    assert ring.mul(a, ring.mul(b, c)) == ExtElem(
+    nf = ring.normal_form
+    assert nf(a * nf(b * c)) == ExtElem(
         {((1, 1), (2, 1), (3, 1)): -2, ((1, 1), (2, 1), (3, 3)): -1}
     )
-    assert ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c))
+    assert nf(nf(a * b) * c) != nf(a * nf(b * c))
 
 
 def test_the_memo_stores_only_rewritten_monomials():
@@ -172,7 +173,7 @@ def test_the_memo_stores_only_rewritten_monomials():
     assert ring.critical_pair_verify() is None
     size = len(ring._memo)
     assert size > 0
-    assert not any(ring.is_normal(m) for m in ring._memo)
+    assert not any(is_normal(m) for m in ring._memo)
     for m in ring.basis(3):
         assert ring.reduce_mono(m) == {m: 1}
     assert len(ring._memo) == size
@@ -205,10 +206,8 @@ def test_normal_monomials_have_at_most_one_generator_per_block():
     ring = cohomology_ring(pure_braid(4))
     for k in range(4):
         for mono in ring.basis(k):
-            blocks = [g[0] for g in mono]
-            assert len(blocks) == len(set(blocks))
-            assert ring.is_normal(mono)
-    assert not ring.is_normal(((2, 1), (2, 2)))
+            assert is_normal(mono)
+    assert not is_normal(((2, 1), (2, 2)))
 
 
 def test_dimensions_match_rank_polynomial():
@@ -257,17 +256,19 @@ def test_product_in_quotient_is_reduced():
     ring = cohomology_ring(pure_braid(4))
     a = e(2, 1) * e(3, 2)
     b = e(2, 2)
-    assert ring.mul(a, b) == ring.normal_form(a * b)
+    product = ring.normal_form(a * b)
+    assert product and all(is_normal(m) for m in product.terms)
+    assert ring.normal_form(product) == product
 
 
 def test_xi_leading_terms_are_the_plain_monomials():
     ring = cohomology_ring(pure_braid(4))
     subsets = [(1,), (1, 2), (2, 3)]
-    el = ring.xi(subsets)
+    el = xi(ring, subsets)
     mono = tuple(
         (j, q) for j, s in enumerate(subsets, start=1) for q in s
     )
-    lead_mono, lead_coeff = el.leading_term()
+    lead_mono, lead_coeff = leading_term(el)
     assert lead_mono == mono
     assert lead_coeff == 1
 
@@ -290,7 +291,7 @@ def test_xi_family_is_a_triangular_basis_of_each_degree():
                 yield (head,) + rest
     for choice in product_choices(block_subsets):
         deg = sum(len(s) for s in choice)
-        by_degree.setdefault(deg, []).append(ring.xi(list(choice)))
+        by_degree.setdefault(deg, []).append(xi(ring, list(choice)))
     for k in range(n_total + 1):
         elems = by_degree.get(k, [])
         assert len(elems) == math.comb(n_total, k)
@@ -299,19 +300,19 @@ def test_xi_family_is_a_triangular_basis_of_each_degree():
 
 def test_xi_with_a_block_pair_lies_in_the_ideal():
     ring = cohomology_ring(pure_braid(4))
-    assert ring.normal_form(ring.xi([(), (1, 2), ()])).is_zero()
-    assert ring.normal_form(ring.xi([(1,), (1, 2), (3,)])).is_zero()
-    assert not ring.normal_form(ring.xi([(1,), (2,), (3,)])).is_zero()
+    assert ring.normal_form(xi(ring, [(), (1, 2), ()])).is_zero()
+    assert ring.normal_form(xi(ring, [(1,), (1, 2), (3,)])).is_zero()
+    assert not ring.normal_form(xi(ring, [(1,), (2,), (3,)])).is_zero()
 
 
 def test_xi_validation():
     ring = cohomology_ring(pure_braid(3))
     with pytest.raises(ValueError):
-        ring.xi([(1,)])
+        xi(ring, [(1,)])
     with pytest.raises(ValueError):
-        ring.xi([(1, 1), (1,)])
+        xi(ring, [(1, 1), (1,)])
     with pytest.raises(ValueError):
-        ring.xi([(1,), (3,)])
+        xi(ring, [(1,), (3,)])
 
 
 def test_groebner_verify_reports_each_degree():

@@ -5,10 +5,11 @@ import pytest
 from almostdirect.adp import pure_braid
 from almostdirect.exterior import ExtElem, cohomology_ring, e
 from almostdirect.fox import GroupRingElem
-from almostdirect.invariants import TensorElem, tensor
+from almostdirect.invariants import TensorElem
 from almostdirect.laurent import LaurentPoly, t
 from almostdirect.sparse import add_scaled
 from almostdirect.words import Word, x
+from oracles import tensor
 
 RING = cohomology_ring(pure_braid(3))
 RING4 = cohomology_ring(pure_braid(4))
