@@ -8,7 +8,7 @@ polynomial.
 
 from math import comb
 
-from almostdirect.adp import build_presentation, pure_braid
+from almostdirect.adp import build_presentation, pure_braid, relation_keys
 from almostdirect.exterior import CohomologyRing, e
 from almostdirect.homology import h2_matrix, kernel_basis
 from almostdirect.invariants import poincare_vector
@@ -20,11 +20,12 @@ def main():
 
     # every pair of generators in distinct blocks contributes one relation
     # x(j,q) x(i,p) = x(i,p) x(j,q) w with w a commutator word in block j
-    # the presentation stores the words w of the relations with nontrivial
-    # tails only, keyed (i, j, p, q)
-    pres = build_presentation(spec)
+    # the presentation is a table of the words w of the relations with
+    # nontrivial tails only, keyed (i, j, p, q)
+    words = build_presentation(spec)
+    relations = len(relation_keys(spec.ranks))
     print("\nrelations with nontrivial tails:")
-    for (i, j, p, q), word in pres.relations.items():
+    for (i, j, p, q), word in words.items():
         print("  x(%d,%d) x(%d,%d): w = %s" % (j, q, i, p, word))
 
     # the integral H2 matrix has one row per relation; its kernel gives the
@@ -37,7 +38,7 @@ def main():
     matrix = h2_matrix(spec.ranks, spec.images)
     print("\nmatrix: %d rows, of which %d are stored and %d are unit rows;"
           " %d columns"
-          % (len(pres), len(matrix.rows), len(pres) - len(matrix.rows),
+          % (relations, len(matrix.rows), relations - len(matrix.rows),
              comb(sum(spec.ranks), 2)))
     etas = kernel_basis(matrix)
     print("kernel elements:", len(etas))

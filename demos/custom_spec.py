@@ -9,7 +9,7 @@ which keeps the iterated action consistent.
 import os
 import tempfile
 
-from almostdirect.adp import MAGNUS, AdpSpec, build_presentation
+from almostdirect.adp import MAGNUS, AdpSpec, build_presentation, relation_keys
 from almostdirect.cli import format_spec, main, parse_spec
 from almostdirect.exterior import cohomology_ring
 from almostdirect.words import IAWord
@@ -35,9 +35,9 @@ def main_demo():
 
     # only the words of the moved relations, those with a commutator tail,
     # are stored
-    pres = build_presentation(spec)
+    words = build_presentation(spec)
     print("relations: %d total, %d with commutator tails"
-          % (len(pres), len(pres.relations)))
+          % (len(relation_keys(spec.ranks)), len(words)))
 
     ring = cohomology_ring(spec)
     dims = [ring.dimension(k) for k in range(4)]

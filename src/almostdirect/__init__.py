@@ -18,8 +18,6 @@ from .laurent import LaurentPoly, t
 from .fox import fox_derivative, fox_gradient, abel_gradient, abelianize
 from .adp import (
     AdpSpec,
-    Presentation,
-    Relation,
     build_presentation,
     pure_braid,
     partial_pure_braid,

@@ -14,21 +14,18 @@ generators ``x(i,p)`` and one relation
     x(j,q) x(i,p) = x(i,p) x(j,q) w
 
 per pair of generators in distinct blocks, where ``w`` is a product of
-commutators of words in block ``j``.  Builtin specs cover the pure braid
-groups, their partial versions on a subset of strands, the upper triangular
-McCool groups, and the quotients of these by their centers.
+commutators of words in block ``j``: a table from the key ``(i, j, p, q)``
+of each moved relation to its word ``w``.  Builtin specs cover the pure
+braid groups, their partial versions on a subset of strands, the upper
+triangular McCool groups, and the quotients of these by their centers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .words import (
     IAWord,
-    Word,
     _word,
     beta,
-    commutator_decompose,
     theta,
     x,
 )
@@ -37,8 +34,6 @@ __all__ = [
     "ActionError",
     "AdpSpec",
     "generators",
-    "Relation",
-    "Presentation",
     "relation_keys",
     "build_presentation",
     "pure_braid",
@@ -210,31 +205,6 @@ class AdpSpec:
         )
 
 
-@dataclass(frozen=True)
-class Relation:
-    """One commutation relation ``x(j,q) x(i,p) = x(i,p) x(j,q) w``."""
-
-    i: int
-    j: int
-    p: int
-    q: int
-    word: Word
-
-    def pairs(self, pairing="first"):
-        """An ordered tuple of ``(u, v)`` whose ``[u, v]`` multiply to ``w``.
-
-        Decomposed on each call by
-        :func:`~almostdirect.words.commutator_decompose` under ``pairing``.
-        """
-        return tuple(commutator_decompose(self.word, pairing))
-
-    def relator(self):
-        """The relation as a trivial word of the group."""
-        lhs = x(self.j, self.q) * x(self.i, self.p)
-        rhs = x(self.i, self.p) * x(self.j, self.q) * self.word
-        return lhs * ~rhs
-
-
 def relation_keys(ranks):
     """Every relation key ``(i, j, p, q)`` of the given ranks, in relation
     order: the block pairs ``(i, j)`` sorted by ``(j, i)``, then ``(p, q)``
@@ -248,73 +218,21 @@ def relation_keys(ranks):
     ]
 
 
-class Presentation:
-    """All commutation relations of a spec, keyed ``(i, j, p, q)``.
-
-    ``relations`` maps the key of each moved relation to its word ``w``,
-    which is not empty, in the order given; :func:`build_presentation`
-    gives them in relation order (see :func:`relation_keys`).  Every other
-    relation is ``x(j,q) x(i,p) = x(i,p) x(j,q)``: its H2 row is the mixed
-    unit alone and it has no commutator pairs, so it is never stored.
-    :meth:`keys`, iteration, ``len`` and ``pres[key]`` nevertheless cover
-    every relation in relation order; ``pres[key]`` builds the
-    :class:`Relation` on demand, with the empty word for an unmoved key,
-    and raises ``KeyError`` for a key outside the ranks.
-    """
-
-    __slots__ = ("ranks", "relations")
-
-    def __init__(self, ranks, relations):
-        self.ranks = ranks
-        self.relations = relations
-
-    def keys(self):
-        return relation_keys(self.ranks)
-
-    def __getitem__(self, key):
-        word = self.relations.get(key)
-        if word is None:
-            ranks = self.ranks
-            try:
-                i, j, p, q = key
-                valid = (
-                    1 <= i < j <= len(ranks)
-                    and 1 <= p <= ranks[i - 1]
-                    and 1 <= q <= ranks[j - 1]
-                )
-            except (TypeError, ValueError):
-                valid = False
-            if not valid:
-                raise KeyError(key)
-            word = Word()
-        return Relation(*key, word)
-
-    def __len__(self):
-        # sum over i < j of n_i n_j
-        total = sum(self.ranks)
-        return (total * total - sum(n * n for n in self.ranks)) // 2
-
-    def __iter__(self):
-        return map(self.__getitem__, self.keys())
-
-
 def build_presentation(spec):
-    """Compute the commutator presentation of an almost-direct product.
+    """The relation words of an almost-direct product, keyed ``(i, j, p, q)``.
 
     For each acting generator ``x(i,p)`` and each ``x(j,q)`` in a later
     block, ``w = x(j,q)^-1 alpha(x(j,q))`` where ``alpha`` is the action of
     ``x(i,p)`` on block ``j``.  Every ``w`` has vanishing exponent sums,
     because :class:`AdpSpec` admits only IA actions, so it lies in the
-    commutator subgroup of block ``j``; :meth:`Relation.pairs` writes it as
-    a product of commutators on demand.  One word is made per entry of the
-    spec's relation table ``spec.images``, in its order; a generator the
-    action fixes has the identity word, and its relation is not stored
-    (see :class:`Presentation`).  The ring reads its rows off the images.
+    commutator subgroup of block ``j``;
+    :func:`~almostdirect.words.commutator_decompose` writes it as a product
+    of commutators.  The dict holds one word per entry of the spec's
+    relation table ``spec.images``, in its order.  A key of
+    :func:`relation_keys` that it lacks is a generator the action fixes:
+    its word is empty.  The ring reads its rows off the images.
     """
-    return Presentation(
-        spec.ranks,
-        {key: x(key[1], key[3], -1) * image for key, image in spec.images.items()},
-    )
+    return {key: x(key[1], key[3], -1) * image for key, image in spec.images.items()}
 
 
 def _conjugate(c, g):

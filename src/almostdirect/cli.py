@@ -49,6 +49,7 @@ from .adp import (
     build_presentation,
     extend_with_torus,
     generators,
+    relation_keys,
 )
 from .exterior import cohomology_ring, mono_token
 from .homology import RowStructureError
@@ -329,15 +330,16 @@ def elem_token(elem):
 
 
 def cmd_present(spec, args, out):
-    pres = build_presentation(spec)
+    words = build_presentation(spec)
+    keys = relation_keys(spec.ranks)
     if not args.porcelain:
         gens = " ".join("x(%d,%d)" % g for g in generators(spec.ranks))
         out.append("generators: " + gens)
-        out.append("relations: %d" % len(pres))
+        out.append("relations: %d" % len(keys))
     unmoved = Word()  # w = 1, with no pairs
-    for key in pres.keys():
+    for key in keys:
         i, j, p, q = key
-        word = pres.relations.get(key, unmoved)
+        word = words.get(key, unmoved)
         pairs = commutator_decompose(word, args.pairing) if word else ()
         if args.porcelain:
             out.append("relation %d %d %d %d %s" % (i, j, p, q, word.text("")))

@@ -63,19 +63,21 @@ with ``kappa(i, r, s) = -A[(i, j, r, s), (e(j,p), e(j,q))]``.
 
 A relation whose generator the action fixes has the empty word ``w``.  It
 has no pairs, and its row is the mixed unit alone, which no eta reads.
-The spec's image table holds the moved generators only, so
-:func:`h2_matrix` builds their rows only: the other rows are implied by
-:class:`H2Matrix`.
+The spec's image table and the table of relation words hold the moved
+generators only, so :func:`h2_matrix` builds their rows only: the other
+rows are implied by :class:`H2Matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .adp import relation_keys
 from .fox import abel_gradient
 from .laurent import LaurentPoly, t
 from .linalg import span_rank
 from .sparse import add_scaled
+from .words import Word, commutator_decompose, x
 
 __all__ = [
     "wedge",
@@ -104,11 +106,13 @@ def wedge(f, g):
     return {k: v for k, v in terms.items() if v}
 
 
-def chain_a2(rel):
-    """The degree-two chain map on one relation, over the Laurent ring."""
-    terms = {((rel.i, rel.p), (rel.j, rel.q)): LaurentPoly.constant(1)}
-    scale = t(rel.i, rel.p) * t(rel.j, rel.q)
-    for u, v in rel.pairs():
+def chain_a2(key, word):
+    """The degree-two chain map on the relation ``key`` with word ``word``,
+    over the Laurent ring."""
+    i, j, p, q = key
+    terms = {((i, p), (j, q)): LaurentPoly.constant(1)}
+    scale = t(i, p) * t(j, q)
+    for u, v in commutator_decompose(word):
         add_scaled(terms, wedge(abel_gradient(u), abel_gradient(v)), scale)
     return terms
 
@@ -121,9 +125,11 @@ def koszul_d2(k2):
     return out
 
 
-def delta2(rel):
-    """The presentation differential: the Fox gradient of the relator."""
-    return abel_gradient(rel.relator())
+def delta2(key, word):
+    """The presentation differential: the Fox gradient of the relator
+    ``x(j,q) x(i,p) w^-1 x(j,q)^-1 x(i,p)^-1``."""
+    i, j, p, q = key
+    return abel_gradient(x(j, q) * x(i, p) * ~word * x(j, q, -1) * x(i, p, -1))
 
 
 @dataclass
@@ -134,18 +140,21 @@ class ChainMapReport:
     failures: list = field(default_factory=list)
 
 
-def verify_chain_map(pres):
-    """Check ``d2 o a2 = delta2`` on every relation of a presentation.
+def verify_chain_map(ranks, words):
+    """Check ``d2 o a2 = delta2`` on every relation of the given ranks.
 
-    An unmoved relation, built on demand, is checked too: its mixed term
-    ``e(i,p) e(j,q)`` is real.
+    ``words`` maps relation keys to words, as :func:`h2_matrix` reads
+    them.  A key it lacks has the empty word and is checked too: its mixed
+    term ``e(i,p) e(j,q)`` is real.
     """
     failures = []
-    for rel in pres:
-        lhs = koszul_d2(chain_a2(rel))
-        rhs = delta2(rel)
+    unmoved = Word()
+    for key in relation_keys(ranks):
+        word = words.get(key, unmoved)
+        lhs = koszul_d2(chain_a2(key, word))
+        rhs = delta2(key, word)
         if lhs != rhs:
-            failures.append(((rel.i, rel.j, rel.p, rel.q), lhs, rhs))
+            failures.append((key, lhs, rhs))
     return ChainMapReport(ok=not failures, failures=failures)
 
 
@@ -198,14 +207,15 @@ def h2_matrix(ranks, table):
     ``table`` maps relation keys ``(i, j, p, q)`` to words, and each gets
     the row of the module docstring: the mixed unit plus the ``c_ab`` of
     its word, in one pass over the letters with running exponent sums.
-    The ring passes its images ``spec.images``; the relation words
-    ``pres.relations`` give the same rows.  Any other key has the implied
-    unit row of :class:`H2Matrix`.  Raises :class:`RowStructureError`,
-    naming the row and column, unless the mixed entry is 1 and every other
-    entry sits in a same-block column of block ``j``: the structure that
-    gives the matrix an identity minor and makes each eta of
-    :func:`kernel_basis` annihilate every row.  Every image of a spec has
-    it, so only a table of the caller's own can break it.
+    The ring passes its images ``spec.images``; the table of relation
+    words of :func:`~almostdirect.adp.build_presentation` gives the same
+    rows.  Any other key has the implied unit row of :class:`H2Matrix`.
+    Raises :class:`RowStructureError`, naming the row and column, unless
+    the mixed entry is 1 and every other entry sits in a same-block column
+    of block ``j``: the structure that gives the matrix an identity minor
+    and makes each eta of :func:`kernel_basis` annihilate every row.
+    Every image of a spec has it, so only a table of the caller's own can
+    break it.
     """
     rows = {}
     for key, word in table.items():

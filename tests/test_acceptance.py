@@ -16,6 +16,7 @@ from almostdirect.adp import (
     pure_braid,
     pure_braid_mod_center,
     random_spec,
+    relation_keys,
     upper_mccool,
     upper_mccool_mod_center,
 )
@@ -36,7 +37,7 @@ from almostdirect.invariants import (
 )
 from almostdirect.linalg import span_rank
 from almostdirect.sparse import add_scaled
-from almostdirect.words import Word
+from almostdirect.words import Word, commutator_decompose
 from oracles import claim_expansion, dense, is_normal, spans_equal
 
 
@@ -78,19 +79,20 @@ def ring_of(spec):
     return _CACHE[("ring", spec)]
 
 
-def pair_matrix(pres, pairing):
+def pair_matrix(ranks, words, pairing):
     """The H2 matrix by the pair formula, independent of :func:`h2_matrix`.
 
-    Row ``(i, j, p, q)`` is the mixed unit plus ``sum ab(u) ^ ab(v)`` over
-    the commutator pairs ``(u, v)`` of the relation under ``pairing``.
+    Row ``(i, j, p, q)`` of each relation word in ``words`` is the mixed
+    unit plus ``sum ab(u) ^ ab(v)`` over the commutator pairs ``(u, v)`` of
+    the word under ``pairing``; any other key has the implied unit row.
     """
     rows = {}
-    for rel in pres:
-        row = {((rel.i, rel.p), (rel.j, rel.q)): 1}
-        for u, v in rel.pairs(pairing):
+    for (i, j, p, q), word in words.items():
+        row = {((i, p), (j, q)): 1}
+        for u, v in commutator_decompose(word, pairing):
             add_scaled(row, wedge(u.exponent_sums(), v.exponent_sums()))
-        rows[(rel.i, rel.j, rel.p, rel.q)] = row
-    return H2Matrix(pres.ranks, rows)
+        rows[(i, j, p, q)] = row
+    return H2Matrix(ranks, rows)
 
 
 def rows_of(elems):
@@ -164,9 +166,8 @@ def test_criterion_04_chain_map_identity():
     ok = True
     total = 0
     for spec in specs:
-        pres = build_presentation(spec)
-        total += len(pres)
-        rep = verify_chain_map(pres)
+        total += len(relation_keys(spec.ranks))
+        rep = verify_chain_map(spec.ranks, build_presentation(spec))
         ok = ok and rep.ok
     assert report(4, ok, "%d relations over %d specs" % (total, len(specs)))
 
@@ -196,10 +197,10 @@ def test_criterion_06_decomposition_independence():
     specs = specs_under_test()
     ok = True
     for spec in specs:
-        pres = build_presentation(spec)
+        words = build_presentation(spec)
         rows = dense(h2_matrix(spec.ranks, spec.images))
         for pairing in ("first", "last"):
-            ok = ok and dense(pair_matrix(pres, pairing)) == rows
+            ok = ok and dense(pair_matrix(spec.ranks, words, pairing)) == rows
     assert report(
         6, ok, "image rows vs first and last pairing on %d specs" % len(specs)
     )

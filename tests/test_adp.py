@@ -15,11 +15,13 @@ from almostdirect.adp import (
     pure_braid,
     pure_braid_mod_center,
     random_spec,
+    relation_keys,
     upper_mccool,
     upper_mccool_mod_center,
 )
-from almostdirect.homology import verify_chain_map
-from almostdirect.words import IAWord, Word, beta, commutator, x
+from almostdirect.fox import abel_gradient
+from almostdirect.homology import delta2, verify_chain_map
+from almostdirect.words import IAWord, Word, beta, commutator, commutator_decompose, x
 from test_acceptance import specs_under_test
 from test_words import reference_apply
 
@@ -139,12 +141,10 @@ def test_generators_order():
 def test_pure_braid_smallest_relations():
     # two-strand subgroups commute with the first strand pair exactly as in
     # the standard positive braid presentation
-    pres = build_presentation(pure_braid(3))
-    assert pres.keys() == [(1, 2, 1, 1), (1, 2, 1, 2)]
-    r11 = pres[(1, 2, 1, 1)]
-    r12 = pres[(1, 2, 1, 2)]
-    assert r11.word == commutator(x(2, 2), x(2, 1))
-    assert r12.word == commutator(x(2, 2, -1), x(2, 1))
+    words = build_presentation(pure_braid(3))
+    assert list(words) == relation_keys((1, 2)) == [(1, 2, 1, 1), (1, 2, 1, 2)]
+    assert words[(1, 2, 1, 1)] == commutator(x(2, 2), x(2, 1))
+    assert words[(1, 2, 1, 2)] == commutator(x(2, 2, -1), x(2, 1))
 
 
 def test_pure_braid_ranks():
@@ -163,16 +163,17 @@ def test_upper_mccool_relations():
     # x(j,q) x(i,p) = x(i,p) x(j,q) [x(j,q)^-1, x(j,p)] when q = i + 1,
     # and the generators commute otherwise
     n = 4
-    pres = build_presentation(upper_mccool(n))
-    assert len(pres) == 11
+    words = build_presentation(upper_mccool(n))
+    keys = relation_keys(upper_mccool(n).ranks)
+    assert len(keys) == 11
     # only the moved relations are stored
-    assert list(pres.relations) == [k for k in pres.keys() if k[3] == k[0] + 1]
-    for rel in pres:
-        i, j, p, q = rel.i, rel.j, rel.p, rel.q
+    assert list(words) == [k for k in keys if k[3] == k[0] + 1]
+    for i, j, p, q in keys:
+        word = words.get((i, j, p, q), Word())
         if q == i + 1:
-            assert rel.word == commutator(x(j, q, -1), x(j, p))
+            assert word == commutator(x(j, q, -1), x(j, p))
         else:
-            assert rel.word.is_identity()
+            assert word.is_identity()
 
 
 def test_mod_center_ranks():
@@ -214,11 +215,11 @@ def test_mod_center_keeps_the_action():
     bar = build_presentation(pure_braid_mod_center(4))
     def shift_down(w):
         return Word(tuple(((b - 1, q), e) for (b, q), e in w.letters))
-    for rel in full:
-        i, j, p, q = rel.i, rel.j, rel.p, rel.q
+    for i, j, p, q in relation_keys(pure_braid(4).ranks):
         if i == 1:
             continue
-        assert bar[(i - 1, j - 1, p, q)].word == shift_down(rel.word)
+        word = full.get((i, j, p, q), Word())
+        assert bar.get((i - 1, j - 1, p, q), Word()) == shift_down(word)
 
 
 def test_extend_with_torus():
@@ -277,27 +278,28 @@ def test_random_spec_defines_consistent_products():
     rng = random.Random(23)
     for _ in range(10):
         spec = random_spec(rng)
-        assert verify_chain_map(build_presentation(spec)).ok
+        assert verify_chain_map(spec.ranks, build_presentation(spec)).ok
 
 
 def test_relation_words_live_in_the_later_block():
     rng = random.Random(3)
     for _ in range(10):
         spec = random_spec(rng)
-        pres = build_presentation(spec)
-        for rel in pres:
-            assert rel.word.is_identity() or rel.word.single_block() == rel.j
-            assert rel.word.exponent_sums() == {}
+        for (i, j, p, q), word in build_presentation(spec).items():
+            assert not word.is_identity() and word.single_block() == j
+            assert word.exponent_sums() == {}
 
 
 def test_relator_vanishes_under_defining_equation():
-    # the relator is the left side times the inverted right side, so it
-    # freely reduces to 1 when the relation word is substituted back
-    pres = build_presentation(pure_braid(3))
-    for rel in pres:
-        lhs = x(rel.j, rel.q) * x(rel.i, rel.p)
-        rhs = x(rel.i, rel.p) * x(rel.j, rel.q) * rel.word
-        assert rel.relator() == lhs * ~rhs
+    # the relator of delta2 is the left side times the inverted right side,
+    # so it freely reduces to 1 when the relation word is substituted back
+    words = build_presentation(pure_braid(3))
+    for key in relation_keys((1, 2)):
+        i, j, p, q = key
+        word = words.get(key, Word())
+        lhs = x(j, q) * x(i, p)
+        rhs = x(i, p) * x(j, q) * word
+        assert delta2(key, word) == abel_gradient(lhs * ~rhs)
 
 
 def builtin_specs():
@@ -375,8 +377,8 @@ def test_magnus_spec_applies_each_action_once_per_generator(count_calls):
     assert applied == []
     assert set(spec.actions) == {(1, 3, 1), (2, 3, 1)}
     del calls[:]
-    for rel in build_presentation(spec):
-        rel.pairs("last")
+    for word in build_presentation(spec).values():
+        commutator_decompose(word, "last")
     for key in all_keys(spec):
         spec.action_image(*key)
     assert spec == twin and hash(spec) == hash(twin)
@@ -467,22 +469,22 @@ def test_presentation_words_equal_full_reduction():
     specs = specs_under_test() + [parse_spec(INCONSISTENT)]
     specs += [random_spec(rng, max_factors=8) for _ in range(200)]
     for spec in specs:
-        pres = build_presentation(spec)
-        assert pres.keys() == list(all_keys(spec))
+        words = build_presentation(spec)
+        assert relation_keys(spec.ranks) == list(all_keys(spec))
         for i, j, p, q in all_keys(spec):
             image = spec.action_image(i, j, p, q)
             # one full free reduction of x(j,q)^-1 followed by the image
             expect = Word((((j, q), -1),) + image.letters)
-            assert pres[(i, j, p, q)].word.letters == expect.letters
+            assert words.get((i, j, p, q), Word()).letters == expect.letters
 
 
 def test_fixed_generators_take_no_word_product(count_calls):
     spec = upper_mccool(10)
     calls = count_calls(Word, "__mul__")
-    pres = build_presentation(spec)
-    moved = sum(1 for rel in pres if rel.word)
+    words = build_presentation(spec)
     # 870 relations, of which 120 have a moved image: one product each
-    assert (len(pres), moved) == (870, 120)
+    assert (len(relation_keys(spec.ranks)), len(words)) == (870, 120)
+    assert all(words.values())
     assert len(calls) <= 120
 
 
@@ -508,10 +510,9 @@ def test_presentation_keys_come_in_relation_order():
         for spec in specs
     ]
     for spec in specs:
-        pres = build_presentation(spec)
-        keys = pres.keys()
+        keys = relation_keys(spec.ranks)
         assert keys == sorted(keys, key=relation_order)
         assert len(keys) == len(set(all_keys(spec)))
         assert list(spec.actions) == sorted(spec.actions, key=relation_order)
         assert list(spec.images) == sorted(spec.images, key=relation_order)
-        assert list(pres.relations) == list(spec.images)
+        assert list(build_presentation(spec)) == list(spec.images)

@@ -4,7 +4,6 @@ import random
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,9 +16,6 @@ from almostdirect.adp import (
     MAGNUS,
     ActionError,
     AdpSpec,
-    Presentation,
-    Relation,
-    build_presentation,
     extend_with_torus,
     partial_pure_braid,
     pure_braid,
@@ -557,20 +553,6 @@ def tamper_image(monkeypatch, key, extra):
     return images
 
 
-def tamper_pairs(monkeypatch, key, extra):
-    # Relation.pairs appends the pairs extra to those of one relation, so
-    # that they no longer multiply to its word; the word stays as it is
-    pairs = Relation.pairs
-
-    def tampered(rel, pairing="first"):
-        out = pairs(rel, pairing)
-        if (rel.i, rel.j, rel.p, rel.q) == key:
-            out += extra
-        return out
-
-    monkeypatch.setattr(Relation, "pairs", tampered)
-
-
 def test_verify_matrix_rank_names_the_row_and_column(monkeypatch, capsys):
     from almostdirect.homology import verify_chain_map
     from almostdirect.words import commutator
@@ -580,9 +562,10 @@ def test_verify_matrix_rank_names_the_row_and_column(monkeypatch, capsys):
     # but puts an entry in column e(1,1)e(2,1), outside block 3
     images = tamper_image(monkeypatch, key, commutator(x(1, 1), x(2, 1)))
     words = {k: x(k[1], k[3], -1) * w for k, w in images.items()}
-    pres = Presentation((1, 2, 3), words)
-    assert all(reassemble(rel.pairs()) == rel.word for rel in pres)
-    assert verify_chain_map(pres).ok
+    assert all(
+        reassemble(homology.commutator_decompose(w)) == w for w in words.values()
+    )
+    assert verify_chain_map((1, 2, 3), words).ok
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
     assert (rc, err) == (2, "")
     assert out.splitlines()[1:] == [
@@ -602,7 +585,7 @@ def test_verify_builds_no_presentation_and_one_matrix(count_calls, capsys):
 
     built = count_calls(adp, "build_presentation")
     matrices = count_calls(exterior, "h2_matrix")
-    decomposed = count_calls(adp, "commutator_decompose")
+    decomposed = count_calls(homology, "commutator_decompose")
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
     assert rc == 0
     assert built == [] and len(matrices) == 1
@@ -638,11 +621,10 @@ def test_only_present_builds_a_presentation(count_calls, capsys, tmp_path):
 
 
 def test_only_present_decomposes_words(count_calls, capsys):
-    import almostdirect.adp as adp
     import almostdirect.cli as cli
 
-    # Relation.pairs and cmd_present are the two callers
-    in_relations = count_calls(adp, "commutator_decompose")
+    # the Laurent oracle and cmd_present are the two callers
+    in_oracle = count_calls(homology, "commutator_decompose")
     in_present = count_calls(cli, "commutator_decompose")
     for argv in (
         ["cohomology"],
@@ -652,13 +634,13 @@ def test_only_present_decomposes_words(count_calls, capsys):
         ["verify"],
     ):
         assert main([argv[0], "builtin:purebraid:5", *argv[1:]]) == 0
-    assert in_relations == in_present == []
+    assert in_oracle == in_present == []
     # present decomposes each of the 25 moved relations of the 35 once,
     # with its pairing; an unmoved relation has no pairs
     moved = pure_braid(5).images
     assert len(moved) == 25
     assert main(["present", "builtin:purebraid:5", "--pairing", "last"]) == 0
-    assert in_relations == []
+    assert in_oracle == []
     assert [args[1:] for args in in_present] == [("last",)] * len(moved)
     assert [args[0] for args in in_present] == [
         x(j, q, -1) * image for (i, j, p, q), image in moved.items()

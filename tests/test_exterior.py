@@ -332,9 +332,9 @@ def test_ring_pairing_choice_does_not_change_the_rules():
     # the ring of the image rows against rings of the pair formula
     for spec in (pure_braid(4), upper_mccool(4)):
         ring = cohomology_ring(spec)
-        pres = build_presentation(spec)
+        words = build_presentation(spec)
         for pairing in ("first", "last"):
-            matrix = pair_matrix(pres, pairing)
+            matrix = pair_matrix(spec.ranks, words, pairing)
             paired = CohomologyRing(spec.ranks, kernel_basis(matrix))
             assert [el.terms for el in ring.eta_elements()] == [
                 el.terms for el in paired.eta_elements()

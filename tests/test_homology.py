@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from almostdirect import homology
 from almostdirect.adp import (
-    Presentation,
-    Relation,
     build_presentation,
     extend_with_torus,
     partial_pure_braid,
@@ -29,10 +28,10 @@ from almostdirect.homology import (
 )
 from almostdirect.cli import load_spec, main, parse_spec
 from almostdirect.laurent import LaurentPoly, t
-from almostdirect.words import Word, x
+from almostdirect.words import Word, commutator_decompose, x
 from oracles import dense, koszul_d1, sorted_generator_pairs
 from test_acceptance import pair_matrix, specs_under_test
-from test_cli import INCONSISTENT, tamper_pairs
+from test_cli import INCONSISTENT
 from test_words import reassemble
 
 
@@ -80,20 +79,21 @@ def test_chain_map_on_builtins():
         upper_mccool_mod_center(4),
     ]
     for spec in specs:
-        report = verify_chain_map(build_presentation(spec))
+        report = verify_chain_map(spec.ranks, build_presentation(spec))
         assert report.ok, (spec.name, report.failures)
 
 
 def test_chain_map_on_random_specs():
     rng = random.Random(41)
     for _ in range(15):
-        pres = build_presentation(random_spec(rng))
-        assert verify_chain_map(pres).ok
+        spec = random_spec(rng)
+        assert verify_chain_map(spec.ranks, build_presentation(spec)).ok
 
 
 def test_chain_map_failures_are_reported():
     # sanity check on the report shape for a passing presentation
-    report = verify_chain_map(build_presentation(pure_braid(3)))
+    spec = pure_braid(3)
+    report = verify_chain_map(spec.ranks, build_presentation(spec))
     assert report.ok
     assert report.failures == []
 
@@ -154,13 +154,15 @@ def test_chain_a2_augments_to_matrix_row():
     specs += [random_spec(rng) for _ in range(20)]
     assert len(specs) == 23
     for spec in specs:
-        pres = build_presentation(spec)
+        words = build_presentation(spec)
         m = h2_matrix(spec.ranks, spec.images)
         cols = sorted_generator_pairs(m.ranks)
         # every row, the implied unit rows of the unmoved relations too
-        for rel, row in zip(pres, dense(m), strict=True):
-            aug = {pair: poly.augment() for pair, poly in chain_a2(rel).items()}
-            assert [aug.get(c, 0) for c in cols] == row, rel
+        keys = relation_keys(spec.ranks)
+        for key, row in zip(keys, dense(m), strict=True):
+            a2 = chain_a2(key, words.get(key, Word()))
+            aug = {pair: poly.augment() for pair, poly in a2.items()}
+            assert [aug.get(c, 0) for c in cols] == row, key
 
 
 def test_both_pairings_reassemble_the_long_relators():
@@ -170,15 +172,14 @@ def test_both_pairings_reassemble_the_long_relators():
     longest = 0
     for name in names:
         spec = load_spec(str(GOLDEN_SPECS / name))
-        pres = build_presentation(spec)
+        words = build_presentation(spec)
         for pairing in ("first", "last"):
-            for rel in pres:
-                pairs = rel.pairs(pairing)
-                assert reassemble(pairs) == rel.word, (name, rel, pairing)
-                longest = max(longest, len(rel.word))
-            rows = dense(pair_matrix(pres, pairing))
-            words = dense(h2_matrix(pres.ranks, pres.relations))
-            assert rows == words, (name, pairing)
+            for key, word in words.items():
+                pairs = commutator_decompose(word, pairing)
+                assert reassemble(pairs) == word, (name, key, pairing)
+                longest = max(longest, len(word))
+            rows = dense(pair_matrix(spec.ranks, words, pairing))
+            assert rows == dense(h2_matrix(spec.ranks, words)), (name, pairing)
     assert longest >= 80
 
 
@@ -189,16 +190,19 @@ def test_reassembly_agrees_with_the_laurent_chain_map():
     specs += [load_spec(str(path)) for path in sorted(GOLDEN_SPECS.glob("*.spec"))]
     assert len(specs) == len(specs_under_test()) + 3
     for spec in specs:
-        pres = build_presentation(spec)
-        assert verify_chain_map(pres).ok, spec
-        assert all(reassemble(rel.pairs()) == rel.word for rel in pres), spec
+        words = build_presentation(spec)
+        assert verify_chain_map(spec.ranks, words).ok, spec
+        assert all(
+            reassemble(commutator_decompose(w)) == w for w in words.values()
+        ), spec
 
 
-def magnus_row(rel):
+def magnus_row(key, word):
     """The mixed unit plus ``c_ab(w)`` over every pair of letter positions
     ``k < l`` of ``w`` with ``g_k = a < b = g_l``."""
-    row = {((rel.i, rel.p), (rel.j, rel.q)): 1}
-    letters = rel.word.letters
+    i, j, p, q = key
+    row = {((i, p), (j, q)): 1}
+    letters = word.letters
     for k, (a, eps) in enumerate(letters):
         for b, eta in letters[k + 1 :]:
             if a < b:
@@ -214,7 +218,7 @@ def test_presentation_stores_the_moved_relations_and_implies_the_rest():
     specs.append(parse_spec(INCONSISTENT))
     for spec in specs:
         ranks = spec.ranks
-        pres = build_presentation(spec)
+        words = build_presentation(spec)
         every = sorted(
             (
                 (i, j, p, q)
@@ -224,28 +228,25 @@ def test_presentation_stores_the_moved_relations_and_implies_the_rest():
             ),
             key=lambda k: (k[1], k[0], k[2], k[3]),
         )
-        assert list(pres.keys()) == every, spec
-        assert len(pres) == len(every) == sum(
+        assert relation_keys(ranks) == every, spec
+        assert len(every) == sum(
             ranks[i] * ranks[j] for i, j in combinations(range(len(ranks)), 2)
         )
         # one stored word per moved image, in relation order
-        assert list(pres.relations) == [k for k in every if k in spec.images]
-        assert set(pres.relations) == set(spec.images)
-        assert all(pres.relations.values())
-        for key, rel in zip(every, pres, strict=True):
+        assert list(words) == [k for k in every if k in spec.images]
+        assert set(words) == set(spec.images)
+        assert all(words.values())
+        for key in every:
             i, j, p, q = key
-            assert (rel.i, rel.j, rel.p, rel.q) == key
-            assert pres[key] == rel
-            assert rel.word == x(j, q, -1) * spec.action_image(i, j, p, q)
-            assert pres.relations.get(key, Word()) == rel.word
-        l = len(ranks)
-        for outside in ((1, 1, 1, 1), (2, 1, 1, 1), (1, l + 1, 1, 1), (1, 2, 9, 9)):
-            with pytest.raises(KeyError):
-                pres[outside]
+            image = spec.action_image(i, j, p, q)
+            assert words.get(key, Word()) == x(j, q, -1) * image
         # the dense matrix over every relation, unit rows included
-        m = h2_matrix(pres.ranks, pres.relations)
+        m = h2_matrix(ranks, words)
         cols = sorted_generator_pairs(m.ranks)
-        expect = [[magnus_row(pres[k]).get(c, 0) for c in cols] for k in every]
+        expect = [
+            [magnus_row(k, words.get(k, Word())).get(c, 0) for c in cols]
+            for k in every
+        ]
         assert dense(m) == expect, spec
         assert m.has_full_row_rank()
     assert len(specs) == len(specs_under_test()) + 7
@@ -254,10 +255,10 @@ def test_presentation_stores_the_moved_relations_and_implies_the_rest():
 def test_cohomology_builds_no_relation_and_stores_the_moved_words(
     count_calls, monkeypatch, capsys
 ):
-    from almostdirect import exterior
+    from almostdirect import adp, exterior
 
-    made = count_calls(Relation, "__init__")
-    presented = count_calls(Presentation, "__init__")
+    presented = count_calls(adp, "build_presentation")
+    decomposed = count_calls(homology, "commutator_decompose")
     built = []
 
     def recorded(ranks, table):
@@ -267,7 +268,7 @@ def test_cohomology_builds_no_relation_and_stores_the_moved_words(
     monkeypatch.setattr(exterior, "h2_matrix", recorded)
     assert main(["cohomology", "builtin:uppermccool:10", "--porcelain"]) == 0
     capsys.readouterr()
-    assert made == presented == []
+    assert presented == decomposed == []
     # 120 of the 870 relations of uppermccool 10 are moved, and the matrix
     # stores their rows only, keyed as the images
     (m,) = built
@@ -288,35 +289,59 @@ def test_rows_off_the_images_equal_rows_off_the_relation_words():
     rng = random.Random(5)
     specs += [random_spec(rng, max_factors=8) for _ in range(200)]
     for spec in specs:
-        pres = build_presentation(spec)
         images = h2_matrix(spec.ranks, spec.images).rows
-        words = h2_matrix(pres.ranks, pres.relations).rows
+        words = h2_matrix(spec.ranks, build_presentation(spec)).rows
         assert list(images.items()) == list(words.items()), spec
     assert len(specs) == len(specs_under_test()) + 203
 
 
-def test_reassembly_and_the_chain_map_reject_a_stray_letter(monkeypatch):
-    def not_reassembled(pres):
-        return [
-            (r.i, r.j, r.p, r.q)
-            for r in pres
-            if reassemble(r.pairs()) != r.word
-        ]
+def not_reassembled(ranks, words):
+    # the keys of the relations whose pairs, as the Laurent oracle reads
+    # them, do not multiply back to the relation word
+    return [
+        key
+        for key in relation_keys(ranks)
+        if reassemble(homology.commutator_decompose(words.get(key, Word())))
+        != words.get(key, Word())
+    ]
 
-    pres = build_presentation(pure_braid(4))
-    key = next(iter(pres.relations))
+
+def tamper_pairs(monkeypatch, word, extra):
+    # the Laurent oracle reads its pairs from homology.commutator_decompose:
+    # the pairs of each relation word equal to word gain the pairs extra,
+    # so that they no longer multiply to it; the word stays as it is.  Every
+    # unmoved relation has the empty word, so Word() tampers all of them
+    real = homology.commutator_decompose
+
+    def tampered(w, pairing="first"):
+        out = real(w, pairing)
+        return out + list(extra) if w == word else out
+
+    monkeypatch.setattr(homology, "commutator_decompose", tampered)
+
+
+def failing_keys(ranks, words):
+    return [failure[0] for failure in verify_chain_map(ranks, words).failures]
+
+
+def test_reassembly_and_the_chain_map_reject_a_stray_letter(monkeypatch):
+    spec = pure_braid(4)
+    words = build_presentation(spec)
+    key = next(iter(words))
     # a stray commutator among the pairs of one relation: they no longer
-    # multiply to its word
-    tamper_pairs(monkeypatch, key, ((x(1, 1), x(3, 1)),))
-    assert not_reassembled(pres) == [key]
-    assert [failure[0] for failure in verify_chain_map(pres).failures] == [key]
-    # an unmoved relation, built on demand, is checked by the oracles too
-    unmoved = (1, 3, 1, 3)
-    assert unmoved in pres.keys() and unmoved not in pres.relations
-    tamper_pairs(monkeypatch, unmoved, ((x(1, 1), x(3, 1)),))
-    bad = [key, unmoved]
-    assert not_reassembled(pres) == bad
-    assert [failure[0] for failure in verify_chain_map(pres).failures] == bad
+    # multiply to its word, which no other relation shares
+    assert list(words.values()).count(words[key]) == 1
+    tamper_pairs(monkeypatch, words[key], ((x(1, 1), x(3, 1)),))
+    assert not_reassembled(spec.ranks, words) == [key]
+    assert failing_keys(spec.ranks, words) == [key]
+    # the unmoved relations, which the table lacks, are checked by the
+    # oracles too
+    unmoved = [k for k in relation_keys(spec.ranks) if k not in words]
+    assert unmoved == [(1, 3, 1, 3), (2, 3, 2, 1)]
+    tamper_pairs(monkeypatch, Word(), ((x(1, 1), x(3, 1)),))
+    bad = [key] + unmoved
+    assert not_reassembled(spec.ranks, words) == bad
+    assert failing_keys(spec.ranks, words) == bad
 
 
 def test_reassembly_sees_past_the_metabelian_quotient(monkeypatch):
@@ -328,25 +353,55 @@ def test_reassembly_sees_past_the_metabelian_quotient(monkeypatch):
     u, v = commutator(a, b), commutator(a**2, b)
     extra = commutator(u, v)
     assert len(extra) == 16 and extra.exponent_sums() == {}
-    tamper_pairs(monkeypatch, key, ((u, v),))
-    pres = build_presentation(pure_braid(4))
+    spec = pure_braid(4)
+    words = build_presentation(spec)
+    tamper_pairs(monkeypatch, words[key], ((u, v),))
     # the Laurent chain map sees words through F/F'' only, so it passes,
     # while the pairs no longer multiply back to the word
-    assert verify_chain_map(pres).ok
-    bad = [r for r in pres if reassemble(r.pairs()) != r.word]
-    assert [(r.i, r.j, r.p, r.q) for r in bad] == [key]
+    assert verify_chain_map(spec.ranks, words).ok
+    assert not_reassembled(spec.ranks, words) == [key]
+
+
+def test_presentation_is_the_table_of_relation_words(monkeypatch):
+    # a plain dict from each moved key to w = x(j,q)^-1 phi(x(j,q)), in the
+    # order of the spec's image table
+    specs = specs_under_test() + [parse_spec(INCONSISTENT)]
+    specs += [
+        load_spec(str(GOLDEN_SPECS / ("longword-%s.spec" % name)))
+        for name in ("1-3", "2-2")
+    ]
+    for spec in specs:
+        words = build_presentation(spec)
+        assert type(words) is dict, spec
+        expect = {
+            (i, j, p, q): x(j, q, -1) * image
+            for (i, j, p, q), image in spec.images.items()
+        }
+        assert list(words.items()) == list(expect.items()), spec
+    assert len(specs) == len(specs_under_test()) + 3
+    # five moved relations and one unmoved: tampering the pairs of one of
+    # each, the oracle names exactly those two keys, in relation order
+    spec = pure_braid_mod_center(4)
+    words = build_presentation(spec)
+    (unmoved,) = [k for k in relation_keys(spec.ranks) if k not in words]
+    moved = list(words)[-1]
+    assert len(words) == 5 and moved > unmoved
+    tamper_pairs(monkeypatch, words[moved], ((x(1, 1), x(2, 1)),))
+    tamper_pairs(monkeypatch, Word(), ((x(1, 1), x(2, 2)),))
+    assert failing_keys(spec.ranks, words) == [unmoved, moved]
 
 
 def _one_relation(pairs):
-    # x(2,1) x(1,1) = x(1,1) x(2,1) w, w the product of the given pairs
-    return Presentation((1, 2), {(1, 2, 1, 1): reassemble(pairs)})
+    # x(2,1) x(1,1) = x(1,1) x(2,1) w, w the product of the given pairs, in
+    # ranks (1, 2)
+    return {(1, 2, 1, 1): reassemble(pairs)}
 
 
 def test_h2_matrix_rejects_entries_outside_the_blocks():
     # [x(1,1), x(2,2)] puts a mixed entry into a column of another row
-    pres = _one_relation(((x(1, 1), x(2, 2)),))
+    table = _one_relation(((x(1, 1), x(2, 2)),))
     with pytest.raises(ValueError) as info:
-        h2_matrix(pres.ranks, pres.relations)
+        h2_matrix((1, 2), table)
     assert str((1, 2, 1, 1)) in str(info.value)
     assert str(((1, 1), (2, 2))) in str(info.value)
     # verify prints the same row and column as its matrix-rank witness
@@ -356,12 +411,12 @@ def test_h2_matrix_rejects_entries_outside_the_blocks():
 
 def test_h2_matrix_rejects_a_row_without_its_unit():
     # [x(1,1), x(2,1)] adds 1 to the row's own mixed entry
-    pres = _one_relation(((x(1, 1), x(2, 1)),))
+    table = _one_relation(((x(1, 1), x(2, 1)),))
     with pytest.raises(ValueError, match="lacks its unit mixed entry"):
-        h2_matrix(pres.ranks, pres.relations)
+        h2_matrix((1, 2), table)
     # a pair inside block 2 is allowed
-    pres = _one_relation(((x(2, 1), x(2, 2)),))
-    m = h2_matrix(pres.ranks, pres.relations)
+    table = _one_relation(((x(2, 1), x(2, 2)),))
+    m = h2_matrix((1, 2), table)
     assert m.rows[(1, 2, 1, 1)] == {((1, 1), (2, 1)): 1, ((2, 1), (2, 2)): 1}
 
 

@@ -381,14 +381,15 @@ def test_commutator_decompose_matches_listed_positions():
         parse_spec((GOLDEN_SPECS / name).read_text())
         for name in ("longword-1-3.spec", "longword-2-2.spec")
     ]
-    words = 0
+    # the empty word of an unmoved relation, then every stored word
+    words = [Word()]
     for spec in specs:
-        for rel in build_presentation(spec):
-            for pairing in ("first", "last"):
-                pairs = commutator_decompose(rel.word, pairing)
-                expected = listed_positions_decompose(rel.word, pairing)
-                assert [(u.letters, v.letters) for u, v in pairs] == [
-                    (u.letters, v.letters) for u, v in expected
-                ]
-            words += bool(rel.word)
-    assert words > 400
+        words += build_presentation(spec).values()
+    for word in words:
+        for pairing in ("first", "last"):
+            pairs = commutator_decompose(word, pairing)
+            expected = listed_positions_decompose(word, pairing)
+            assert [(u.letters, v.letters) for u, v in pairs] == [
+                (u.letters, v.letters) for u, v in expected
+            ]
+    assert len(words) > 400
