@@ -60,7 +60,8 @@ def main():
     print("rank polynomial coefficients:", poincare_vector(spec.ranks))
 
     # verify runs this certificate: every product e(j,r) eta(j;p,q) with
-    # r <= q rewrites to zero, so the relations are a Groebner basis
+    # r <= q has normal form zero, summed block by block from the rules,
+    # so the relations are a Groebner basis
     print("rewriting rules certified:", ring.critical_pair_verify() is None)
 
 

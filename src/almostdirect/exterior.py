@@ -46,6 +46,27 @@ and ``r = q``, whose merge with the lead vanishes, and the ``r < q``,
 ``r != p``, whose leftmost pair is ``e(j,r)`` and a generator of the lead.
 Block ``j`` has ``sum_q q (q - 1) = 2 C(n_j + 1, 3)`` of them.
 
+The certificate sums each ``NF`` from the rules instead of rewriting
+monomial by monomial.  For ``a < b`` in block ``j``, ``eta(j;a,b)``
+rewrites ``e(j,a) e(j,b)`` to ``sum_s omega(a,b)_s e(j,s)``, where
+``omega(a,b)_s = -sum kappa e(i,x)`` over its terms ``kappa e(i,x)
+e(j,s)`` has degree one in the earlier blocks; ``omega(b,a) =
+-omega(a,b)`` and ``omega(a,a) = 0``.  Then
+
+    NF(e(j,r) eta(j;p,q)) = sum_t X_t e(j,t),
+    X_t = [r not in {p,q}] sum_s omega(r,p)_s omega(s,q)_t
+          + sum_s omega(p,q)_s omega(r,s)_t,
+
+with each product of two ``omega`` reduced in the earlier blocks.  These
+are the leftmost rewrites of ``NF``.  For ``r < q`` the leftmost pair of
+``e(j,r) e(j,p) e(j,q)`` is ``e(j,r) e(j,p)``, and ``e(j,r)`` times a tail
+term ``e(i,x) e(j,s)`` is ``-e(i,x) e(j,r) e(j,s)``.  Each rewrite of a
+pair of block ``j`` leaves terms with one generator of ``j`` fewer, so
+after two every term has exactly one, and before it two degree-one
+factors of earlier blocks.  Those are normal when their blocks differ;
+otherwise their pair, the only one left, rewrites once into normal
+monomials.
+
 So ``NF`` vanishes on ``J_3`` iff every check of :meth:`critical_pairs`
 rewrites to zero.  These products are the checks of degree three of the
 exterior Buchberger criterion (T. Stokes, J. Automated Reasoning 6 (1990);
@@ -173,6 +194,9 @@ def _reduce(mono, memo, rules):
                 add_scaled(out, _reduce(prod[1], memo, rules), prod[0] * c)
         memo[mono] = out
     return out
+
+
+_NO_RULE = {}  # e_g e_g = 0
 
 
 def poincare_vector(ranks):
@@ -414,18 +438,45 @@ class CohomologyRing:
             for r in range(1, q + 1):
                 yield lead, ((j, r),)
 
-    def critical_product(self, lead, cofactor):
-        """``e_g eta``, the product a check ``(lead, (g,))`` rewrites to zero.
+    def critical_normal_forms(self):
+        """Each check of :meth:`critical_pairs` with the normal form of its
+        product, as ``(lead, (g,), terms)``.
 
-        A term dict with one merge of ``g`` into each monomial of ``eta``;
-        distinct monomials merge into distinct products.
+        ``terms`` is the ``{monomial: coefficient}`` dict that
+        :meth:`normal_form` gives ``e(j,r) eta(j;p,q)``, here summed as
+        ``sum_t X_t e(j,t)`` straight from the rules (module docstring):
+        no memo and no call of :meth:`reduce_mono`.
         """
-        out = {}
-        for mono, c in self._eta[lead].items():
-            prod = mono_mul(cofactor, mono)
-            if prod is not None:
-                out[prod[1]] = prod[0] * c
-        return ExtElem(out)
+        rules = self._rules
+        # omega[g, h]: e_g e_h = sum omega[g, h][m] m for g != h in one block
+        omega = dict(rules)
+        for (g, h), rule in rules.items():
+            omega[h, g] = {m: -c for m, c in rule.items()}
+        for lead, cofactor in self.critical_pairs():
+            (gp, gq), (gr,) = lead, cofactor
+            # the first rewrite leaves terms c e_g times a pair of block j:
+            # e_r e_s from e_r times the tail, e_s e_q from e_r e_p e_q
+            # (which vanishes when r is p or q)
+            firsts = [(c, g, (gr, gs)) for (g, gs), c in rules[lead].items()]
+            if gr != gq:
+                firsts += [
+                    (c, g, (gs, gq))
+                    for (g, gs), c in omega.get((gr, gp), _NO_RULE).items()
+                ]
+            out = {}
+            for c, g, pair in firsts:
+                for (h, gt), d in omega.get(pair, _NO_RULE).items():
+                    # c d e_g e_h e_t: normal when g and h lie in two
+                    # blocks, one rule away when they share one
+                    if g[0] != h[0]:
+                        if g < h:
+                            out[g, h, gt] = out.get((g, h, gt), 0) + c * d
+                        else:
+                            out[h, g, gt] = out.get((h, g, gt), 0) - c * d
+                    else:
+                        for (a, b), k in omega.get((g, h), _NO_RULE).items():
+                            out[a, b, gt] = out.get((a, b, gt), 0) + c * d * k
+            yield lead, cofactor, {m: c for m, c in out.items() if c}
 
     def critical_pair_verify(self):
         """Certify the kernel elements are a Groebner basis from critical pairs.
@@ -440,8 +491,8 @@ class CohomologyRing:
         >>> cohomology_ring(pure_braid(4)).critical_pair_verify() is None
         True
         """
-        for lead, cofactor in self.critical_pairs():
-            if self.normal_form(self.critical_product(lead, cofactor)):
+        for lead, cofactor, terms in self.critical_normal_forms():
+            if terms:
                 return lead, cofactor
         return None
 

@@ -3,14 +3,15 @@
 No subcommand runs these.  Each restates a fact the package computes
 another way, or builds an element only a test inspects: the dense H2
 matrix and its column order, span equality as a rank identity, the
-triangular basis ``xi`` of the exterior algebra, and the tensor-square
-elements and closed forms that the zero-divisor witness must equal.
+triangular basis ``xi`` of the exterior algebra, the products that the
+Groebner certificate rewrites, and the tensor-square elements and closed
+forms that the zero-divisor witness must equal.
 """
 
 from itertools import combinations
 
 from almostdirect.adp import generators, relation_keys
-from almostdirect.exterior import CohomologyRing, ExtElem, deg_lex_key, e
+from almostdirect.exterior import CohomologyRing, ExtElem, deg_lex_key, e, mono_mul
 from almostdirect.invariants import TensorElem
 from almostdirect.laurent import LaurentPoly, t
 from almostdirect.linalg import span_rank
@@ -66,6 +67,22 @@ def leading_term(el):
     """The deg-lex largest monomial of ``el`` and its coefficient."""
     m = max(el.terms, key=deg_lex_key)
     return m, el.terms[m]
+
+
+def critical_product(ring, lead, cofactor):
+    """``e_g eta``, the product a check ``(lead, (g,))`` of
+    :meth:`~almostdirect.exterior.CohomologyRing.critical_pairs` stands for.
+
+    One merge of ``g`` into each monomial of ``eta``; distinct monomials
+    merge into distinct products.  ``ring.normal_form`` of it is what
+    ``ring.critical_normal_forms`` must give, term for term.
+    """
+    out = {}
+    for mono, c in ring.etas[lead].items():
+        prod = mono_mul(cofactor, mono)
+        if prod is not None:
+            out[prod[1]] = prod[0] * c
+    return ExtElem(out)
 
 
 def xi(ring, subsets):

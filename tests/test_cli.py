@@ -466,18 +466,30 @@ def test_verify_makes_no_laurent_or_fox_call(count_calls, capsys):
     assert calls == [[]] * 5
 
 
-def test_verify_reaches_fourteen_strands(count_calls, capsys):
+def test_verify_reaches_fourteen_strands(count_calls, monkeypatch, capsys):
     from almostdirect.exterior import CohomologyRing
 
-    products = count_calls(CohomologyRing, "critical_product")
+    checks = []
+    real = CohomologyRing.critical_normal_forms
+
+    def counted(ring):
+        for lead, cofactor, terms in real(ring):
+            checks.append((lead, cofactor))
+            yield lead, cofactor, terms
+
+    monkeypatch.setattr(CohomologyRing, "critical_normal_forms", counted)
+    reduced = count_calls(CohomologyRing, "reduce_mono")
     rings = count_calls(CohomologyRing, "__init__")
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:14", "--porcelain"])
     assert rc == 0
     assert out.splitlines()[-1] == "verify-summary ok"
     # 2 C(n_j + 1, 3) products e(j,r) eta(j;p,q), r <= q, per block, where
     # all pairs of the 364 relations would be 66,430 more
-    assert len(products) == 2 * math.comb(15, 4) == 2730
+    assert len(checks) == len(set(checks)) == 2 * math.comb(15, 4) == 2730
     assert len(rings) == 1
+    # the certificate sums its normal forms from the rules, with no memo
+    ring = rings[0][0]
+    assert reduced == [] and ring._memo == {}
 
 
 def test_verify_neither_enumerates_the_basis_nor_eliminates(

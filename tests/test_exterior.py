@@ -28,7 +28,7 @@ from almostdirect.exterior import (
 from almostdirect.homology import kernel_basis
 from almostdirect.invariants import zcl_witness
 from almostdirect.linalg import span_rank
-from oracles import is_normal, leading_term, xi
+from oracles import critical_product, is_normal, leading_term, xi
 from test_acceptance import pair_matrix, ring_of, specs_under_test
 from test_cli import INCONSISTENT
 
@@ -170,7 +170,11 @@ def test_the_memo_stores_only_rewritten_monomials():
     normal = ((1, 1), (2, 1), (4, 3))
     assert ring.reduce_mono(normal) == {normal: 1}
     assert ring._memo == {}
+    # the certificate rewrites nothing through the memo
     assert ring.critical_pair_verify() is None
+    assert ring._memo == {}
+    for lead, cofactor in ring.critical_pairs():
+        assert not ring.normal_form(critical_product(ring, lead, cofactor))
     size = len(ring._memo)
     assert size > 0
     assert not any(is_normal(m) for m in ring._memo)
@@ -365,7 +369,7 @@ def test_critical_pairs_reject_a_perturbed_relation():
     assert not bad.groebner_verify().ok
     witness = bad.critical_pair_verify()
     assert witness is not None
-    assert bad.normal_form(bad.critical_product(*witness))
+    assert bad.normal_form(critical_product(bad, *witness))
 
 
 def all_pairs_verify(ring):
@@ -452,6 +456,33 @@ def test_degree_three_certificate_agrees_with_all_pairs():
     ]
 
 
+def test_certificate_normal_forms_are_the_rewritten_products():
+    # term for term against normal_form, whose leftmost rewriting decides
+    # the normal form also where the relations are no Groebner basis
+    rings = [ring_of(spec) for spec in specs_under_test()]
+    rings += [cohomology_ring(parse_spec(INCONSISTENT)), rank_three_block_ring()]
+    rings += perturbed_rings()
+    rings += [
+        cohomology_ring(random_spec(random.Random(s), max_factors=8))
+        for s in range(1000)
+    ]
+    checks = failed = 0
+    for ring in rings:
+        first = None
+        for lead, cofactor, terms in ring.critical_normal_forms():
+            expect = ring.normal_form(critical_product(ring, lead, cofactor))
+            assert terms == expect.terms, (ring.etas, lead, cofactor)
+            if terms and first is None:
+                first = lead, cofactor
+            checks += 1
+        assert ring.critical_pair_verify() == first
+        failed += first is not None
+    assert checks == sum(
+        2 * math.comb(n + 1, 3) for ring in rings for n in ring.ranks
+    )
+    assert 0 < failed < len(rings)
+
+
 def critical_product_oracle(ring, lead, other):
     """``e_g eta`` for ``other = (g,)``, else the S-polynomial of the
     relations leading with ``lead`` and ``other``, built through
@@ -481,7 +512,7 @@ def test_critical_product_matches_the_exterior_product():
         pairs = set(ring.critical_pairs())
         for lead, other in ring.critical_pairs():
             expect = critical_product_oracle(ring, lead, other)
-            assert ring.critical_product(lead, other) == expect
+            assert critical_product(ring, lead, other) == expect
             checks += 1
         # the S-polynomial of two leads that share a generator is a signed
         # sum of two products e_g eta, each a check or one that rewrites to
