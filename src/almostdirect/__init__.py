@@ -5,7 +5,8 @@ semidirect product of free groups with IA actions;
 :func:`~almostdirect.adp.build_presentation` computes its commutator
 presentation; :func:`~almostdirect.homology.h2_matrix` and
 :func:`~almostdirect.homology.kernel_basis` read the ring's quadratic
-relations off the action images; :func:`~almostdirect.exterior.cohomology_ring`
+relations off the action images, or off the Johnson homomorphism of a magnus
+action; :func:`~almostdirect.exterior.cohomology_ring`
 packages them as an exterior algebra quotient with certified normal forms;
 and :mod:`~almostdirect.invariants` reads off Hilbert series, lower central
 series ranks, and topological complexity certificates.

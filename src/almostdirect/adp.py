@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from .words import (
     IAWord,
+    Word,
     _word,
     beta,
     theta,
@@ -70,19 +71,24 @@ class AdpSpec:
     ``("magnus", IAWord)`` or ``("images", {q: w_q})`` where ``w_q`` is the
     image of ``x(j,q)``; a generator the map omits stays fixed.  An invalid
     action raises :class:`ActionError`, naming its key.  Images equal to
-    their own generator are dropped, and so are actions left without an
-    image, so specs compare equal iff they define the same product.
+    their own generator are dropped, and so are actions that move nothing,
+    so specs compare equal iff they define the same product.  A magnus
+    action stays an IA word: a nonzero Johnson homomorphism ``tau_1``
+    (Johnson, Math. Ann. 249, 1980), read by
+    :meth:`~almostdirect.words.IAWord.johnson`, proves that it moves a
+    generator, and only a word with ``tau_1 = 0`` is expanded to decide.
+    ``actions`` comes in relation order (see :func:`relation_keys`).
 
-    ``images`` is the spec's relation table, computed once here: the image
-    of ``x(j,q)`` under ``x(i,p)``, keyed ``(i, j, p, q)``, for every
-    generator the action moves, in relation order (see
-    :func:`relation_keys`).  A magnus action builds its images with
-    :meth:`~almostdirect.words.IAWord.images`.  ``actions`` comes in the
-    same order.  :meth:`action_image`, :func:`build_presentation`,
-    ``format_spec``, ``==``, ``hash`` and the H2 rows read the table.
+    ``images`` is the spec's relation table, built on first access: the
+    image of ``x(j,q)`` under ``x(i,p)``, keyed ``(i, j, p, q)``, for every
+    generator the action moves, in relation order.  A magnus action
+    expands with :meth:`~almostdirect.words.IAWord.images`.
+    :meth:`action_image`, :func:`build_presentation`, ``hash``, the images
+    form of ``format_spec`` and ``==`` on unequal actions read it; the ring
+    reads ``tau_1`` instead.
     """
 
-    __slots__ = ("ranks", "actions", "name", "images")
+    __slots__ = ("ranks", "actions", "name", "_images")
 
     def __init__(self, ranks, actions=None, name=""):
         ranks = tuple(int(n) for n in ranks)
@@ -90,26 +96,29 @@ class AdpSpec:
             raise ValueError("ranks must be a nonempty tuple of positive ints")
         self.ranks = ranks
         self.name = name
+        self._images = None
         checked = {}  # in the order given, so the first invalid one raises
         for key, action in (actions or {}).items():
             try:
-                self._check_key(*key)
-                moved = self._moved_images(key[1], action)
+                self._check_key(key)
+                action = self._checked(key[1], action)
             except ValueError as err:
                 raise ActionError(key, str(err)) from None
-            if moved:
-                if action[0] == IMAGES:
-                    action = (IMAGES, moved)
-                checked[key] = (action, moved)
-        self.actions = {}
-        self.images = {}
-        for key in sorted(checked, key=lambda k: (k[1], k[0], k[2])):
-            self.actions[key], moved = checked[key]
-            i, j, p = key
-            for q, w in moved.items():
-                self.images[(i, j, p, q)] = w
+            if action is not None:
+                checked[key] = action
+        self.actions = {
+            key: checked[key]
+            for key in sorted(checked, key=lambda k: (k[1], k[0], k[2]))
+        }
 
-    def _check_key(self, i, j, p):
+    def _check_key(self, key):
+        if not (
+            isinstance(key, tuple)
+            and len(key) == 3
+            and all(isinstance(k, int) for k in key)
+        ):
+            raise ValueError("action key must be a triple (i, j, p): %r" % (key,))
+        i, j, p = key
         l = len(self.ranks)
         if not (1 <= i < j <= l):
             raise ValueError("action blocks must satisfy 1 <= i < j <= %d" % l)
@@ -119,49 +128,63 @@ class AdpSpec:
                 % (p, self.ranks[i - 1], i)
             )
 
-    def _moved_images(self, j, action):
-        # {q: image} for each generator x(j,q) the action moves, by q
+    def _checked(self, j, action):
+        # the action in canonical form, or None when it moves nothing
+        if not (isinstance(action, (tuple, list)) and len(action) == 2):
+            raise ValueError("an action is a pair (kind, payload): %r" % (action,))
         kind, payload = action
         n = self.ranks[j - 1]
         if kind == MAGNUS:
+            if not isinstance(payload, IAWord):
+                raise ValueError("a magnus action needs an IAWord: %r" % (payload,))
             if payload.rank != n:
                 raise ValueError(
                     "IA word has rank %d but block %d has rank %d"
                     % (payload.rank, j, n)
                 )
-            images = enumerate(payload.images(j), start=1)
-        elif kind == IMAGES:
-            if not isinstance(payload, dict):
-                raise ValueError("images must map each index q to a word")
-            images = sorted(payload.items())
-        else:
+            moves = payload.johnson(j) or _magnus_images(j, payload)
+            return (MAGNUS, payload) if moves else None
+        if kind != IMAGES:
             raise ValueError("unknown action kind %r" % (kind,))
+        if not (
+            isinstance(payload, dict) and all(isinstance(q, int) for q in payload)
+        ):
+            raise ValueError("images must map each index q to a word")
         moved = {}
-        for q, w in images:
-            if kind == IMAGES and not (1 <= q <= n):
+        for q, w in sorted(payload.items()):
+            if not (1 <= q <= n):
                 raise ValueError(
                     "image index %d exceeds rank %d of block %d" % (q, n, j)
                 )
+            if not isinstance(w, Word):
+                raise ValueError("image of x(%d,%d) is not a Word: %r" % (j, q, w))
             if w.letters == (((j, q), 1),):
                 continue  # a fixed generator
-            if kind == IMAGES:
-                # one scan: block membership, then the exponent sum of each
-                # index, which must be 1 at q and 0 elsewhere
-                sums = [0] * (n + 1)
-                for (b, index), e in w.letters:
-                    if b != j or not (1 <= index <= n):
-                        raise ValueError(
-                            "image of x(%d,%d) leaves block %d: %s"
-                            % (j, q, j, w)
-                        )
-                    sums[index] += e
-                sums[q] -= 1
-                if any(sums):
+            # one scan: block membership, then the exponent sum of each
+            # index, which must be 1 at q and 0 elsewhere
+            sums = [0] * (n + 1)
+            for (b, index), e in w.letters:
+                if b != j or not (1 <= index <= n):
                     raise ValueError(
-                        "image of x(%d,%d) is not IA: %s" % (j, q, w)
+                        "image of x(%d,%d) leaves block %d: %s" % (j, q, j, w)
                     )
+                sums[index] += e
+            sums[q] -= 1
+            if any(sums):
+                raise ValueError("image of x(%d,%d) is not IA: %s" % (j, q, w))
             moved[q] = w
-        return moved
+        return (IMAGES, moved) if moved else None
+
+    @property
+    def images(self):
+        if self._images is None:
+            table = {}
+            for (i, j, p), (kind, payload) in self.actions.items():
+                moved = payload if kind == IMAGES else _magnus_images(j, payload)
+                for q, w in moved.items():
+                    table[(i, j, p, q)] = w
+            self._images = table
+        return self._images
 
     @property
     def has_uncertified_images(self):
@@ -174,7 +197,7 @@ class AdpSpec:
 
     def action_image(self, i, j, p, q):
         """The image of ``x(j,q)`` under the action of ``x(i,p)``."""
-        self._check_key(i, j, p)
+        self._check_key((i, j, p))
         if not (1 <= q <= self.ranks[j - 1]):
             raise ValueError("index %d exceeds rank of block %d" % (q, j))
         image = self.images.get((i, j, p, q))
@@ -185,12 +208,12 @@ class AdpSpec:
         return not any(key[0] == i for key in self.actions)
 
     def __eq__(self, other):
-        # the relation table is the canonical form: the magnus and images
-        # encodings of the same product compare equal
+        # equal canonical actions give equal tables; otherwise the table
+        # decides, so the magnus and images encodings of a product are equal
         return (
             isinstance(other, AdpSpec)
             and self.ranks == other.ranks
-            and self.images == other.images
+            and (self.actions == other.actions or self.images == other.images)
         )
 
     def __hash__(self):
@@ -230,9 +253,19 @@ def build_presentation(spec):
     of commutators.  The dict holds one word per entry of the spec's
     relation table ``spec.images``, in its order.  A key of
     :func:`relation_keys` that it lacks is a generator the action fixes:
-    its word is empty.  The ring reads its rows off the images.
+    its word is empty.  The ring builds no relation word: see
+    :func:`~almostdirect.exterior.cohomology_ring`.
     """
     return {key: x(key[1], key[3], -1) * image for key, image in spec.images.items()}
+
+
+def _magnus_images(j, ia):
+    # {q: image} for each generator x(j,q) the IA word moves, by q
+    return {
+        q: w
+        for q, w in enumerate(ia.images(j), start=1)
+        if w.letters != (((j, q), 1),)
+    }
 
 
 def _conjugate(c, g):
@@ -351,7 +384,6 @@ def extend_with_torus(spec, m):
     out = AdpSpec(spec.ranks + (1,) * m, name=name)
     # the new blocks have no actions, so the checked ones carry over
     out.actions = dict(spec.actions)
-    out.images = dict(spec.images)
     return out
 
 

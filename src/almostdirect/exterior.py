@@ -121,7 +121,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .adp import generators
+from .adp import MAGNUS, generators
 from .homology import h2_matrix, kernel_basis
 from .linalg import span_rank
 from .sparse import Sparse, add_scaled
@@ -526,9 +526,18 @@ class CohomologyRing:
 
 
 def cohomology_ring(spec):
-    """Build the cohomology ring of a spec, its H2 rows read off the images."""
-    ranks = spec.ranks
-    return CohomologyRing(ranks, kernel_basis(h2_matrix(ranks, spec.images)))
+    """Build the cohomology ring of a spec from its H2 rows.
+
+    An images action gives its moved images, a magnus action the classes
+    ``tau_1`` of :meth:`~almostdirect.words.IAWord.johnson`, so no IA word
+    is expanded; the table comes in relation order, as ``spec.images``.
+    """
+    table = {}
+    for (i, j, p), (kind, payload) in spec.actions.items():
+        moved = payload.johnson(j) if kind == MAGNUS else payload
+        for q, entry in moved.items():
+            table[(i, j, p, q)] = entry
+    return CohomologyRing(spec.ranks, kernel_basis(h2_matrix(spec.ranks, table)))
 
 
 if __name__ == "__main__":

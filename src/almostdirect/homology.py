@@ -52,6 +52,13 @@ cancelling pair ``g^e g^-e`` adds terms to ``c_ab`` that cancel in sign,
 and the leading ``x(j,q)^-1`` only adds ``-sigma_b(phi(x(j,q)))``, the
 exponent sum of ``b``, to column ``(x(j,q), b)``, ``b > x(j,q)``: 0 for IA.
 
+For a magnus action ``phi`` the class of ``w`` is ``tau_1(phi)(x(j,q))``,
+where ``tau_1`` is the Johnson homomorphism (Johnson, Math. Ann. 249,
+1980).  It is additive over the factors of the IA word, so
+:meth:`~almostdirect.words.IAWord.johnson` sums one wedge per factor and
+the image is never expanded; :func:`h2_matrix` takes those classes as they
+are.
+
 It raises :class:`RowStructureError` unless each row has a single 1 in its
 mixed column and its other entries in the columns of the acted-on block.
 Then ``A`` has full row rank, and the kernel of right multiplication by
@@ -64,8 +71,9 @@ with ``kappa(i, r, s) = -A[(i, j, r, s), (e(j,p), e(j,q))]``.
 A relation whose generator the action fixes has the empty word ``w``.  It
 has no pairs, and its row is the mixed unit alone, which no eta reads.
 The spec's image table and the table of relation words hold the moved
-generators only, so :func:`h2_matrix` builds their rows only: the other
-rows are implied by :class:`H2Matrix`.
+generators only, and the ``tau_1`` table the generators of nonzero class,
+so :func:`h2_matrix` builds their rows only: the other rows are implied by
+:class:`H2Matrix`.
 """
 
 from __future__ import annotations
@@ -206,10 +214,12 @@ def h2_matrix(ranks, table):
 
     ``table`` maps relation keys ``(i, j, p, q)`` to words, and each gets
     the row of the module docstring: the mixed unit plus the ``c_ab`` of
-    its word, in one pass over the letters with running exponent sums.
-    The ring passes its images ``spec.images``; the table of relation
-    words of :func:`~almostdirect.adp.build_presentation` gives the same
-    rows.  Any other key has the implied unit row of :class:`H2Matrix`.
+    its word, in one pass over the letters with running exponent sums.  A
+    key may instead map to that class itself, a dict ``{(a, b): c}``, as
+    :meth:`~almostdirect.words.IAWord.johnson` gives it for a magnus
+    action.  Images, relation words and ``tau_1`` give the same rows, up
+    to unit rows stored or implied.  Any other key has the implied unit
+    row of :class:`H2Matrix`.
     Raises :class:`RowStructureError`, naming the row and column, unless
     the mixed entry is 1 and every other entry sits in a same-block column
     of block ``j``: the structure that gives the matrix an identity minor
@@ -218,16 +228,19 @@ def h2_matrix(ranks, table):
     break it.
     """
     rows = {}
-    for key, word in table.items():
+    for key, entry in table.items():
         i, j, p, q = key
         mixed = ((i, p), (j, q))
         summed = {mixed: 1}
-        sums = {}  # exponent sums of the letters read so far
-        for b, eps in word.letters:
-            for a, s in sums.items():
-                if a < b and s:
-                    summed[(a, b)] = summed.get((a, b), 0) + s * eps
-            sums[b] = sums.get(b, 0) + eps
+        if isinstance(entry, dict):  # the class itself
+            summed.update(entry)
+        else:
+            sums = {}  # exponent sums of the letters read so far
+            for b, eps in entry.letters:
+                for a, s in sums.items():
+                    if a < b and s:
+                        summed[(a, b)] = summed.get((a, b), 0) + s * eps
+                sums[b] = sums.get(b, 0) + eps
         # one walk drops the cancelled entries and checks the others
         row = {}
         for pair, c in summed.items():

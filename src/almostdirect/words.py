@@ -10,7 +10,8 @@ abelianization: the basic ones conjugate one generator by another
 
 Commutator bookkeeping is done by :func:`commutator_decompose`, which writes
 any word with vanishing exponent sums as an ordered product of commutators
-``[u_k, v_k]`` of subwords.
+``[u_k, v_k]`` of subwords.  :meth:`IAWord.johnson` reads a composite of
+basic automorphisms to first order, one wedge per factor, with no word.
 """
 
 from __future__ import annotations
@@ -369,6 +370,36 @@ class IAWord:
                     out += map(flip.__getitem__, rest)
             table[gen[1]] = tuple(out)
         return tuple(_word(letters) for letters in table[1:])
+
+    def johnson(self, block):
+        """The Johnson homomorphism ``tau_1`` of the composite, no word built.
+
+        ``tau_1`` sends an IA automorphism ``phi`` to the map
+        ``y -> y^-1 phi(y)`` read in ``gamma_2 F / gamma_3 F = Lambda^2 H``
+        (Johnson, Math. Ann. 249, 1980).  It is a homomorphism, so it is the
+        sum over the factors, one wedge each: ``B(i,j)`` sends ``y_i`` to
+        ``y_i ^ y_j``, ``T(i;s,t)`` sends ``y_i`` to ``y_s ^ y_t``, an
+        inverse factor gives the negative, and the other generators go to 0.
+        Returns ``{i: {(a, b): c}}`` with ``a < b`` generators ``x(block, .)``
+        for each ``y_i`` of nonzero class, by ``i``.  ``tau_1 = 0`` does not
+        make the automorphism trivial: it kills every commutator.
+
+        >>> IAWord.parse(2, "B(1,2) B(2,1)").johnson(3)
+        {1: {((3, 1), (3, 2)): 1}, 2: {((3, 1), (3, 2)): -1}}
+        >>> IAWord.parse(3, "B(1,2) B(1,3) B(1,2)^-1 B(1,3)^-1").johnson(3)
+        {}
+        """
+        classes = {}
+        for gen, exp in self.factors:
+            a, b = gen[1:3] if gen[0] == "beta" else gen[2:]
+            if a > b:
+                a, b, exp = b, a, -exp
+            row = classes.setdefault(gen[1], {})
+            pair = ((block, a), (block, b))
+            c = row.pop(pair, 0) + exp
+            if c:
+                row[pair] = c
+        return {i: classes[i] for i in sorted(classes) if classes[i]}
 
     def apply(self, w):
         """Apply the composed automorphism to a word in a single block.

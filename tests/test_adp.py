@@ -19,6 +19,8 @@ from almostdirect.adp import (
     upper_mccool,
     upper_mccool_mod_center,
 )
+from almostdirect.cli import format_spec
+from almostdirect.cli import main as cli_main
 from almostdirect.fox import abel_gradient
 from almostdirect.homology import delta2, verify_chain_map
 from almostdirect.words import IAWord, Word, beta, commutator, commutator_decompose, x
@@ -80,6 +82,24 @@ def test_images_payload_must_be_a_map():
         assert info.value.key == (1, 2, 1)
 
 
+def test_malformed_actions_raise_action_error_naming_the_key():
+    conj = IAWord.parse(2, "B(1,2)")
+    cases = [
+        ((1, 2, 1), ("magnus", "B(1,2)"), "a magnus action needs an IAWord"),
+        ((1, 2, 1), ("images", {1: "x(2,1)"}), "image of x(2,1) is not a Word"),
+        ((1, 2, 1), ("images", {"1": x(2, 1)}), "images must map each index"),
+        ((1, 2, 1), conj, "an action is a pair (kind, payload)"),
+        ((1, 2), (MAGNUS, conj), "action key must be a triple (i, j, p)"),
+        ("121", (MAGNUS, conj), "action key must be a triple (i, j, p)"),
+        ((1, 2, "1"), (MAGNUS, conj), "action key must be a triple (i, j, p)"),
+    ]
+    for key, action, message in cases:
+        with pytest.raises(ActionError) as info:
+            AdpSpec((2, 2), {key: action})
+        assert info.value.key == key
+        assert str(info.value).startswith(message), (key, action)
+
+
 def test_images_checks_report_the_first_failing_image():
     # images are checked in index order, whatever the order of the map;
     # within one image, leaving the block is reported before a wrong
@@ -111,6 +131,45 @@ def test_trivial_actions_are_dropped():
     assert spec.actions == {}
     identity_images = AdpSpec((1, 2), {(1, 2, 1): (IMAGES, {1: x(2, 1), 2: x(2, 2)})})
     assert identity_images.actions == {}
+
+
+def test_identity_words_are_dropped_from_actions_and_the_file():
+    # tau_1 = 0 for both words, so the images decide: nothing moves
+    cases = [
+        ((1, 2), IAWord.parse(2, "B(1,2) B(1,2)^-1")),
+        ((1, 4), IAWord.parse(4, "B(1,2) B(3,4) B(1,2)^-1 B(3,4)^-1")),
+    ]
+    for ranks, ia in cases:
+        assert ia.johnson(2) == {}
+        assert all(w == x(2, q) for q, w in enumerate(ia.images(2), start=1))
+        spec = AdpSpec(ranks, {(1, 2, 1): (MAGNUS, ia)})
+        assert spec.actions == {} and spec == AdpSpec(ranks)
+        assert format_spec(spec) == format_spec(AdpSpec(ranks))
+        assert "action" not in format_spec(spec)
+
+
+def test_an_action_with_zero_tau_1_that_moves_is_kept(tmp_path, capsys):
+    ia = IAWord.parse(3, "B(1,2) B(1,3) B(1,2)^-1 B(1,3)^-1")
+    # its first image is x(2,1) conjugated by a commutator: not the identity
+    images = dict(enumerate(ia.images(2), start=1))
+    assert images[1] != x(2, 1) and images[1].exponent_sums() == {(2, 1): 1}
+    assert images[2] == x(2, 2) and images[3] == x(2, 3)
+    assert ia.johnson(2) == {}
+    spec = AdpSpec((1, 3), {(1, 2, 1): (MAGNUS, ia)})
+    assert spec.actions == {(1, 2, 1): (MAGNUS, ia)}
+    assert not spec.acts_trivially_beyond(1)
+    assert format_spec(spec).splitlines()[-1] == "action 2 1 1 = %s" % ia
+    twin = AdpSpec((1, 3), {(1, 2, 1): (IMAGES, {1: images[1]})})
+    assert spec == twin and twin == spec and hash(spec) == hash(twin)
+    # the rank-1 block acts, so tc counts no torus block, as on the twin
+    outputs = []
+    for k, sp in enumerate((spec, twin)):
+        path = tmp_path / ("%d.spec" % k)
+        path.write_text(format_spec(sp))
+        assert cli_main(["tc", str(path), "--porcelain"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "tc-torus-blocks 0" in outputs[0].splitlines()
 
 
 def test_spec_equality_ignores_name():
@@ -370,19 +429,26 @@ def test_magnus_spec_applies_each_action_once_per_generator(count_calls):
     }
     spec = AdpSpec((1, 2, 3), actions)
     twin = AdpSpec((1, 2, 3), actions)
-    # two specs of three actions on a rank-3 block: one table of images
-    # per action, no generator applied on its own, and the trivial action
-    # is still dropped
-    assert len(calls) == 2 * 3
+    # the trivial action has tau_1 = 0, so each spec expands it once and
+    # drops it; tau_1 proves that the other two move, so they stay words
+    assert calls == [(trivial, 3)] * 2
     assert applied == []
     assert set(spec.actions) == {(1, 3, 1), (2, 3, 1)}
     del calls[:]
+    # equal actions compare equal without a table
+    assert spec == twin
+    assert calls == []
+    # the first read of the table expands each kept action once, and no
+    # generator is applied on its own
     for word in build_presentation(spec).values():
         commutator_decompose(word, "last")
     for key in all_keys(spec):
         spec.action_image(*key)
+    assert len(calls) == 2 and applied == []
+    assert hash(spec) == hash(twin)
+    assert len(calls) == 2 + 2
     assert spec == twin and hash(spec) == hash(twin)
-    assert calls == []
+    assert len(calls) == 2 + 2
 
 
 def conjugate(a, w):

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -545,6 +546,118 @@ def test_verify_round_trip_compares_the_reread_images_spec(
     rc, out, err = run(capsys, ["verify", "builtin:purebraid:4", "--porcelain"])
     assert rc == 2
     assert "verify round-trip fail" in out.splitlines()
+
+
+GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
+
+# IA words of 40 factors: (B(1,2) B(2,1))^20, whose images grow linearly,
+# and one of rank 3 whose images would hold over 10^17 letters (six of its
+# periods already make 153,719,787)
+FORTY_FACTORS = (
+    (2, " ".join(["B(1,2) B(2,1)"] * 20)),
+    (3, " ".join(["T(1;2,3) T(2;3,1) T(3;1,2)"] * 13 + ["T(1;2,3)"])),
+)
+
+
+def test_forty_factor_actions_are_never_expanded(monkeypatch, capsys, tmp_path):
+    def refuse(ia, block):
+        raise AssertionError("IA word expanded")
+
+    monkeypatch.setattr(IAWord, "images", refuse)
+    calls = (
+        ["cohomology"],
+        ["tc"],
+        ["zcl"],
+        ["lcs"],
+        ["hilbert", "--check"],
+        ["verify"],
+    )
+    outputs = []
+    for n, word in FORTY_FACTORS:
+        assert len(IAWord.parse(n, word).factors) == 40
+        path = tmp_path / ("rank%d.spec" % n)
+        path.write_text("ranks = 1 %d\nmode = magnus\naction 2 1 1 = %s\n" % (n, word))
+        for argv in calls:
+            start = time.perf_counter()
+            rc, out, err = run(capsys, [argv[0], str(path), *argv[1:], "--porcelain"])
+            elapsed = time.perf_counter() - start
+            assert (rc, err) == (0, ""), argv
+            assert elapsed < 0.5, (argv, elapsed)
+            outputs.append(out)
+    # the rows are the factor counts: tau_1 sends x(2,1) to 20 e(2,1)e(2,2)
+    # and x(2,2) to -20 e(2,1)e(2,2) in the first spec
+    assert outputs[0].splitlines()[2] == (
+        "eta 2 1 2 -20*e(1,1)e(2,1)+20*e(1,1)e(2,2)+1*e(2,1)e(2,2)"
+    )
+    for out in (outputs[5], outputs[11]):
+        assert out.splitlines()[-1] == "verify-summary ok"
+
+
+def test_verify_expands_no_word_of_the_golden_magnus_specs(count_calls, capsys):
+    calls = count_calls(IAWord, "images")
+    for name in ("longword-1-3", "longword-2-2"):
+        path = GOLDEN_SPECS / (name + ".spec")
+        for form in (["--porcelain"], []):
+            rc, out, err = run(capsys, ["verify", str(path), *form])
+            assert (rc, err) == (0, "")
+    assert calls == []
+
+
+def tamper_magnus_round_trip(monkeypatch, writer=None, parser=None):
+    # verify of longword-2-2 with format_spec or the parse of its text
+    # replaced; the loaded spec is read as it is
+    import almostdirect.cli as cli
+
+    spec = load_spec(str(GOLDEN_SPECS / "longword-2-2.spec"))
+    with monkeypatch.context() as m:
+        if writer is not None:
+            real_format = cli.format_spec
+            m.setattr(cli, "format_spec", lambda s: writer(real_format(s)))
+        if parser is not None:
+            real_parse = cli.parse_spec
+            m.setattr(cli, "parse_spec", lambda text: parser(real_parse(text)))
+        m.setattr(cli, "load_spec", lambda argument: spec)
+        return main(["verify", "longword-2-2", "--porcelain"])
+
+
+# a commutator has tau_1 = 0, so only the images tell the tampered action
+# from the true one
+COMMUTATOR = "B(1,2) B(2,1) B(1,2)^-1 B(2,1)^-1"
+
+
+def test_verify_round_trip_fails_on_a_tampered_magnus_writer(monkeypatch, capsys):
+    commutator = IAWord.parse(2, COMMUTATOR)
+    assert commutator.johnson(2) == {}
+    assert commutator.images(2) != (x(2, 1), x(2, 2))
+    writers = (
+        lambda text: text.rsplit("action", 1)[0],  # drops the last action
+        lambda text: text.rstrip("\n") + " " + COMMUTATOR + "\n",
+        lambda text: text.replace("B(1,2)", "B(2,1)", 1),
+    )
+    for writer in writers:
+        assert tamper_magnus_round_trip(monkeypatch, writer=writer) == 2
+        assert "verify round-trip fail" in capsys.readouterr().out.splitlines()
+
+
+def test_verify_round_trip_fails_on_a_tampered_magnus_parser(monkeypatch, capsys):
+    def appended(spec, ia):
+        # the last action composed with ia
+        key, (kind, last) = list(spec.actions.items())[-1]
+        actions = dict(spec.actions)
+        actions[key] = (kind, IAWord(last.rank, last.factors + ia.factors))
+        return AdpSpec(spec.ranks, actions)
+
+    parsers = (
+        lambda spec: appended(spec, IAWord.parse(2, COMMUTATOR)),
+        lambda spec: appended(spec, IAWord.parse(2, "B(1,2)")),
+        lambda spec: AdpSpec(spec.ranks, {}),
+    )
+    for parser in parsers:
+        assert tamper_magnus_round_trip(monkeypatch, parser=parser) == 2
+        assert "verify round-trip fail" in capsys.readouterr().out.splitlines()
+    # an untampered round trip passes
+    assert tamper_magnus_round_trip(monkeypatch, parser=lambda spec: spec) == 0
+    assert "verify round-trip ok" in capsys.readouterr().out.splitlines()
 
 
 def tamper_image(monkeypatch, key, extra):

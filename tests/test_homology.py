@@ -6,6 +6,7 @@ import pytest
 
 from almostdirect import homology
 from almostdirect.adp import (
+    MAGNUS,
     build_presentation,
     extend_with_torus,
     partial_pure_braid,
@@ -31,6 +32,7 @@ from almostdirect.laurent import LaurentPoly, t
 from almostdirect.words import Word, commutator_decompose, x
 from oracles import dense, koszul_d1, sorted_generator_pairs
 from test_acceptance import pair_matrix, specs_under_test
+from test_benchmark_targets import load
 from test_cli import INCONSISTENT
 from test_words import reassemble
 
@@ -293,6 +295,48 @@ def test_rows_off_the_images_equal_rows_off_the_relation_words():
         words = h2_matrix(spec.ranks, build_presentation(spec)).rows
         assert list(images.items()) == list(words.items()), spec
     assert len(specs) == len(specs_under_test()) + 203
+
+
+def test_johnson_rows_equal_the_rows_off_the_expanded_images(monkeypatch):
+    # the ring reads a magnus action through tau_1, with no word expanded;
+    # each of its rows equals the row read off the expanded image, term for
+    # term (a key without a stored row has its unit row), and the eta
+    # tables are equal, in the same order
+    from almostdirect import exterior
+
+    specs = [
+        spec
+        for spec in specs_under_test()
+        if any(kind == MAGNUS for kind, _ in spec.actions.values())
+    ]
+    specs += [random_spec(random.Random(s), max_factors=8) for s in range(1000)]
+    specs += [
+        load_spec(str(GOLDEN_SPECS / ("longword-%s.spec" % name)))
+        for name in ("1-3", "2-2")
+    ]
+    specs += [job.spec for job in load("workloads").make_jobs("verify_longwords", 1)]
+    built = []
+    real = exterior.h2_matrix
+
+    def recorded(ranks, table):
+        built.append(real(ranks, table))
+        return built[-1]
+
+    monkeypatch.setattr(exterior, "h2_matrix", recorded)
+    for spec in specs:
+        del built[:]
+        exterior.cohomology_ring(spec)
+        (johnson,) = built
+        images = real(spec.ranks, spec.images)
+        for key in relation_keys(spec.ranks):
+            i, j, p, q = key
+            unit = {((i, p), (j, q)): 1}
+            assert johnson.rows.get(key, unit) == images.rows.get(key, unit), key
+        etas = [(k, list(v.items())) for k, v in kernel_basis(johnson).items()]
+        expect = [(k, list(v.items())) for k, v in kernel_basis(images).items()]
+        assert etas == expect, spec
+    # 24 of the fifty random specs of specs_under_test() act at all
+    assert len(specs) == 24 + 1000 + 2 + 27
 
 
 def not_reassembled(ranks, words):
