@@ -83,9 +83,9 @@ class AdpSpec:
     image of ``x(j,q)`` under ``x(i,p)``, keyed ``(i, j, p, q)``, for every
     generator the action moves, in relation order.  A magnus action
     expands with :meth:`~almostdirect.words.IAWord.images`.
-    :meth:`action_image`, :func:`build_presentation`, ``hash``, the images
-    form of ``format_spec`` and ``==`` on unequal actions read it; the ring
-    reads ``tau_1`` instead.
+    :meth:`action_image`, :func:`build_presentation`, the images form of
+    ``format_spec`` and ``==`` on unequal actions read it; the ring reads
+    ``tau_1`` instead, and ``hash`` reads the keys of ``actions``.
     """
 
     __slots__ = ("ranks", "actions", "name", "_images")
@@ -217,7 +217,8 @@ class AdpSpec:
         )
 
     def __hash__(self):
-        return hash((self.ranks, frozenset(self.images.items())))
+        # both encodings drop exactly the actions that move nothing
+        return hash((self.ranks, frozenset(self.actions)))
 
     def __repr__(self):
         label = self.name or "adp"
@@ -284,9 +285,7 @@ def pure_braid(l):
     """
     if l < 2:
         raise ValueError("pure braid needs at least 2 strands")
-    spec = _braid_block_spec(ranks=tuple(range(1, l)), shift=0)
-    spec.name = "purebraid %d" % l
-    return spec
+    return _conjugation_spec(range(1, l), "purebraid %d" % l, band=True)
 
 
 def partial_pure_braid(l, k):
@@ -298,30 +297,8 @@ def partial_pure_braid(l, k):
     """
     if l < 1 or k < 1:
         raise ValueError("partial pure braid needs l >= 1 and k >= 1")
-    spec = _braid_block_spec(ranks=tuple(range(k, k + l)), shift=k - 1)
-    spec.name = "partialpurebraid %d %d" % (l, k)
-    return spec
-
-
-def _braid_block_spec(ranks, shift):
-    # Internal block a is braid block a + shift; x(a,p) crosses strand p
-    # over strand a + shift + 1.  Images follow the band generator tables.
-    # Each moved image is c x(b,q) c^-1 where c ends in x(b,s)^+-1 and
-    # q != s, or c = x(b,p) and q = s > p: no image needs reducing.
-    actions = {}
-    l = len(ranks)
-    for a in range(1, l + 1):
-        s = a + shift + 1  # strand pulled over by block a
-        for b in range(a + 1, l + 1):
-            for p in range(1, ranks[a - 1] + 1):
-                xp, xs = ((b, p), 1), ((b, s), 1)
-                images = {p: _conjugate((xp, xs), (b, p))}
-                band = (xp, xs, ((b, p), -1), ((b, s), -1))
-                for q in range(p + 1, s):
-                    images[q] = _conjugate(band, (b, q))
-                images[s] = _conjugate((xp,), (b, s))
-                actions[(a, b, p)] = (IMAGES, images)
-    return AdpSpec(ranks, actions)
+    name = "partialpurebraid %d %d" % (l, k)
+    return _conjugation_spec(range(k, k + l), name, band=True)
 
 
 def upper_mccool(n):
@@ -333,23 +310,7 @@ def upper_mccool(n):
     """
     if n < 2:
         raise ValueError("upper McCool needs n >= 2")
-    spec = _mccool_spec(ranks=tuple(range(1, n)), shift=0)
-    spec.name = "uppermccool %d" % n
-    return spec
-
-
-def _mccool_spec(ranks, shift):
-    # Internal block a is McCool block a + shift; x(a,p) conjugates
-    # x(b, a + shift + 1) by x(b,p) in every later block b.
-    actions = {}
-    l = len(ranks)
-    for a in range(1, l + 1):
-        s = a + shift + 1
-        for b in range(a + 1, l + 1):
-            for p in range(1, ranks[a - 1] + 1):
-                moved = _conjugate((((b, p), 1),), (b, s))
-                actions[(a, b, p)] = (IMAGES, {s: moved})
-    return AdpSpec(ranks, actions)
+    return _conjugation_spec(range(1, n), "uppermccool %d" % n, band=False)
 
 
 def pure_braid_mod_center(l):
@@ -360,18 +321,39 @@ def pure_braid_mod_center(l):
     """
     if l < 3:
         raise ValueError("central quotient needs l >= 3")
-    spec = _braid_block_spec(ranks=tuple(range(2, l)), shift=1)
-    spec.name = "purebraidbar %d" % l
-    return spec
+    return _conjugation_spec(range(2, l), "purebraidbar %d" % l, band=True)
 
 
 def upper_mccool_mod_center(n):
     """The upper McCool group on ``n`` strands modulo its center."""
     if n < 3:
         raise ValueError("central quotient needs n >= 3")
-    spec = _mccool_spec(ranks=tuple(range(2, n)), shift=1)
-    spec.name = "uppermccoolbar %d" % n
-    return spec
+    return _conjugation_spec(range(2, n), "uppermccoolbar %d" % n, band=False)
+
+
+def _conjugation_spec(ranks, name, band):
+    # A block a of rank n acts through strand s = n + 1: x(a,p) conjugates
+    # x(b,s) by x(b,p) in every later block b, which is the McCool action
+    # and the image of x(b,s) under the band crossing strand p over strand
+    # s.  The band also moves x(b,p) and each x(b,q), p < q < s.  Each moved
+    # image is c x(b,q) c^-1 where c ends in x(b,s)^+-1 and q != s, or
+    # c = x(b,p) and q = s > p: no image needs reducing.
+    actions = {}
+    l = len(ranks)
+    for a, n in enumerate(ranks, start=1):
+        s = n + 1
+        for b in range(a + 1, l + 1):
+            for p in range(1, n + 1):
+                xp = ((b, p), 1)
+                images = {s: _conjugate((xp,), (b, s))}
+                if band:
+                    xs = ((b, s), 1)
+                    images[p] = _conjugate((xp, xs), (b, p))
+                    bracket = (xp, xs, ((b, p), -1), ((b, s), -1))
+                    for q in range(p + 1, s):
+                        images[q] = _conjugate(bracket, (b, q))
+                actions[(a, b, p)] = (IMAGES, images)
+    return AdpSpec(ranks, actions, name)
 
 
 def extend_with_torus(spec, m):

@@ -104,11 +104,9 @@ def parse_spec(text):
         head, col = tokens[0]
         if head != "action":
             tokens += [(m.group(), m.start() + 1) for m in found]
-        if builtin is not None:
+        if builtin is not None or (head == "builtin" and saw_statement):
             _fail(lineno, col, "builtin line must be the whole spec")
         if head == "builtin":
-            if saw_statement:
-                _fail(lineno, col, "builtin line must be the whole spec")
             builtin = _parse_builtin(lineno, tokens)
         elif head == "ranks":
             if ranks is not None:
@@ -221,6 +219,7 @@ def _parse_action(lineno, line, tokens, ranks, mode, actions, first_line):
             "acting index %d exceeds rank %d of block %d"
             % (p, ranks[i - 1], i),
         )
+    first_line.setdefault((i, j, p), (lineno, tokens[0][1]))
     sep, sep_col = tokens[4]
     if sep == "=":
         if mode != MAGNUS:
@@ -234,7 +233,6 @@ def _parse_action(lineno, line, tokens, ranks, mode, actions, first_line):
         except ValueError as err:
             _fail(lineno, payload_col + 1, str(err))
         actions[(i, j, p)] = (MAGNUS, ia)
-        first_line.setdefault((i, j, p), (lineno, tokens[0][1]))
     elif sep == ":":
         if mode != IMAGES:
             _fail(lineno, sep_col, "':' action line needs 'mode = images'")
@@ -262,7 +260,6 @@ def _parse_action(lineno, line, tokens, ranks, mode, actions, first_line):
             qmap[q] = Word.parse(payload)
         except ValueError as err:
             _fail(lineno, payload_col, str(err))
-        first_line.setdefault((i, j, p), (lineno, tokens[0][1]))
     else:
         _fail(lineno, sep_col, "expected '=' or ':' after the action key")
 
@@ -275,7 +272,7 @@ def format_spec(spec):
     Both read the spec in its relation order.
     """
     lines = ["ranks = " + " ".join(str(n) for n in spec.ranks)]
-    if all(kind == MAGNUS for kind, _ in spec.actions.values()):
+    if not spec.has_uncertified_images:
         lines.append("mode = magnus")
         for (i, j, p), (_, ia) in spec.actions.items():
             lines.append("action %d %d %d = %s" % (j, i, p, ia))
@@ -363,26 +360,26 @@ def cmd_present(spec, args, out):
 
 def cmd_cohomology(spec, args, out):
     ring = cohomology_ring(spec)
+    gens = " ".join(mono_token((g,)) for g in ring.gens)
     if args.porcelain:
-        out.append("generators " + " ".join(mono_token((g,)) for g in ring.gens))
-        for (j, p), (_, q) in ring.etas:
-            out.append("eta %d %d %d %s" % (j, p, q, elem_token(ring.eta(j, p, q))))
-        if args.basis:
-            for deg in range(0, ring.num_blocks + 1):
-                monos = " ".join(mono_token(m) for m in ring.basis(deg))
-                out.append("basis %d %s" % (deg, monos or "-"))
+        out.append("generators " + gens)
     else:
+        out += ["generators: " + gens, "relations (ideal generators):"]
+    for (j, p), (_, q) in ring.etas:
+        eta = ring.eta(j, p, q)
         out.append(
-            "generators: " + " ".join(mono_token((g,)) for g in ring.gens)
+            "eta %d %d %d %s" % (j, p, q, elem_token(eta))
+            if args.porcelain
+            else "  eta(%d;%d,%d) = %s" % (j, p, q, eta)
         )
-        out.append("relations (ideal generators):")
-        for (j, p), (_, q) in ring.etas:
-            out.append("  eta(%d;%d,%d) = %s" % (j, p, q, ring.eta(j, p, q)))
-        if args.basis:
-            for deg in range(0, ring.num_blocks + 1):
-                monos = ring.basis(deg)
-                shown = " ".join(mono_token(m) for m in monos) or "-"
-                out.append("H^%d basis (%d): %s" % (deg, len(monos), shown))
+    for deg in range(ring.num_blocks + 1) if args.basis else ():
+        monos = ring.basis(deg)
+        shown = " ".join(mono_token(m) for m in monos) or "-"
+        out.append(
+            "basis %d %s" % (deg, shown)
+            if args.porcelain
+            else "H^%d basis (%d): %s" % (deg, len(monos), shown)
+        )
     return 0
 
 

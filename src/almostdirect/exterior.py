@@ -118,7 +118,7 @@ elimination, which costs ``C(N, k-2) #eta`` rows in degree ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .adp import MAGNUS, generators
@@ -399,17 +399,11 @@ class CohomologyRing:
         """Normal monomials of degree ``k`` in deg-lex order."""
         if k < 0 or k > len(self.ranks):
             return []
-        monos = []
-        blocks = range(1, len(self.ranks) + 1)
-        for chosen in combinations(blocks, k):
-            picks = [()]
-            for j in chosen:
-                picks = [
-                    m + ((j, p),)
-                    for m in picks
-                    for p in range(1, self.ranks[j - 1] + 1)
-                ]
-            monos.extend(tuple(m) for m in picks)
+        gens = [
+            [(j, p) for p in range(1, n + 1)]
+            for j, n in enumerate(self.ranks, start=1)
+        ]
+        monos = [m for chosen in combinations(gens, k) for m in product(*chosen)]
         return sorted(monos, key=deg_lex_key)
 
     def dimension(self, k):

@@ -79,6 +79,7 @@ so :func:`h2_matrix` builds their rows only: the other rows are implied by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .adp import relation_keys
 from .fox import abel_gradient
@@ -274,10 +275,9 @@ def kernel_basis(matrix):
     """
     etas = {}
     for j, n in enumerate(matrix.ranks, start=1):
-        for p in range(1, n + 1):
-            for q in range(p + 1, n + 1):
-                lead = ((j, p), (j, q))
-                etas[lead] = {lead: 1}
+        for p, q in combinations(range(1, n + 1), 2):
+            lead = ((j, p), (j, q))
+            etas[lead] = {lead: 1}
     for (i, j, r, s), row in matrix.rows.items():
         for col, c in row.items():
             if col[0][0] == col[1][0] == j:

@@ -445,10 +445,11 @@ def test_magnus_spec_applies_each_action_once_per_generator(count_calls):
     for key in all_keys(spec):
         spec.action_image(*key)
     assert len(calls) == 2 and applied == []
+    # hash reads the action keys, so it expands nothing
     assert hash(spec) == hash(twin)
-    assert len(calls) == 2 + 2
+    assert len(calls) == 2
     assert spec == twin and hash(spec) == hash(twin)
-    assert len(calls) == 2 + 2
+    assert len(calls) == 2
 
 
 def conjugate(a, w):

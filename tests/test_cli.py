@@ -13,6 +13,7 @@ import almostdirect
 
 from almostdirect import homology
 from almostdirect.adp import (
+    BUILTINS,
     IMAGES,
     MAGNUS,
     ActionError,
@@ -435,6 +436,14 @@ def test_load_spec_builtin_reference():
         load_spec("builtin:purebraid:x")
 
 
+def test_every_builtin_is_named_by_its_reference():
+    sizes = {1: ((3,), (6,)), 2: ((1, 3), (3, 2))}
+    for name, (_, nargs) in BUILTINS.items():
+        for args in sizes[nargs]:
+            words = [name, *map(str, args)]
+            assert load_spec(":".join(["builtin", *words])).name == " ".join(words)
+
+
 def test_builtin_reference_errors_read_like_the_file_form(capsys, tmp_path):
     # one parser for both forms; the inline one has no position to name
     rc, out, err = run(capsys, ["present", "builtin:purebraid:x"])
@@ -577,6 +586,9 @@ def test_forty_factor_actions_are_never_expanded(monkeypatch, capsys, tmp_path):
         assert len(IAWord.parse(n, word).factors) == 40
         path = tmp_path / ("rank%d.spec" % n)
         path.write_text("ranks = 1 %d\nmode = magnus\naction 2 1 1 = %s\n" % (n, word))
+        # hash reads the action keys, not the images
+        twin = AdpSpec((1, n), {(1, 2, 1): (MAGNUS, IAWord.parse(n, word))})
+        assert hash(load_spec(str(path))) == hash(twin)
         for argv in calls:
             start = time.perf_counter()
             rc, out, err = run(capsys, [argv[0], str(path), *argv[1:], "--porcelain"])
