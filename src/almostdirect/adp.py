@@ -83,9 +83,10 @@ class AdpSpec:
     image of ``x(j,q)`` under ``x(i,p)``, keyed ``(i, j, p, q)``, for every
     generator the action moves, in relation order.  A magnus action
     expands with :meth:`~almostdirect.words.IAWord.images`.
-    :meth:`action_image`, :func:`build_presentation`, the images form of
-    ``format_spec`` and ``==`` on unequal actions read it; the ring reads
-    ``tau_1`` instead, and ``hash`` reads the keys of ``actions``.
+    :meth:`action_image`, :func:`build_presentation` and the images form
+    of ``format_spec`` read it; ``==`` compares only the actions that
+    differ, by ``tau_1`` when both are IA words and then by the images they
+    move; the ring reads ``tau_1``, and ``hash`` the keys of ``actions``.
     """
 
     __slots__ = ("ranks", "actions", "name", "_images")
@@ -142,8 +143,8 @@ class AdpSpec:
                     "IA word has rank %d but block %d has rank %d"
                     % (payload.rank, j, n)
                 )
-            moves = payload.johnson(j) or _magnus_images(j, payload)
-            return (MAGNUS, payload) if moves else None
+            action = (MAGNUS, payload)
+            return action if payload.johnson(j) or _moved(j, action) else None
         if kind != IMAGES:
             raise ValueError("unknown action kind %r" % (kind,))
         if not (
@@ -178,12 +179,11 @@ class AdpSpec:
     @property
     def images(self):
         if self._images is None:
-            table = {}
-            for (i, j, p), (kind, payload) in self.actions.items():
-                moved = payload if kind == IMAGES else _magnus_images(j, payload)
-                for q, w in moved.items():
-                    table[(i, j, p, q)] = w
-            self._images = table
+            self._images = {
+                (i, j, p, q): w
+                for (i, j, p), action in self.actions.items()
+                for q, w in _moved(j, action).items()
+            }
         return self._images
 
     @property
@@ -208,13 +208,24 @@ class AdpSpec:
         return not any(key[0] == i for key in self.actions)
 
     def __eq__(self, other):
-        # equal canonical actions give equal tables; otherwise the table
-        # decides, so the magnus and images encodings of a product are equal
-        return (
-            isinstance(other, AdpSpec)
-            and self.ranks == other.ranks
-            and (self.actions == other.actions or self.images == other.images)
-        )
+        # both encodings keep exactly the actions that move something, so
+        # equal specs have equal keys; tau_1 is a homomorphism, so magnus
+        # words with different tau_1 differ
+        if not (isinstance(other, AdpSpec) and self.ranks == other.ranks):
+            return False
+        if self.actions == other.actions:
+            return True
+        if self.actions.keys() != other.actions.keys():
+            return False
+        for key, a in self.actions.items():
+            b, j = other.actions[key], key[1]
+            if a == b:
+                continue
+            if a[0] == b[0] == MAGNUS and a[1].johnson(j) != b[1].johnson(j):
+                return False
+            if _moved(j, a) != _moved(j, b):
+                return False
+        return True
 
     def __hash__(self):
         # both encodings drop exactly the actions that move nothing
@@ -260,11 +271,14 @@ def build_presentation(spec):
     return {key: x(key[1], key[3], -1) * image for key, image in spec.images.items()}
 
 
-def _magnus_images(j, ia):
-    # {q: image} for each generator x(j,q) the IA word moves, by q
+def _moved(j, action):
+    # {q: image} for each generator x(j,q) the action moves, by q
+    kind, payload = action
+    if kind == IMAGES:
+        return payload
     return {
         q: w
-        for q, w in enumerate(ia.images(j), start=1)
+        for q, w in enumerate(payload.images(j), start=1)
         if w.letters != (((j, q), 1),)
     }
 

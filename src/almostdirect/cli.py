@@ -93,7 +93,6 @@ def parse_spec(text):
     builtin = None
     actions = {}
     first_line = {}
-    saw_statement = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         found = _TOKEN_RE.finditer(line)
@@ -104,7 +103,7 @@ def parse_spec(text):
         head, col = tokens[0]
         if head != "action":
             tokens += [(m.group(), m.start() + 1) for m in found]
-        if builtin is not None or (head == "builtin" and saw_statement):
+        if builtin is not None or (head == "builtin" and (ranks or mode)):
             _fail(lineno, col, "builtin line must be the whole spec")
         if head == "builtin":
             builtin = _parse_builtin(lineno, tokens)
@@ -132,7 +131,6 @@ def parse_spec(text):
             )
         else:
             _fail(lineno, col, "unknown directive %r" % head)
-        saw_statement = True
     if builtin is not None:
         return builtin
     if ranks is None:
@@ -624,7 +622,3 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -532,9 +532,3 @@ def cohomology_ring(spec):
         for q, entry in moved.items():
             table[(i, j, p, q)] = entry
     return CohomologyRing(spec.ranks, kernel_basis(h2_matrix(spec.ranks, table)))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -107,9 +107,3 @@ def abel_gradient(w):
     """
     grad = {g: abelianize(d) for g, d in fox_gradient(w).items()}
     return {g: poly for g, poly in grad.items() if poly}
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

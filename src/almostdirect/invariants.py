@@ -368,9 +368,3 @@ def tc_certificate(spec):
         free_blocks=free_blocks,
         torus_blocks=torus_blocks,
     )
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

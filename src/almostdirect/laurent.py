@@ -66,9 +66,3 @@ def t(block, index, power=1):
     if power == 0:
         return LaurentPoly.constant(1)
     return LaurentPoly({(((block, index), power),): 1})
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

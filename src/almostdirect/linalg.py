@@ -96,9 +96,3 @@ def span_rank(rows):
     for row in _keyed(rows):
         elim.add(row)
     return elim.rank
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

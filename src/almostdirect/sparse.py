@@ -160,9 +160,3 @@ class Sparse:
         return out[2:] if out.startswith("+ ") else out[0] + out[2:]
 
     __repr__ = __str__
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -292,12 +292,16 @@ class IAWord:
 
     def __init__(self, rank, factors=()):
         factors = tuple((gen, exp) for gen, exp in factors)
-        for gen, exp in factors:
-            if exp not in (1, -1):
-                raise ValueError("IA factor exponents must be +1 or -1")
+        if not {exp for _, exp in factors} <= {1, -1}:
+            raise ValueError("IA factor exponents must be +1 or -1")
+        # each generator once, in the order of its first factor
+        for gen in dict.fromkeys(gen for gen, _ in factors):
             indices = gen[1:]
             if gen[0] not in ("beta", "theta"):
                 raise ValueError("unknown IA generator kind %r" % (gen[0],))
+            arity = 2 if gen[0] == "beta" else 3
+            if len(indices) != arity or not all(isinstance(k, int) for k in indices):
+                raise ValueError("IA generator %r needs %d int indices" % (gen, arity))
             if len(set(indices)) != len(indices):
                 raise ValueError("IA generator indices must be distinct")
             if any(not (1 <= k <= rank) for k in indices):
@@ -316,9 +320,6 @@ class IAWord:
 
     def __hash__(self):
         return hash((self.rank, self.factors))
-
-    def is_identity(self):
-        return not self.factors
 
     def inverse(self):
         return IAWord(
@@ -479,9 +480,3 @@ def _factor_image(gen, exp):
     if exp == 1:
         return [(i, 1), (s, 1), (t, 1), (s, -1), (t, -1)]
     return [(i, 1), (t, 1), (s, 1), (t, -1), (s, -1)]
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -77,6 +77,38 @@ def test_cohomology_lists_ideal_and_basis(capsys):
     assert "H^2 basis (2): e(1,1)e(2,1) e(1,1)e(2,2)" in out
 
 
+def test_cohomology_basis_porcelain(capsys):
+    rc, out, err = run(
+        capsys, ["cohomology", "builtin:purebraid:3", "--basis", "--porcelain"]
+    )
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "ranks 1 2",
+        "generators e(1,1) e(2,1) e(2,2)",
+        "eta 2 1 2 +1*e(1,1)e(2,1)-1*e(1,1)e(2,2)+1*e(2,1)e(2,2)",
+        "basis 0 1",
+        "basis 1 e(1,1) e(2,1) e(2,2)",
+        "basis 2 e(1,1)e(2,1) e(1,1)e(2,2)",
+    ]
+    # a rank-2 first block has a relation of its own
+    rc, out, err = run(
+        capsys, ["cohomology", "builtin:uppermccoolbar:4", "--basis", "--porcelain"]
+    )
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "ranks 2 3",
+        "generators e(1,1) e(1,2) e(2,1) e(2,2) e(2,3)",
+        "eta 1 1 2 +1*e(1,1)e(1,2)",
+        "eta 2 1 2 +1*e(2,1)e(2,2)",
+        "eta 2 1 3 -1*e(1,1)e(2,3)+1*e(2,1)e(2,3)",
+        "eta 2 2 3 -1*e(1,2)e(2,3)+1*e(2,2)e(2,3)",
+        "basis 0 1",
+        "basis 1 e(1,1) e(1,2) e(2,1) e(2,2) e(2,3)",
+        "basis 2 e(1,1)e(2,1) e(1,1)e(2,2) e(1,1)e(2,3)"
+        " e(1,2)e(2,1) e(1,2)e(2,2) e(1,2)e(2,3)",
+    ]
+
+
 def test_hilbert_check(capsys):
     rc, out, err = run(capsys, ["hilbert", "builtin:purebraid:4", "--check"])
     assert rc == 0
@@ -338,6 +370,24 @@ def test_parse_spec_accepts_comments_and_defaults():
     spec = parse_spec(text)
     assert spec.ranks == (1, 2)
     assert (1, 2, 1) in spec.actions
+
+
+def test_a_builtin_line_must_be_the_whole_spec():
+    misplaced = (
+        ("ranks = 1 2\nbuiltin purebraid 3\n", 2, 1),
+        ("mode = images\nbuiltin purebraid 3\n", 2, 1),
+        ("builtin purebraid 3\nranks = 1 2\n", 2, 1),
+        ("builtin purebraid 3\nbuiltin purebraid 3\n", 2, 1),
+        ("ranks = 1 2\naction 2 1 1 = B(1,2)\n builtin purebraid 3\n", 3, 2),
+    )
+    for text, line, col in misplaced:
+        with pytest.raises(SpecFileError) as info:
+            parse_spec(text)
+        assert str(info.value) == (
+            "line %d, column %d: builtin line must be the whole spec" % (line, col)
+        )
+    # comments and blank lines are not statements
+    assert parse_spec("# c\n\n  builtin purebraid 3  # x\n").name == "purebraid 3"
 
 
 def test_images_mode_omitted_generators_stay_fixed():
@@ -603,6 +653,23 @@ def test_forty_factor_actions_are_never_expanded(monkeypatch, capsys, tmp_path):
     )
     for out in (outputs[5], outputs[11]):
         assert out.splitlines()[-1] == "verify-summary ok"
+
+
+def test_unequal_forty_factor_specs_compare_by_tau_1(monkeypatch):
+    def refuse(ia, block):
+        raise AssertionError("IA word expanded")
+
+    monkeypatch.setattr(IAWord, "images", refuse)
+    n, word = FORTY_FACTORS[1]
+    start = time.perf_counter()
+    specs = [
+        AdpSpec((1, n), {(1, 2, 1): (MAGNUS, IAWord.parse(n, text))})
+        for text in (word, word + " T(1;2,3)")
+    ]
+    # equal keys, so equal hashes: the set compares the two specs
+    assert specs[0] != specs[1]
+    assert len(set(specs)) == 2
+    assert time.perf_counter() - start < 0.5
 
 
 def test_verify_expands_no_word_of_the_golden_magnus_specs(count_calls, capsys):

@@ -184,6 +184,13 @@ def test_ia_word_rejects_out_of_range():
         IAWord(2, ((theta(1, 2, 3), 1),))
 
 
+def test_ia_word_rejects_a_generator_of_the_wrong_arity():
+    for gen in (("beta", 1, 2, 3), ("theta", 1, 2), ("beta", 1, "2")):
+        with pytest.raises(ValueError) as info:
+            IAWord(3, [(gen, 1)])
+        assert repr(gen) in str(info.value)
+
+
 def test_apply_builds_one_word(count_calls):
     ia = IAWord(3, [(beta(1, 2), 1), (theta(2, 1, 3), -1), (beta(3, 1), 1)])
     w = x(4, 1) * x(4, 2, -1) * x(4, 3) * x(4, 1)
