@@ -78,6 +78,10 @@ class AdpSpec:
     :meth:`~almostdirect.words.IAWord.johnson`, proves that it moves a
     generator, and only a word with ``tau_1 = 0`` is expanded to decide.
     ``actions`` comes in relation order (see :func:`relation_keys`).
+    ``tau1`` keeps the ``tau_1`` the check computes, keyed ``(i, j, p)``
+    like ``actions``, for every magnus action: the classes ``{q: {(a, b):
+    c}}`` of :meth:`~almostdirect.words.IAWord.johnson`.  Nothing computes
+    ``tau_1`` of a spec's action again.
 
     ``images`` is the spec's relation table, built on first access: the
     image of ``x(j,q)`` under ``x(i,p)``, keyed ``(i, j, p, q)``, for every
@@ -85,11 +89,11 @@ class AdpSpec:
     expands with :meth:`~almostdirect.words.IAWord.images`.
     :meth:`action_image`, :func:`build_presentation` and the images form
     of ``format_spec`` read it; ``==`` compares only the actions that
-    differ, by ``tau_1`` when both are IA words and then by the images they
-    move; the ring reads ``tau_1``, and ``hash`` the keys of ``actions``.
+    differ, by ``tau1`` when both are IA words and then by the images they
+    move; the ring reads ``tau1``, and ``hash`` the keys of ``actions``.
     """
 
-    __slots__ = ("ranks", "actions", "name", "_images")
+    __slots__ = ("ranks", "actions", "tau1", "name", "_images")
 
     def __init__(self, ranks, actions=None, name=""):
         ranks = tuple(int(n) for n in ranks)
@@ -98,11 +102,12 @@ class AdpSpec:
         self.ranks = ranks
         self.name = name
         self._images = None
+        self.tau1 = {}
         checked = {}  # in the order given, so the first invalid one raises
         for key, action in (actions or {}).items():
             try:
                 self._check_key(key)
-                action = self._checked(key[1], action)
+                action = self._checked(key, action)
             except ValueError as err:
                 raise ActionError(key, str(err)) from None
             if action is not None:
@@ -129,8 +134,10 @@ class AdpSpec:
                 % (p, self.ranks[i - 1], i)
             )
 
-    def _checked(self, j, action):
-        # the action in canonical form, or None when it moves nothing
+    def _checked(self, key, action):
+        # the action in canonical form, or None when it moves nothing; a
+        # kept magnus action leaves its tau_1 in ``self.tau1``
+        j = key[1]
         if not (isinstance(action, (tuple, list)) and len(action) == 2):
             raise ValueError("an action is a pair (kind, payload): %r" % (action,))
         kind, payload = action
@@ -144,7 +151,11 @@ class AdpSpec:
                     % (payload.rank, j, n)
                 )
             action = (MAGNUS, payload)
-            return action if payload.johnson(j) or _moved(j, action) else None
+            tau = payload.johnson(j)
+            if not (tau or _moved(j, action)):
+                return None
+            self.tau1[key] = tau
+            return action
         if kind != IMAGES:
             raise ValueError("unknown action kind %r" % (kind,))
         if not (
@@ -221,7 +232,7 @@ class AdpSpec:
             b, j = other.actions[key], key[1]
             if a == b:
                 continue
-            if a[0] == b[0] == MAGNUS and a[1].johnson(j) != b[1].johnson(j):
+            if a[0] == b[0] == MAGNUS and self.tau1[key] != other.tau1[key]:
                 return False
             if _moved(j, a) != _moved(j, b):
                 return False
@@ -380,6 +391,7 @@ def extend_with_torus(spec, m):
     out = AdpSpec(spec.ranks + (1,) * m, name=name)
     # the new blocks have no actions, so the checked ones carry over
     out.actions = dict(spec.actions)
+    out.tau1 = dict(spec.tau1)
     return out
 
 

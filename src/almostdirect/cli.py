@@ -87,12 +87,19 @@ _TOKEN_RE = re.compile(r"\S+")
 
 
 def parse_spec(text):
-    """Parse the spec file grammar into an :class:`AdpSpec`."""
+    """Parse the spec file grammar into an :class:`AdpSpec`.
+
+    The payloads of all action lines share one token table, which lives for
+    this call: each distinct word or IA factor token is read once, and a
+    parsed images table shares its letter tuples, as a builtin one does.
+    The table holds no rank; each word is checked against its block.
+    """
     ranks = None
     mode = None
     builtin = None
     actions = {}
     first_line = {}
+    table = {}  # the token table of the payloads
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         found = _TOKEN_RE.finditer(line)
@@ -128,6 +135,7 @@ def parse_spec(text):
                 mode or MAGNUS,
                 actions,
                 first_line,
+                table,
             )
         else:
             _fail(lineno, col, "unknown directive %r" % head)
@@ -201,7 +209,7 @@ def _parse_mode(lineno, tokens):
     return value
 
 
-def _parse_action(lineno, line, tokens, ranks, mode, actions, first_line):
+def _parse_action(lineno, line, tokens, ranks, mode, actions, first_line, table):
     if len(tokens) < 5:
         _fail(lineno, tokens[0][1], "action line too short")
     j = _expect_int(lineno, *tokens[1], what="target block")
@@ -227,7 +235,7 @@ def _parse_action(lineno, line, tokens, ranks, mode, actions, first_line):
         payload_col = sep_col + 1
         payload = line[sep_col:]
         try:
-            ia = IAWord.parse(ranks[j - 1], payload)
+            ia = IAWord.parse(ranks[j - 1], payload, table)
         except ValueError as err:
             _fail(lineno, payload_col + 1, str(err))
         actions[(i, j, p)] = (MAGNUS, ia)
@@ -255,7 +263,7 @@ def _parse_action(lineno, line, tokens, ranks, mode, actions, first_line):
         payload_col = tokens[6][1] + 2
         payload = line[payload_col - 1 :]
         try:
-            qmap[q] = Word.parse(payload)
+            qmap[q] = Word.parse(payload, table)
         except ValueError as err:
             _fail(lineno, payload_col, str(err))
     else:

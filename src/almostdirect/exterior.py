@@ -523,12 +523,14 @@ def cohomology_ring(spec):
     """Build the cohomology ring of a spec from its H2 rows.
 
     An images action gives its moved images, a magnus action the classes
-    ``tau_1`` of :meth:`~almostdirect.words.IAWord.johnson`, so no IA word
-    is expanded; the table comes in relation order, as ``spec.images``.
+    ``tau_1`` that the spec kept in ``spec.tau1``, so no IA word is
+    expanded and no ``tau_1`` computed; the table comes in relation order,
+    as ``spec.images``.
     """
     table = {}
-    for (i, j, p), (kind, payload) in spec.actions.items():
-        moved = payload.johnson(j) if kind == MAGNUS else payload
+    for key, (kind, payload) in spec.actions.items():
+        i, j, p = key
+        moved = spec.tau1[key] if kind == MAGNUS else payload
         for q, entry in moved.items():
             table[(i, j, p, q)] = entry
     return CohomologyRing(spec.ranks, kernel_basis(h2_matrix(spec.ranks, table)))

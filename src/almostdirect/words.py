@@ -11,13 +11,15 @@ abelianization: the basic ones conjugate one generator by another
 Commutator bookkeeping is done by :func:`commutator_decompose`, which writes
 any word with vanishing exponent sums as an ordered product of commutators
 ``[u_k, v_k]`` of subwords.  :meth:`IAWord.johnson` reads a composite of
-basic automorphisms to first order, one wedge per factor, with no word.
+basic automorphisms to first order, one wedge per distinct factor, with no
+word.  The parsers read each distinct token text of a payload once.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
+from collections import Counter
+from itertools import chain, islice
 
 __all__ = [
     "Word",
@@ -64,17 +66,59 @@ def _word(letters):
     return w
 
 
-_LETTER_RE = re.compile(r"x\((\d+),(\d+)\)(?:\^(-?\d+))?|\S")
+# one capturing group around a whole factor, so ``findall`` lists the factor
+# texts, and '' for a match of the final \S alternative
+_LETTER_RE = re.compile(r"(x\(\d+,\d+\)(?:\^-?\d+)?)|\S")
+_INT_RE = re.compile(r"-?\d+")
 
 
 def _scan(pattern, text, what):
-    # the factors of a payload, whitespace between them optional; every
-    # payload pattern ends in |\S, and a match of that alternative is a
-    # character no factor starts with: the syntax breaks there
+    # raise at the first character no factor starts with: every payload
+    # pattern ends in |\S, and a match of that alternative is where the
+    # syntax breaks
     for m in pattern.finditer(text):
         if m.lastindex is None:
             raise ValueError("bad %s syntax at %r" % (what, text[m.start() :]))
-        yield m
+
+
+def _read(pattern, text, what, decode, tokens):
+    # the tokens of a payload, decoded and chained.  A token is a run of
+    # non-blank characters: one factor as ``str`` writes it, or several
+    # written without blanks.  ``tokens`` maps each token text to its tuple
+    # of letters or factors, and each letter or factor to its one shared
+    # copy.  The distinct texts are decoded in the order of their first
+    # occurrence, each left to right, so the first bad factor of the text
+    # decides the error; only valid texts are stored.
+    found = text.split()
+    if tokens is None:
+        tokens = {}
+    for token in dict.fromkeys(found):
+        if token not in tokens:
+            parts = []
+            for factor in pattern.findall(token):
+                if not factor:  # a \S match: _scan raises there
+                    _scan(pattern, text, what)
+                parts += decode(factor, tokens)
+            tokens[token] = tuple(parts)
+    return chain.from_iterable(map(tokens.__getitem__, found))
+
+
+def _power(item, power):
+    # ``item`` repeated |power| times
+    try:
+        return (item,) * abs(power)
+    except OverflowError:
+        raise ValueError("exponent %d is too large" % power) from None
+
+
+def _letter_factor(text, tokens):
+    # ``x(b,i)^k`` as |k| shared letters
+    block, index, *power = map(int, _INT_RE.findall(text))
+    if block < 1 or index < 1:
+        raise ValueError("generator indices start at 1")
+    power = power[0] if power else 1
+    letter = ((block, index), 1 if power > 0 else -1)
+    return _power(tokens.setdefault(letter, letter), power)
 
 
 class Word:
@@ -182,21 +226,19 @@ class Word:
     __str__ = __repr__ = text
 
     @classmethod
-    def parse(cls, text):
+    def parse(cls, text, tokens=None):
         """Parse the notation produced by ``str``: ``x(1,1)^2 x(2,1)^-1``.
 
         Whitespace between letters is optional; ``1`` is the identity.
+        The payload splits at its blanks, and each distinct token is read
+        once.  ``tokens`` is a token table, a dict that starts empty, to
+        share between the parses of many words: each distinct token is then
+        read once for all of them, and they share their letter tuples.
         """
         text = text.strip()
         if text == "1" or not text:
             return cls()
-        letters = []
-        for m in _scan(_LETTER_RE, text, "word"):
-            block, index = int(m[1]), int(m[2])
-            if block < 1 or index < 1:
-                raise ValueError("generator indices start at 1")
-            power = int(m[3]) if m[3] else 1
-            letters += [((block, index), 1 if power > 0 else -1)] * abs(power)
+        letters = _read(_LETTER_RE, text, "word", _letter_factor, tokens)
         # every exponent is +1 or -1 already: reduce without validating
         return _word(_reduce(letters))
 
@@ -270,8 +312,20 @@ def theta(i, s, t):
 
 
 _IA_RE = re.compile(
-    r"B\((\d+),(\d+)\)(?:\^(-?\d+))?|T\((\d+);(\d+),(\d+)\)(?:\^(-?\d+))?|\S"
+    r"(B\(\d+,\d+\)(?:\^-?\d+)?|T\(\d+;\d+,\d+\)(?:\^-?\d+)?)|\S"
 )
+
+
+def _ia_factor(text, tokens):
+    # ``B(i,j)^k`` or ``T(i;s,t)^k`` as |k| shared factors
+    ints = list(map(int, _INT_RE.findall(text)))
+    arity = 2 if text[0] == "B" else 3
+    gen = beta(*ints[:2]) if arity == 2 else theta(*ints[:3])
+    power = ints[arity] if len(ints) > arity else 1
+    if power == 0:
+        raise ValueError("IA factor exponent must be nonzero")
+    factor = (gen, 1 if power > 0 else -1)
+    return _power(tokens.setdefault(factor, factor), power)
 
 
 class IAWord:
@@ -280,6 +334,9 @@ class IAWord:
     Factors apply left to right: ``IAWord(n, [f, g]).apply(w)`` is
     ``g`` applied to ``f`` applied to ``w``.  Every factor fixes the
     abelianization, so applying an ``IAWord`` never changes exponent sums.
+    The constructor, ``str`` and :meth:`johnson` read each distinct factor
+    once, so their Python work grows with the distinct factors of a word,
+    not with its length.
 
     >>> a = IAWord(2, [(beta(1, 2), 1)])
     >>> print(a.apply(x(5, 1)))
@@ -291,11 +348,19 @@ class IAWord:
     __slots__ = ("rank", "factors")
 
     def __init__(self, rank, factors=()):
-        factors = tuple((gen, exp) for gen, exp in factors)
-        if not {exp for _, exp in factors} <= {1, -1}:
+        factors = tuple(factors)
+        try:
+            distinct = dict.fromkeys(factors)
+        except TypeError:
+            # pairs given as lists, or an unhashable generator or exponent,
+            # which the checks below name
+            factors = tuple((gen, exp) for gen, exp in factors)
+            distinct = factors
+        # each distinct factor once: the exponents, then each generator in
+        # the order of its first factor
+        if not {exp for _, exp in distinct} <= {1, -1}:
             raise ValueError("IA factor exponents must be +1 or -1")
-        # each generator once, in the order of its first factor
-        for gen in dict.fromkeys(gen for gen, _ in factors):
+        for gen in dict.fromkeys(gen for gen, _ in distinct):
             indices = gen[1:]
             if gen[0] not in ("beta", "theta"):
                 raise ValueError("unknown IA generator kind %r" % (gen[0],))
@@ -304,7 +369,7 @@ class IAWord:
                 raise ValueError("IA generator %r needs %d int indices" % (gen, arity))
             if len(set(indices)) != len(indices):
                 raise ValueError("IA generator indices must be distinct")
-            if any(not (1 <= k <= rank) for k in indices):
+            if min(indices) < 1 or max(indices) > rank:
                 raise ValueError(
                     "IA generator %r exceeds block rank %d" % (gen, rank)
                 )
@@ -381,6 +446,8 @@ class IAWord:
         sum over the factors, one wedge each: ``B(i,j)`` sends ``y_i`` to
         ``y_i ^ y_j``, ``T(i;s,t)`` sends ``y_i`` to ``y_s ^ y_t``, an
         inverse factor gives the negative, and the other generators go to 0.
+        The sum is commutative, so each distinct factor is read once, times
+        the number of its occurrences.
         Returns ``{i: {(a, b): c}}`` with ``a < b`` generators ``x(block, .)``
         for each ``y_i`` of nonzero class, by ``i``.  ``tau_1 = 0`` does not
         make the automorphism trivial: it kills every commutator.
@@ -391,13 +458,14 @@ class IAWord:
         {}
         """
         classes = {}
-        for gen, exp in self.factors:
+        for (gen, exp), count in Counter(self.factors).items():
             a, b = gen[1:3] if gen[0] == "beta" else gen[2:]
+            c = exp * count
             if a > b:
-                a, b, exp = b, a, -exp
+                a, b, c = b, a, -c
             row = classes.setdefault(gen[1], {})
             pair = ((block, a), (block, b))
-            c = row.pop(pair, 0) + exp
+            c += row.pop(pair, 0)
             if c:
                 row[pair] = c
         return {i: classes[i] for i in sorted(classes) if classes[i]}
@@ -427,35 +495,27 @@ class IAWord:
     def __str__(self):
         if not self.factors:
             return "1"
-        parts = []
-        for gen, exp in self.factors:
-            if gen[0] == "beta":
-                s = "B(%d,%d)" % gen[1:]
-            else:
-                s = "T(%d;%d,%d)" % gen[1:]
-            parts.append(s if exp == 1 else s + "^-1")
-        return " ".join(parts)
+        text = {}
+        for gen, exp in set(self.factors):
+            s = ("B(%d,%d)" if gen[0] == "beta" else "T(%d;%d,%d)") % gen[1:]
+            text[gen, exp] = s if exp == 1 else s + "^-1"
+        return " ".join(map(text.__getitem__, self.factors))
 
     __repr__ = __str__
 
     @classmethod
-    def parse(cls, rank, text):
-        """Parse notation like ``B(1,2) T(3;1,2)^-1``."""
+    def parse(cls, rank, text, tokens=None):
+        """Parse notation like ``B(1,2) T(3;1,2)^-1``.
+
+        Each distinct token is read once; ``tokens`` is a token table to
+        share between the parses of many IA words, as for
+        :meth:`Word.parse`, but not with word parses.  It holds no rank: the
+        constructor checks the generators of each word against ``rank``.
+        """
         text = text.strip()
         if text == "1" or not text:
             return cls(rank)
-        factors = []
-        for m in _scan(_IA_RE, text, "IA word"):
-            if m[1] is not None:
-                gen = beta(int(m[1]), int(m[2]))
-                power = int(m[3]) if m[3] else 1
-            else:
-                gen = theta(int(m[4]), int(m[5]), int(m[6]))
-                power = int(m[7]) if m[7] else 1
-            if power == 0:
-                raise ValueError("IA factor exponent must be nonzero")
-            factors += [(gen, 1 if power > 0 else -1)] * abs(power)
-        return cls(rank, factors)
+        return cls(rank, _read(_IA_RE, text, "IA word", _ia_factor, tokens))
 
 
 def _flip(block, rank):

@@ -4,8 +4,9 @@ No subcommand runs these.  Each restates a fact the package computes
 another way, or builds an element only a test inspects: the dense H2
 matrix and its column order, span equality as a rank identity, the
 triangular basis ``xi`` of the exterior algebra, the products that the
-Groebner certificate rewrites, and the tensor-square elements and closed
-forms that the zero-divisor witness must equal.
+Groebner certificate rewrites, the tensor-square elements and closed
+forms that the zero-divisor witness must equal, and ``tau_1`` and the
+printed form of an IA word read one factor at a time.
 """
 
 from itertools import combinations
@@ -187,3 +188,38 @@ def torus_shuffle_expansion(m):
             right = tuple((i, 1) for i in rest)
             terms[(left, right)] = (-1) ** (size + inversions)
     return TensorElem(ring, terms)
+
+
+def johnson_per_factor(ia, block):
+    """``tau_1`` of an IA word summed one factor at a time, in order.
+
+    The literal sum of one wedge per factor, where
+    :meth:`~almostdirect.words.IAWord.johnson` takes each distinct factor
+    once, times its count.  Same return shape: ``{i: {(a, b): c}}`` by
+    ``i``, without zero classes.
+    """
+    classes = {}
+    for gen, exp in ia.factors:
+        a, b = gen[1:3] if gen[0] == "beta" else gen[2:]
+        if a > b:
+            a, b, exp = b, a, -exp
+        row = classes.setdefault(gen[1], {})
+        pair = ((block, a), (block, b))
+        c = row.pop(pair, 0) + exp
+        if c:
+            row[pair] = c
+    return {i: classes[i] for i in sorted(classes) if classes[i]}
+
+
+def ia_text_per_factor(ia):
+    """An IA word printed one factor at a time: ``B(1,2) T(3;1,2)^-1``."""
+    if not ia.factors:
+        return "1"
+    parts = []
+    for gen, exp in ia.factors:
+        if gen[0] == "beta":
+            s = "B(%d,%d)" % gen[1:]
+        else:
+            s = "T(%d;%d,%d)" % gen[1:]
+        parts.append(s if exp == 1 else s + "^-1")
+    return " ".join(parts)

@@ -340,6 +340,18 @@ MIXED = AdpSpec(
 )
 
 
+def test_a_parsed_images_table_shares_its_letters():
+    # one tuple per letter x(j,q)^+-1 across the whole table, as in the
+    # builtin it was written from
+    spec = pure_braid(10)
+    parsed = parse_spec(format_spec(spec))
+    assert parsed == spec
+    letters = {
+        id(letter) for word in parsed.images.values() for letter in word.letters
+    }
+    assert len(letters) <= 2 * sum(spec.ranks)
+
+
 def test_format_spec_writes_a_mixed_spec_in_images_mode():
     # the moved images of both kinds, one line each, in relation order
     text = format_spec(MIXED)
@@ -426,6 +438,26 @@ def test_images_payload_with_index_zero_points_at_the_payload():
         assert (info.value.line, info.value.col) == (3, syntax.value.col)
         assert info.value.col == 20
         assert info.value.message == "generator indices start at 1"
+
+
+def test_an_exponent_past_an_index_is_an_error_at_the_payload(capsys, tmp_path):
+    # 20 digits do not fit in an index: the parse fails before it allocates
+    for text, where in (
+        ("ranks = 1 2\naction 2 1 1 = B(1,2)^99999999999999999999\n", (2, 16)),
+        (
+            "ranks = 1 2\nmode = images\n"
+            "action 2 1 1 : 1 -> x(2,1)^99999999999999999999\n",
+            (3, 20),
+        ),
+    ):
+        path = tmp_path / "huge.spec"
+        path.write_text(text)
+        rc, out, err = run(capsys, ["verify", str(path), "--porcelain"])
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: line %d, column %d: exponent 99999999999999999999 is too large\n"
+            % where
+        )
 
 
 def test_action_validation_points_at_the_action_line():
@@ -680,6 +712,17 @@ def test_verify_expands_no_word_of_the_golden_magnus_specs(count_calls, capsys):
             rc, out, err = run(capsys, ["verify", str(path), *form])
             assert (rc, err) == (0, "")
     assert calls == []
+
+
+def test_verify_computes_tau_1_once_per_parse_of_an_action(count_calls, capsys):
+    # once as the file loads and once as the round-trip text parses back;
+    # the ring and == read the tau_1 the spec kept
+    path = GOLDEN_SPECS / "longword-2-2.spec"
+    actions = len(load_spec(str(path)).actions)
+    calls = count_calls(IAWord, "johnson")
+    rc, out, err = run(capsys, ["verify", str(path), "--porcelain"])
+    assert (rc, err) == (0, "")
+    assert len(calls) == 2 * actions == 4
 
 
 def tamper_magnus_round_trip(monkeypatch, writer=None, parser=None):

@@ -1,4 +1,6 @@
 import random
+from collections import namedtuple
+from itertools import groupby
 
 import pytest
 
@@ -12,6 +14,7 @@ from almostdirect.words import (
     theta,
     x,
 )
+from oracles import ia_text_per_factor, johnson_per_factor
 
 
 def test_free_reduction():
@@ -400,3 +403,213 @@ def test_commutator_decompose_matches_listed_positions():
                 (u.letters, v.letters) for u, v in expected
             ]
     assert len(words) > 400
+
+
+WORD_ERRORS = (
+    ("x(2,0) y(2,1)", "generator indices start at 1"),
+    ("y(2,1) x(2,0)", "bad word syntax at 'y(2,1) x(2,0)'"),
+    ("x(2,1) x(2,1)x(0,1) y", "generator indices start at 1"),
+    ("x(2,1) x(1,1)y x(0,1)", "bad word syntax at 'y x(0,1)'"),
+)
+IA_WORD_ERRORS = (
+    ("B(1,2)^0 Q", "IA factor exponent must be nonzero"),
+    ("Q B(1,2)^0", "bad IA word syntax at 'Q B(1,2)^0'"),
+    ("B(1,9) Q", "bad IA word syntax at 'Q'"),
+    ("B(1,9) B(1,2)^0", "IA factor exponent must be nonzero"),
+    ("B(1,2) B(1,1) Q", "beta requires i != j"),
+    ("B(1,2)T(1;2,3)Q B(1,2)^0", "bad IA word syntax at 'Q B(1,2)^0'"),
+)
+
+
+def test_the_first_bad_token_of_a_payload_decides_the_error():
+    # a syntax error, a bad index or a zero power: whichever comes first in
+    # the text; the rank of an IA word is checked after the whole payload
+    for text, message in WORD_ERRORS:
+        assert parse_error(Word.parse, text) == message
+    for text, message in IA_WORD_ERRORS:
+        assert parse_error(IAWord.parse, 3, text) == message
+
+
+def test_a_shared_token_table_reports_the_same_errors():
+    # also when earlier parses left some of the tokens in the table
+    warm = {}
+    Word.parse("x(2,1) x(2,2)^-1 x(1,1)", warm)
+    for text, message in WORD_ERRORS:
+        assert parse_error(Word.parse, text, dict(warm)) == message
+    warm = {}
+    IAWord.parse(9, "B(1,2) B(1,9) T(1;2,3)", warm)
+    for text, message in IA_WORD_ERRORS:
+        assert parse_error(IAWord.parse, 3, text, dict(warm)) == message
+    # the table holds no rank: a token read at rank 9 is checked at rank 3
+    message = parse_error(IAWord.parse, 3, "B(1,9)", warm)
+    assert message == "IA generator ('beta', 1, 9) exceeds block rank 3"
+
+
+def test_an_exponent_past_an_index_is_a_value_error():
+    # it fails before any list is allocated
+    huge = "99999999999999999999"
+    message = "exponent %s is too large" % huge
+    assert parse_error(Word.parse, "x(2,1)^" + huge) == message
+    assert parse_error(IAWord.parse, 2, "B(1,2)^" + huge) == message
+    negative = "exponent -%s is too large" % huge
+    assert parse_error(Word.parse, "x(2,1)^-" + huge) == negative
+
+
+Pair = namedtuple("Pair", "gen exp")
+
+# invalid factor lists and the error of each: the exponents are checked
+# first, then each generator in the order of its first factor
+INVALID_IA_WORDS = (
+    (3, [(beta(1, 2), 2)], ValueError, "IA factor exponents must be +1 or -1"),
+    (
+        3,
+        [(beta(1, 2), 0), (("gamma", 1, 2), 1)],
+        ValueError,
+        "IA factor exponents must be +1 or -1",
+    ),
+    (
+        3,
+        [(beta(1, 2), 1), (("gamma", 1, 2), 1)],
+        ValueError,
+        "unknown IA generator kind 'gamma'",
+    ),
+    (
+        3,
+        [(("beta", 1, 2, 3), 1)],
+        ValueError,
+        "IA generator ('beta', 1, 2, 3) needs 2 int indices",
+    ),
+    (
+        3,
+        [(("theta", 1, 2), -1)],
+        ValueError,
+        "IA generator ('theta', 1, 2) needs 3 int indices",
+    ),
+    (
+        3,
+        [(("beta", 1, "2"), 1)],
+        ValueError,
+        "IA generator ('beta', 1, '2') needs 2 int indices",
+    ),
+    (3, [(("beta", 1, 1), 1)], ValueError, "IA generator indices must be distinct"),
+    (
+        3,
+        [(("theta", 1, 2, 2), 1)],
+        ValueError,
+        "IA generator indices must be distinct",
+    ),
+    (
+        2,
+        [(beta(1, 2), 1), (beta(1, 3), 1), (("beta", 2, 2), 1)],
+        ValueError,
+        "IA generator ('beta', 1, 3) exceeds block rank 2",
+    ),
+    (
+        2,
+        [(theta(1, 2, 3), -1)],
+        ValueError,
+        "IA generator ('theta', 1, 2, 3) exceeds block rank 2",
+    ),
+    (
+        2,
+        [(beta(0, 1), 1)],
+        ValueError,
+        "IA generator ('beta', 0, 1) exceeds block rank 2",
+    ),
+    (3, [(beta(1, 2), 1, 0)], ValueError, "too many values to unpack (expected 2)"),
+    (
+        3,
+        [(beta(1, 2),)],
+        ValueError,
+        "not enough values to unpack (expected 2, got 1)",
+    ),
+    (3, [5], TypeError, "cannot unpack non-iterable int object"),
+    (3, [(["beta", 1, 2], 1)], TypeError, "unhashable type: 'list'"),
+    (3, [(beta(1, 2), [1])], TypeError, "unhashable type: 'list'"),
+    (
+        3,
+        [[beta(1, 2), 1], [beta(1, 4), 1]],
+        ValueError,
+        "IA generator ('beta', 1, 4) exceeds block rank 3",
+    ),
+    (3, [[beta(1, 2), 3]], ValueError, "IA factor exponents must be +1 or -1"),
+    (
+        3,
+        [Pair(beta(2, 3), 1), Pair(beta(3, 4), -1)],
+        ValueError,
+        "IA generator ('beta', 3, 4) exceeds block rank 3",
+    ),
+)
+
+
+def test_an_invalid_ia_word_raises_the_error_of_its_first_bad_factor():
+    for rank, factors, kind, message in INVALID_IA_WORDS:
+        with pytest.raises(kind) as info:
+            IAWord(rank, factors)
+        assert str(info.value) == message
+    # pairs of another type are kept as pairs
+    ia = IAWord(3, [[beta(1, 2), 1], Pair(beta(2, 3), -1)])
+    assert ia.factors == ((beta(1, 2), 1), (beta(2, 3), -1))
+    assert str(ia) == "B(1,2) B(2,3)^-1"
+
+
+def random_ia_factors(rng, rank, length):
+    # ``length`` factors with repeats and some factor/inverse pairs side by
+    # side.  In a third of the words the first half is then undone, in
+    # any order, so that every row of tau_1 cancels to nothing; in another
+    # third only its factors that move one generator are, which cancels
+    # that row alone.
+    factors = []
+    while len(factors) < length:
+        if rank >= 3 and rng.random() < 0.4:
+            gen = theta(*rng.sample(range(1, rank + 1), 3))
+        else:
+            gen = beta(*rng.sample(range(1, rank + 1), 2))
+        exp = rng.choice((1, -1))
+        factors.append((gen, exp))
+        if rng.random() < 0.2:
+            factors.append((gen, -exp))
+    factors = factors[:length]
+    roll = rng.random()
+    if length > 1 and roll < 2 / 3:
+        head = factors[: length // 2]
+        undo = head
+        if roll > 1 / 3:
+            undo = [factor for factor in head if factor[0][1] == head[0][0][1]]
+        factors = head + [(gen, -exp) for gen, exp in undo]
+        rng.shuffle(factors)
+    return factors
+
+
+def power_text(ia):
+    # each run of equal factors as one power, with no blanks
+    parts = []
+    for (gen, exp), run in groupby(ia.factors):
+        name = ("B(%d,%d)" if gen[0] == "beta" else "T(%d;%d,%d)") % gen[1:]
+        parts.append("%s^%d" % (name, exp * len(list(run))))
+    return "".join(parts)
+
+
+def test_johnson_text_and_parse_match_the_per_factor_oracle():
+    rng = random.Random(33)
+    lengths = [1, 2, 3, 40, 1000, 4000]
+    lengths += [rng.randint(1, 400) for _ in range(60)]
+    table = {}  # one token table for every parse, as parse_spec shares it
+    empty = partial = 0
+    for length in lengths:
+        rank = rng.randint(2, 5)
+        ia = IAWord(rank, random_ia_factors(rng, rank, length))
+        block = rng.randint(1, 6)
+        tau = ia.johnson(block)
+        assert tau == johnson_per_factor(ia, block)
+        moved = {gen[1] for gen, _ in ia.factors}
+        empty += bool(ia.factors) and not tau
+        partial += bool(tau) and len(tau) < len(moved)
+        text = str(ia)
+        assert text == ia_text_per_factor(ia)
+        for form in (text, power_text(ia)):
+            assert IAWord.parse(rank, form).factors == ia.factors
+            assert IAWord.parse(rank, form, table).factors == ia.factors
+    # words whose every row cancels, and words with some rows cancelled
+    assert empty >= 5 and partial >= 5
+
