@@ -334,9 +334,9 @@ class IAWord:
     Factors apply left to right: ``IAWord(n, [f, g]).apply(w)`` is
     ``g`` applied to ``f`` applied to ``w``.  Every factor fixes the
     abelianization, so applying an ``IAWord`` never changes exponent sums.
-    The constructor, ``str`` and :meth:`johnson` read each distinct factor
-    once, so their Python work grows with the distinct factors of a word,
-    not with its length.
+    ``str`` and :meth:`johnson` read each distinct factor once, so their
+    Python work grows with the distinct factors of a word, not with its
+    length.
 
     >>> a = IAWord(2, [(beta(1, 2), 1)])
     >>> print(a.apply(x(5, 1)))
@@ -348,19 +348,11 @@ class IAWord:
     __slots__ = ("rank", "factors")
 
     def __init__(self, rank, factors=()):
-        factors = tuple(factors)
-        try:
-            distinct = dict.fromkeys(factors)
-        except TypeError:
-            # pairs given as lists, or an unhashable generator or exponent,
-            # which the checks below name
-            factors = tuple((gen, exp) for gen, exp in factors)
-            distinct = factors
-        # each distinct factor once: the exponents, then each generator in
-        # the order of its first factor
-        if not {exp for _, exp in distinct} <= {1, -1}:
+        factors = tuple((gen, exp) for gen, exp in factors)
+        if not {exp for _, exp in factors} <= {1, -1}:
             raise ValueError("IA factor exponents must be +1 or -1")
-        for gen in dict.fromkeys(gen for gen, _ in distinct):
+        # each generator once, in the order of its first factor
+        for gen in dict.fromkeys(gen for gen, _ in factors):
             indices = gen[1:]
             if gen[0] not in ("beta", "theta"):
                 raise ValueError("unknown IA generator kind %r" % (gen[0],))
@@ -369,7 +361,7 @@ class IAWord:
                 raise ValueError("IA generator %r needs %d int indices" % (gen, arity))
             if len(set(indices)) != len(indices):
                 raise ValueError("IA generator indices must be distinct")
-            if min(indices) < 1 or max(indices) > rank:
+            if any(not (1 <= k <= rank) for k in indices):
                 raise ValueError(
                     "IA generator %r exceeds block rank %d" % (gen, rank)
                 )

@@ -547,9 +547,10 @@ def test_an_invalid_ia_word_raises_the_error_of_its_first_bad_factor():
         with pytest.raises(kind) as info:
             IAWord(rank, factors)
         assert str(info.value) == message
-    # pairs of another type are kept as pairs
+    # pairs of any type are stored as plain tuples
     ia = IAWord(3, [[beta(1, 2), 1], Pair(beta(2, 3), -1)])
     assert ia.factors == ((beta(1, 2), 1), (beta(2, 3), -1))
+    assert {type(factor) for factor in ia.factors} == {tuple}
     assert str(ia) == "B(1,2) B(2,3)^-1"
 
 
