@@ -294,12 +294,6 @@ def _moved(j, action):
     }
 
 
-def _conjugate(c, g):
-    # the word c x(g) c^-1 for a letter tuple c that does not end in x(g)^+-1,
-    # so that the letters are already freely reduced
-    return _word(c + ((g, 1),) + tuple((h, -e) for h, e in reversed(c)))
-
-
 def pure_braid(l):
     """The pure braid group on ``l`` strands as an almost-direct product.
 
@@ -362,21 +356,33 @@ def _conjugation_spec(ranks, name, band):
     # and the image of x(b,s) under the band crossing strand p over strand
     # s.  The band also moves x(b,p) and each x(b,q), p < q < s.  Each moved
     # image is c x(b,q) c^-1 where c ends in x(b,s)^+-1 and q != s, or
-    # c = x(b,p) and q = s > p: no image needs reducing.
-    actions = {}
+    # c = x(b,p) and q = s > p: no image needs reducing.  The images are
+    # joined from the 2 n_b letters of each acted-on block b, made once, so
+    # the table holds one tuple per letter.
     l = len(ranks)
+    letters = {
+        b: (
+            [None] + [((b, q), 1) for q in range(1, ranks[b - 1] + 1)],
+            [None] + [((b, q), -1) for q in range(1, ranks[b - 1] + 1)],
+        )
+        for b in range(2, l + 1)
+    }
+    actions = {}
     for a, n in enumerate(ranks, start=1):
         s = n + 1
         for b in range(a + 1, l + 1):
+            up, down = letters[b]
+            xs, xs_inv = up[s], down[s]
             for p in range(1, n + 1):
-                xp = ((b, p), 1)
-                images = {s: _conjugate((xp,), (b, s))}
+                xp, xp_inv = up[p], down[p]
+                images = {s: _word((xp, xs, xp_inv))}
                 if band:
-                    xs = ((b, s), 1)
-                    images[p] = _conjugate((xp, xs), (b, p))
-                    bracket = (xp, xs, ((b, p), -1), ((b, s), -1))
+                    images[p] = _word((xp, xs, xp, xs_inv, xp_inv))
+                    # c = [x(b,p), x(b,s)] and c^-1, shared by every q
+                    head = (xp, xs, xp_inv, xs_inv)
+                    tail = (xs, xp, xs_inv, xp_inv)
                     for q in range(p + 1, s):
-                        images[q] = _conjugate(bracket, (b, q))
+                        images[q] = _word((*head, up[q], *tail))
                 actions[(a, b, p)] = (IMAGES, images)
     return AdpSpec(ranks, actions, name)
 

@@ -85,6 +85,24 @@ def _fail(lineno, col, message):
 
 _TOKEN_RE = re.compile(r"\S+")
 
+# the head of a well-formed action line, ``action J I P =`` or ``action J I
+# P : Q ->``, each number a run of ASCII digits; a line it does not match
+# is split into tokens
+_ACTION_RE = re.compile(
+    r"\s*(action)\s+([0-9]+)\s+([0-9]+)\s+([0-9]+)\s+"
+    r"(?:(=)|(:)\s+([0-9]+)\s+(->))(?!\S)"
+)
+
+
+def _tokens(line):
+    # the blank-separated tokens of a line, each with its column; an action
+    # line reads its payload off the line, so only its head is split
+    found = _TOKEN_RE.finditer(line)
+    tokens = [(m.group(), m.start() + 1) for m in islice(found, 7)]
+    if tokens and tokens[0][0] != "action":
+        tokens += [(m.group(), m.start() + 1) for m in found]
+    return tokens
+
 
 def parse_spec(text):
     """Parse the spec file grammar into an :class:`AdpSpec`.
@@ -92,7 +110,9 @@ def parse_spec(text):
     The payloads of all action lines share one token table, which lives for
     this call: each distinct word or IA factor token is read once, and a
     parsed images table shares its letter tuples, as a builtin one does.
-    The table holds no rank; each word is checked against its block.
+    The table holds no rank; each word is checked against its block.  A
+    well-formed action head is read with one pattern; only a line it does
+    not match is split into tokens, and both reach the same checks.
     """
     ranks = None
     mode = None
@@ -102,14 +122,25 @@ def parse_spec(text):
     table = {}  # the token table of the payloads
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        found = _TOKEN_RE.finditer(line)
-        # an action line reads its payload off ``line``: split its head only
-        tokens = [(m.group(), m.start() + 1) for m in islice(found, 7)]
+        m = _ACTION_RE.match(line)
+        # a spec with a ranks line has no builtin line, so neither check
+        # can fail before the action's own
+        if m is not None and ranks is not None:
+            _parse_action(
+                lineno,
+                line,
+                _match_head(m),
+                ranks,
+                mode or MAGNUS,
+                actions,
+                first_line,
+                table,
+            )
+            continue
+        tokens = _tokens(line)
         if not tokens:
             continue
         head, col = tokens[0]
-        if head != "action":
-            tokens += [(m.group(), m.start() + 1) for m in found]
         if builtin is not None or (head == "builtin" and (ranks or mode)):
             _fail(lineno, col, "builtin line must be the whole spec")
         if head == "builtin":
@@ -130,7 +161,7 @@ def parse_spec(text):
             _parse_action(
                 lineno,
                 line,
-                tokens,
+                _token_head(lineno, tokens),
                 ranks,
                 mode or MAGNUS,
                 actions,
@@ -209,46 +240,68 @@ def _parse_mode(lineno, tokens):
     return value
 
 
-def _parse_action(lineno, line, tokens, ranks, mode, actions, first_line, table):
+# The head of an action line is the tuple (col, J, J col, I, P, P col,
+# separator, separator col, Q, Q col, arrow col); an '=' line reads none of
+# the last three.  The two readers below give the same head for every line
+# the pattern matches, and _parse_action checks it.
+
+
+def _match_head(m):
+    start = m.start
+    head = (start(1) + 1, int(m[2]), start(2) + 1, int(m[3]), int(m[4]), start(4) + 1)
+    if start(5) >= 0:
+        return head + ("=", start(5) + 1, None, None, None)
+    return head + (":", start(6) + 1, int(m[7]), start(7) + 1, start(8) + 1)
+
+
+def _token_head(lineno, tokens):
+    # Q stays text, read only after the checks that come before it; the
+    # arrow column is None when the token after Q is not '->'
     if len(tokens) < 5:
         _fail(lineno, tokens[0][1], "action line too short")
     j = _expect_int(lineno, *tokens[1], what="target block")
     i = _expect_int(lineno, *tokens[2], what="acting block")
     p = _expect_int(lineno, *tokens[3], what="acting index")
+    q, q_col = tokens[5] if len(tokens) > 5 else (None, None)
+    arrow = tokens[6][1] if len(tokens) > 6 and tokens[6][0] == "->" else None
+    head = (tokens[0][1], j, tokens[1][1], i, p, tokens[3][1])
+    return head + tokens[4] + (q, q_col, arrow)
+
+
+def _parse_action(lineno, line, head, ranks, mode, actions, first_line, table):
+    col, j, j_col, i, p, p_col, sep, sep_col, q, q_col, arrow = head
     l = len(ranks)
     if not (1 <= i < j <= l):
-        _fail(lineno, tokens[1][1], "blocks must satisfy 1 <= I < J <= %d" % l)
+        _fail(lineno, j_col, "blocks must satisfy 1 <= I < J <= %d" % l)
     if not (1 <= p <= ranks[i - 1]):
         _fail(
             lineno,
-            tokens[3][1],
+            p_col,
             "acting index %d exceeds rank %d of block %d"
             % (p, ranks[i - 1], i),
         )
-    first_line.setdefault((i, j, p), (lineno, tokens[0][1]))
-    sep, sep_col = tokens[4]
+    first_line.setdefault((i, j, p), (lineno, col))
     if sep == "=":
         if mode != MAGNUS:
             _fail(lineno, sep_col, "'=' action line in images mode")
         if (i, j, p) in actions:
-            _fail(lineno, tokens[0][1], "duplicate action %d %d %d" % (j, i, p))
-        payload_col = sep_col + 1
-        payload = line[sep_col:]
+            _fail(lineno, col, "duplicate action %d %d %d" % (j, i, p))
         try:
-            ia = IAWord.parse(ranks[j - 1], payload, table)
+            ia = IAWord.parse(ranks[j - 1], line[sep_col:], table)
         except ValueError as err:
-            _fail(lineno, payload_col + 1, str(err))
+            _fail(lineno, sep_col + 2, str(err))
         actions[(i, j, p)] = (MAGNUS, ia)
     elif sep == ":":
         if mode != IMAGES:
             _fail(lineno, sep_col, "':' action line needs 'mode = images'")
-        if len(tokens) < 7 or tokens[6][0] != "->":
+        if arrow is None:
             _fail(lineno, sep_col, "expected 'action J I P : Q -> word'")
-        q = _expect_int(lineno, *tokens[5], what="image index")
+        if not isinstance(q, int):
+            q = _expect_int(lineno, q, q_col, what="image index")
         if not (1 <= q <= ranks[j - 1]):
             _fail(
                 lineno,
-                tokens[5][1],
+                q_col,
                 "image index %d exceeds rank %d of block %d"
                 % (q, ranks[j - 1], j),
             )
@@ -256,16 +309,14 @@ def _parse_action(lineno, line, tokens, ranks, mode, actions, first_line, table)
         if q in qmap:
             _fail(
                 lineno,
-                tokens[5][1],
+                q_col,
                 "duplicate image for x(%d,%d) under action %d %d %d"
                 % (j, q, j, i, p),
             )
-        payload_col = tokens[6][1] + 2
-        payload = line[payload_col - 1 :]
         try:
-            qmap[q] = Word.parse(payload, table)
+            qmap[q] = Word.parse(line[arrow + 1 :], table)
         except ValueError as err:
-            _fail(lineno, payload_col, str(err))
+            _fail(lineno, arrow + 2, str(err))
     else:
         _fail(lineno, sep_col, "expected '=' or ':' after the action key")
 
@@ -302,33 +353,29 @@ def load_spec(argument):
     return parse_spec(text)
 
 
-class _MonoTokens(dict):
-    """The :func:`mono_token` of each monomial, built on first lookup."""
-
-    def __missing__(self, mono):
-        token = self[mono] = mono_token(mono)
-        return token
-
-
 def elem_token(elem):
     """An ExtElem or TensorElem as one token: ``+2*e(1,1)-1*e(2,1)``.
 
-    A monomial recurs across the terms of a TensorElem, so its text is
-    built once per call and the token is joined from shared pieces.
+    The token is joined from shared pieces: one string per distinct
+    coefficient and, in a TensorElem, per distinct monomial.  Its terms
+    sort by the ranks of their two monomials among the distinct ones, the
+    order of the pairs themselves.
     """
     if elem.is_zero():
         return "0"
     terms = elem.terms
-    tensor = isinstance(elem, TensorElem)
-    text = _MonoTokens()
+    coeff = {c: "+%s*" % c if c > 0 else "%s*" % c for c in set(terms.values())}
     pieces = []
-    for key in sorted(terms, key=elem._order):
-        c = terms[key]
-        pieces.append("+%s*" % c if c > 0 else "%s*" % c)
-        if tensor:
-            pieces += (text[key[0]], "(x)", text[key[1]])
-        else:
-            pieces.append(mono_token(key))
+    if isinstance(elem, TensorElem):
+        monos = sorted({m for pair in terms for m in pair})
+        rank = {m: k for k, m in enumerate(monos)}
+        text = [mono_token(m) for m in monos]
+        order = sorted((rank[a], rank[b], c) for (a, b), c in terms.items())
+        for a, b, c in order:
+            pieces += (coeff[c], text[a], "(x)", text[b])
+    else:
+        for key in sorted(terms, key=elem._order):
+            pieces += (coeff[terms[key]], mono_token(key))
     return "".join(pieces)
 
 

@@ -212,9 +212,20 @@ def poincare_vector(ranks):
     return tuple(coeffs)
 
 
+class _GenTokens(dict):
+    """The text ``e(b,i)`` of each generator, built on first lookup."""
+
+    def __missing__(self, g):
+        token = self[g] = "e(%d,%d)" % g
+        return token
+
+
+_GEN_TOKENS = _GenTokens()
+
+
 def mono_token(mono):
     """A monomial as text, ``e(1,1)e(2,1)``; the unit monomial is ``1``."""
-    return "".join("e(%d,%d)" % g for g in mono) or "1"
+    return "".join(map(_GEN_TOKENS.__getitem__, mono)) or "1"
 
 
 class ExtElem(Sparse):

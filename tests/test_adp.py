@@ -24,7 +24,7 @@ from almostdirect.cli import main as cli_main
 from almostdirect.fox import abel_gradient
 from almostdirect.homology import delta2, verify_chain_map
 from almostdirect.words import IAWord, Word, beta, commutator, commutator_decompose, x
-from test_acceptance import specs_under_test
+from test_acceptance import all_builtins_through_five_blocks, specs_under_test
 from test_words import reference_apply
 
 
@@ -526,8 +526,23 @@ def test_builtin_images_equal_word_conjugation():
             assert Word(letters).letters == letters  # freely reduced
 
 
+def letter_tuples(spec):
+    # the letter tuples of the image table, counted by identity, and the
+    # number of its letters
+    letters = [letter for word in spec.images.values() for letter in word.letters]
+    return len(set(map(id, letters))), len(letters)
+
+
+def test_builtin_tables_hold_one_tuple_per_letter():
+    # every image is joined from the 2 n_b letters of its block, made once
+    for spec in all_builtins_through_five_blocks() + [pure_braid(10)]:
+        assert letter_tuples(spec)[0] <= 2 * sum(spec.ranks), spec.name
+    # blocks 2..9 of purebraid 10 have 88 letters
+    assert letter_tuples(pure_braid(10)) == (88, 2850)
+
+
 def test_presentation_words_equal_full_reduction():
-    from test_acceptance import specs_under_test
+    from test_acceptance import all_builtins_through_five_blocks, specs_under_test
     from test_cli import INCONSISTENT
 
     from almostdirect.cli import parse_spec
@@ -564,7 +579,7 @@ def test_presentation_keys_come_in_relation_order():
     # order, whatever order the actions come in, and build_presentation
     # makes the relations in that order; every builtin through eight
     # strands, and each of them with its actions given in reverse
-    from test_acceptance import specs_under_test
+    from test_acceptance import all_builtins_through_five_blocks, specs_under_test
 
     specs = specs_under_test()
     for n in range(2, 9):

@@ -32,6 +32,7 @@ from almostdirect.cli import (
     parse_spec,
 )
 from almostdirect.words import IAWord, x
+from test_acceptance import all_builtins_through_five_blocks
 from test_words import reassemble
 
 # two rank-1 blocks acting on a rank-2 block by non-commuting conjugations:
@@ -507,6 +508,137 @@ def test_an_image_leaving_its_block_names_the_first_line_of_its_action():
     assert info.value.message == (
         "image of x(3,2) leaves block 3: x(1,1) x(3,2) x(1,1)^-1"
     )
+
+
+MAG = "ranks = 1 2 3\n"  # the header of the magnus heads below
+IMG = "ranks = 1 2 3\nmode = images\n"  # and of the images heads
+B12 = AdpSpec((1, 2, 3), {(1, 2, 1): (MAGNUS, IAWord.parse(2, "B(1,2)"))})
+B13_T213 = IAWord.parse(3, "B(1,3)^-1 T(2;1,3)")
+BLOCKS = "blocks must satisfy 1 <= I < J <= 3"
+SEPARATOR = "expected '=' or ':' after the action key"
+ARROW = "expected 'action J I P : Q -> word'"
+IMAGES_ONLY = "':' action line needs 'mode = images'"
+
+# action-line heads with the spec they give or their exact (line, column,
+# message), as the token reader of the heads gave them: well-formed heads
+# in every spacing, then unusual and malformed ones
+ACTION_HEADS = (
+    (MAG + "action\t2\t1\t1\t=\tB(1,2)\n", B12),
+    (MAG + "   action   2  1   1   =   B(1,2)   \n", B12),
+    (MAG + "action 2 1 1 = B(1,2) # x(1,1) on block 2\n", B12),
+    (MAG + "action 02 01 001 = B(1,2)\n", B12),
+    (MAG + "action 2 1 1 =\n", AdpSpec((1, 2, 3))),
+    (MAG + "action 2 1 1 =# trivial\n", AdpSpec((1, 2, 3))),
+    (
+        MAG + "action 3 2 2 = B(1,3)^-1 T(2;1,3)\n",
+        AdpSpec((1, 2, 3), {(2, 3, 2): (MAGNUS, B13_T213)}),
+    ),
+    (
+        IMG + "action 3 2 2 : 02 -> x(3,1) x(3,2) x(3,1)^-1\n",
+        AdpSpec((1, 2, 3), {(2, 3, 2): (IMAGES, {2: x(3, 1) * x(3, 2) * x(3, 1, -1)})}),
+    ),
+    (
+        IMG + "action\t3 1 1\t:\t3\t->\tx(3,1)^-1 x(3,3) x(3,1)  # tabs\n",
+        AdpSpec((1, 2, 3), {(1, 3, 1): (IMAGES, {3: x(3, 1, -1) * x(3, 3) * x(3, 1)})}),
+    ),
+    # unusual heads: int() reads them
+    (MAG + "action +2 1 1 = B(1,2)\n", B12),
+    (MAG + "action 2 \u0661 1 = B(1,2)\n", B12),
+    # malformed heads
+    (MAG + "action 2 1 1 =B(1,2)\n", (2, 14, SEPARATOR)),
+    (MAG + "action 2 1 1 => B(1,2)\n", (2, 14, SEPARATOR)),
+    (MAG + "action 2 1\n", (2, 1, "action line too short")),
+    (MAG + "action x 1 1 = B(1,2)\n", (2, 8, "expected target block, got 'x'")),
+    (MAG + "action 2 -1 1 = B(1,2)\n", (2, 8, BLOCKS)),
+    (MAG + "action 2 1 1.0 = B(1,2)\n", (2, 12, "expected acting index, got '1.0'")),
+    (IMG + "action 2 1 1 : 2 x(2,2)\n", (3, 14, ARROW)),
+    (IMG + "action 2 1 1 : 2\n", (3, 14, ARROW)),
+    (IMG + "action 2 1 1 : 2 ->x(2,2)\n", (3, 14, ARROW)),
+    (IMG + "action 2 1 1 : x -> x(2,2)\n", (3, 16, "expected image index, got 'x'")),
+    (MAG + "action 4 1 1 = B(1,2)\n", (2, 8, BLOCKS)),
+    (MAG + "action 2 2 1 = B(1,2)\n", (2, 8, BLOCKS)),
+    (MAG + "action 2 0 1 = B(1,2)\n", (2, 8, BLOCKS)),
+    (
+        MAG + "action 2 1 2 = B(1,2)\n",
+        (2, 12, "acting index 2 exceeds rank 1 of block 1"),
+    ),
+    (
+        MAG + "action 3 2 0 = B(1,2)\n",
+        (2, 12, "acting index 0 exceeds rank 2 of block 2"),
+    ),
+    (
+        IMG + "action 2 1 1 : 3 -> x(2,1)\n",
+        (3, 16, "image index 3 exceeds rank 2 of block 2"),
+    ),
+    (
+        IMG + "action 2 1 1 : 0 -> x(2,1)\n",
+        (3, 16, "image index 0 exceeds rank 2 of block 2"),
+    ),
+    (
+        MAG + "action 2 1 1 = B(1,2)\naction 2 1 1 = B(2,1)\n",
+        (3, 1, "duplicate action 2 1 1"),
+    ),
+    (
+        IMG + "action 2 1 1 : 2 -> x(2,1) x(2,2) x(2,1)^-1\n"
+        "action 2 1 1 : 2 -> x(2,2)\n",
+        (4, 16, "duplicate image for x(2,2) under action 2 1 1"),
+    ),
+    (IMG + "action 2 1 1 = B(1,2)\n", (3, 14, "'=' action line in images mode")),
+    (MAG + "action 2 1 1 : 2 -> x(2,2)\n", (2, 14, IMAGES_ONLY)),
+    # the mode decides before the arrow and the image index are read
+    (MAG + "action 2 1 1 : x\n", (2, 14, IMAGES_ONLY)),
+    (MAG + "action 2 1 1 = B(1,2) Q\n", (2, 16, "bad IA word syntax at 'Q'")),
+    (
+        MAG + "action 2 1 1 = B(1,3)\n",
+        (2, 16, "IA generator ('beta', 1, 3) exceeds block rank 2"),
+    ),
+    (IMG + "action 2 1 1 : 2 -> x(2,2) y\n", (3, 20, "bad word syntax at 'y'")),
+    (IMG + "action 2 1 1 : 1 ->\n", (3, 1, "image of x(2,1) is not IA: 1")),
+    (
+        IMG + "action 3 1 1 : 1 -> x(3,1)\naction 3 1 1 : 3 -> x(2,1)\n",
+        (3, 1, "image of x(3,3) leaves block 3: x(2,1)"),
+    ),
+    (
+        "action 2 1 1 = B(1,2)\nranks = 1 2\n",
+        (1, 1, "ranks must come before action lines"),
+    ),
+    ("  action 2 1 1 = B(1,2)\n", (1, 3, "ranks must come before action lines")),
+    (
+        "builtin purebraid 3\naction 2 1 1 = B(1,2)\n",
+        (2, 1, "builtin line must be the whole spec"),
+    ),
+    (
+        MAG + "action 2 1 1 = B(1,2)\nmode = images\n",
+        (3, 1, "mode must come before action lines"),
+    ),
+)
+
+
+def test_action_heads_give_their_spec_or_their_error():
+    for text, expected in ACTION_HEADS:
+        if isinstance(expected, AdpSpec):
+            spec = parse_spec(text)
+            assert spec == expected, text
+            assert format_spec(spec) == format_spec(expected), text
+            continue
+        with pytest.raises(SpecFileError) as info:
+            parse_spec(text)
+        got = (info.value.line, info.value.col, info.value.message)
+        assert got == expected, text
+
+
+def test_written_action_lines_never_reach_the_token_split(count_calls):
+    import almostdirect.cli as cli
+
+    split = count_calls(cli, "_tokens")
+    specs = [load_spec(str(path)) for path in sorted(GOLDEN_SPECS.glob("*.spec"))]
+    specs += all_builtins_through_five_blocks()
+    for spec in specs:
+        del split[:]
+        text = format_spec(spec)
+        assert parse_spec(text) == spec
+        # the pattern reads every action head; only ranks and mode split
+        assert [line for (line,) in split] == text.splitlines()[:2], spec.name
 
 
 def test_load_spec_builtin_reference():

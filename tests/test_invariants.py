@@ -427,5 +427,14 @@ def test_elem_token_is_the_term_by_term_formula():
         elems += [ring.eta(j, p, q) for (j, p), (_, q) in ring.etas]
     elems += [ExtElem(), TensorElem(rings[0])]
     elems.append(ExtElem({(): Fraction(1, 2), ((1, 1),): -3}))
+    # equal left monomials whose right ones differ in length, where the
+    # order of the pairs is not deg-lex on the right
+    a, b, c = ((1, 1),), ((2, 1),), ((1, 1), (2, 1))
+    elems.append(TensorElem(rings[0], {(a, b): 1, (a, c): -2, (b, a): 3, (a, ()): 4}))
+    elems.append(TensorElem(rings[0], {(c, b): 1, (c, a): 1, (b, c): -1, (b, b): 2}))
+    # the unit monomial on either side, and a Fraction coefficient
+    unit = TensorElem.UNIT
+    mixed = {unit: Fraction(1, 2), ((), a): -3, (a, ()): Fraction(-2, 3)}
+    elems.append(TensorElem(rings[0], mixed))
     for elem in elems:
         assert elem_token(elem) == term_by_term_token(elem)
