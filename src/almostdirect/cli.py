@@ -37,7 +37,6 @@ import functools
 import os
 import re
 import sys
-from itertools import islice
 from pathlib import Path
 
 from .adp import (
@@ -85,23 +84,15 @@ def _fail(lineno, col, message):
 
 _TOKEN_RE = re.compile(r"\S+")
 
-# the head of a well-formed action line, ``action J I P =`` or ``action J I
-# P : Q ->``, each number a run of ASCII digits; a line it does not match
-# is split into tokens
-_ACTION_RE = re.compile(
-    r"\s*(action)\s+([0-9]+)\s+([0-9]+)\s+([0-9]+)\s+"
-    r"(?:(=)|(:)\s+([0-9]+)\s+(->))(?!\S)"
-)
+# the head of an action line: the word ``action``, then J, I, P, the
+# separator, Q and the arrow, each the next token if the line has one (an
+# empty alternative matches faster than an optional group)
+_ACTION_RE = re.compile(r"\s*(action)(?!\S)" + r"(?:\s+(\S+)|)" * 6)
 
 
 def _tokens(line):
-    # the blank-separated tokens of a line, each with its column; an action
-    # line reads its payload off the line, so only its head is split
-    found = _TOKEN_RE.finditer(line)
-    tokens = [(m.group(), m.start() + 1) for m in islice(found, 7)]
-    if tokens and tokens[0][0] != "action":
-        tokens += [(m.group(), m.start() + 1) for m in found]
-    return tokens
+    # the blank-separated tokens of a line, each with its column
+    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
 def parse_spec(text):
@@ -110,9 +101,10 @@ def parse_spec(text):
     The payloads of all action lines share one token table, which lives for
     this call: each distinct word or IA factor token is read once, and a
     parsed images table shares its letter tuples, as a builtin one does.
-    The table holds no rank; each word is checked against its block.  A
-    well-formed action head is read with one pattern; only a line it does
-    not match is split into tokens, and both reach the same checks.
+    The table holds no rank; each word is checked against its block.  One
+    pattern reads the head of every action line, and the payload is read
+    off the line; the ``builtin``, ``ranks`` and ``mode`` lines, and any
+    unknown one, are split into tokens.
     """
     ranks = None
     mode = None
@@ -123,18 +115,14 @@ def parse_spec(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         m = _ACTION_RE.match(line)
-        # a spec with a ranks line has no builtin line, so neither check
-        # can fail before the action's own
-        if m is not None and ranks is not None:
+        if m is not None:
+            col = m.start(1) + 1
+            if builtin is not None:
+                _fail(lineno, col, "builtin line must be the whole spec")
+            if ranks is None:
+                _fail(lineno, col, "ranks must come before action lines")
             _parse_action(
-                lineno,
-                line,
-                _match_head(m),
-                ranks,
-                mode or MAGNUS,
-                actions,
-                first_line,
-                table,
+                lineno, line, m, ranks, mode or MAGNUS, actions, first_line, table
             )
             continue
         tokens = _tokens(line)
@@ -155,19 +143,6 @@ def parse_spec(text):
             if actions:
                 _fail(lineno, col, "mode must come before action lines")
             mode = _parse_mode(lineno, tokens)
-        elif head == "action":
-            if ranks is None:
-                _fail(lineno, col, "ranks must come before action lines")
-            _parse_action(
-                lineno,
-                line,
-                _token_head(lineno, tokens),
-                ranks,
-                mode or MAGNUS,
-                actions,
-                first_line,
-                table,
-            )
         else:
             _fail(lineno, col, "unknown directive %r" % head)
     if builtin is not None:
@@ -240,47 +215,30 @@ def _parse_mode(lineno, tokens):
     return value
 
 
-# The head of an action line is the tuple (col, J, J col, I, P, P col,
-# separator, separator col, Q, Q col, arrow col); an '=' line reads none of
-# the last three.  The two readers below give the same head for every line
-# the pattern matches, and _parse_action checks it.
-
-
-def _match_head(m):
-    start = m.start
-    head = (start(1) + 1, int(m[2]), start(2) + 1, int(m[3]), int(m[4]), start(4) + 1)
-    if start(5) >= 0:
-        return head + ("=", start(5) + 1, None, None, None)
-    return head + (":", start(6) + 1, int(m[7]), start(7) + 1, start(8) + 1)
-
-
-def _token_head(lineno, tokens):
-    # Q stays text, read only after the checks that come before it; the
-    # arrow column is None when the token after Q is not '->'
-    if len(tokens) < 5:
-        _fail(lineno, tokens[0][1], "action line too short")
-    j = _expect_int(lineno, *tokens[1], what="target block")
-    i = _expect_int(lineno, *tokens[2], what="acting block")
-    p = _expect_int(lineno, *tokens[3], what="acting index")
-    q, q_col = tokens[5] if len(tokens) > 5 else (None, None)
-    arrow = tokens[6][1] if len(tokens) > 6 and tokens[6][0] == "->" else None
-    head = (tokens[0][1], j, tokens[1][1], i, p, tokens[3][1])
-    return head + tokens[4] + (q, q_col, arrow)
-
-
-def _parse_action(lineno, line, head, ranks, mode, actions, first_line, table):
-    col, j, j_col, i, p, p_col, sep, sep_col, q, q_col, arrow = head
+def _parse_action(lineno, line, m, ranks, mode, actions, first_line, table):
+    # ``m`` is the match of _ACTION_RE; the payload is the rest of the line
+    col = m.start(1) + 1
+    _, j, i, p, sep, q, arrow = m.groups()
+    if sep is None:
+        _fail(lineno, col, "action line too short")
+    try:
+        j, i, p = int(j), int(i), int(p)
+    except ValueError:
+        j = _expect_int(lineno, j, m.start(2) + 1, what="target block")
+        i = _expect_int(lineno, i, m.start(3) + 1, what="acting block")
+        p = _expect_int(lineno, p, m.start(4) + 1, what="acting index")
     l = len(ranks)
     if not (1 <= i < j <= l):
-        _fail(lineno, j_col, "blocks must satisfy 1 <= I < J <= %d" % l)
+        _fail(lineno, m.start(2) + 1, "blocks must satisfy 1 <= I < J <= %d" % l)
     if not (1 <= p <= ranks[i - 1]):
         _fail(
             lineno,
-            p_col,
+            m.start(4) + 1,
             "acting index %d exceeds rank %d of block %d"
             % (p, ranks[i - 1], i),
         )
     first_line.setdefault((i, j, p), (lineno, col))
+    sep_col = m.start(5) + 1
     if sep == "=":
         if mode != MAGNUS:
             _fail(lineno, sep_col, "'=' action line in images mode")
@@ -294,10 +252,10 @@ def _parse_action(lineno, line, head, ranks, mode, actions, first_line, table):
     elif sep == ":":
         if mode != IMAGES:
             _fail(lineno, sep_col, "':' action line needs 'mode = images'")
-        if arrow is None:
+        if arrow != "->":
             _fail(lineno, sep_col, "expected 'action J I P : Q -> word'")
-        if not isinstance(q, int):
-            q = _expect_int(lineno, q, q_col, what="image index")
+        q_col = m.start(6) + 1
+        q = _expect_int(lineno, q, q_col, what="image index")
         if not (1 <= q <= ranks[j - 1]):
             _fail(
                 lineno,
@@ -314,9 +272,9 @@ def _parse_action(lineno, line, head, ranks, mode, actions, first_line, table):
                 % (j, q, j, i, p),
             )
         try:
-            qmap[q] = Word.parse(line[arrow + 1 :], table)
+            qmap[q] = Word.parse(line[m.end(7) :], table)
         except ValueError as err:
-            _fail(lineno, arrow + 2, str(err))
+            _fail(lineno, m.end(7) + 1, str(err))
     else:
         _fail(lineno, sep_col, "expected '=' or ':' after the action key")
 

@@ -44,10 +44,6 @@ class GroupRingElem(Sparse):
     UNIT = Word()
     _order = staticmethod(lambda w: (len(w), w.letters))
 
-    @classmethod
-    def from_word(cls, w, c=1):
-        return cls({w: c})
-
     @staticmethod
     def _key_mul(w1, w2):
         return 1, w1 * w2

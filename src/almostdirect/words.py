@@ -71,6 +71,10 @@ def _word(letters):
 _LETTER_RE = re.compile(r"(x\(\d+,\d+\)(?:\^-?\d+)?)|\S")
 _INT_RE = re.compile(r"-?\d+")
 
+# the most letters or factors one parsed payload may hold, and so the
+# largest exponent it may write
+MAX_PAYLOAD = 10**6
+
 
 def _scan(pattern, text, what):
     # raise at the first character no factor starts with: every payload
@@ -85,13 +89,18 @@ def _read(pattern, text, what, decode, tokens):
     # the tokens of a payload, decoded and chained.  A token is a run of
     # non-blank characters: one factor as ``str`` writes it, or several
     # written without blanks.  ``tokens`` maps each token text to its tuple
-    # of letters or factors, and each letter or factor to its one shared
-    # copy.  The distinct texts are decoded in the order of their first
-    # occurrence, each left to right, so the first bad factor of the text
-    # decides the error; only valid texts are stored.
+    # of letters or factors, each letter or factor to its one shared copy,
+    # and None to the most items any of its tokens holds.  The distinct
+    # texts are decoded in the order of their first occurrence, each left to
+    # right, so the first bad factor of the text decides the error; only
+    # valid texts are stored.  The new tokens, and then all of them, may
+    # hold at most MAX_PAYLOAD items; the exact count of all of them is
+    # needed only when they could hold more.
     found = text.split()
     if tokens is None:
         tokens = {}
+    longest = tokens.get(None, 0)
+    size = 0  # the items of the new tokens
     for token in dict.fromkeys(found):
         if token not in tokens:
             parts = []
@@ -99,16 +108,28 @@ def _read(pattern, text, what, decode, tokens):
                 if not factor:  # a \S match: _scan raises there
                     _scan(pattern, text, what)
                 parts += decode(factor, tokens)
+                if size + len(parts) > MAX_PAYLOAD:
+                    _too_long(what)
             tokens[token] = tuple(parts)
+            size += len(parts)
+            if len(parts) > longest:
+                tokens[None] = longest = len(parts)
+    if len(found) * longest > MAX_PAYLOAD:
+        if sum(map(len, map(tokens.__getitem__, found))) > MAX_PAYLOAD:
+            _too_long(what)
     return chain.from_iterable(map(tokens.__getitem__, found))
 
 
-def _power(item, power):
-    # ``item`` repeated |power| times
-    try:
-        return (item,) * abs(power)
-    except OverflowError:
-        raise ValueError("exponent %d is too large" % power) from None
+def _too_long(what):
+    unit = "letters" if what == "word" else "factors"
+    raise ValueError("%s has more than %d %s" % (what, MAX_PAYLOAD, unit))
+
+
+def _power(tokens, item, power):
+    # |power| copies of the shared ``item``, the exponent checked first
+    if abs(power) > MAX_PAYLOAD:
+        raise ValueError("exponent %d is too large" % power)
+    return (tokens.setdefault(item, item),) * abs(power)
 
 
 def _letter_factor(text, tokens):
@@ -117,8 +138,7 @@ def _letter_factor(text, tokens):
     if block < 1 or index < 1:
         raise ValueError("generator indices start at 1")
     power = power[0] if power else 1
-    letter = ((block, index), 1 if power > 0 else -1)
-    return _power(tokens.setdefault(letter, letter), power)
+    return _power(tokens, ((block, index), 1 if power > 0 else -1), power)
 
 
 class Word:
@@ -178,9 +198,6 @@ class Word:
 
     def __bool__(self):
         return bool(self.letters)
-
-    def is_identity(self):
-        return not self.letters
 
     def exponent_sums(self):
         """Total exponent of each generator, as a dict without zeros.
@@ -324,8 +341,7 @@ def _ia_factor(text, tokens):
     power = ints[arity] if len(ints) > arity else 1
     if power == 0:
         raise ValueError("IA factor exponent must be nonzero")
-    factor = (gen, 1 if power > 0 else -1)
-    return _power(tokens.setdefault(factor, factor), power)
+    return _power(tokens, (gen, 1 if power > 0 else -1), power)
 
 
 class IAWord:

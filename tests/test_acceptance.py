@@ -326,8 +326,8 @@ def fundamental_formula_holds(letters, grads):
     one = GroupRingElem.one()
     total = GroupRingElem()
     for g, d in gradient(grads, w).items():
-        total = total + d * (GroupRingElem.from_word(Word(((g, 1),))) - one)
-    return total == GroupRingElem.from_word(w) - one
+        total = total + d * (GroupRingElem({Word(((g, 1),)): 1}) - one)
+    return total == GroupRingElem({w: 1}) - one
 
 
 def product_rule_holds(letters, cut, gens, grads):
@@ -336,7 +336,7 @@ def product_rule_holds(letters, cut, gens, grads):
     gw = gradient(grads, w)
     gu = gradient(grads, u)
     gv = gradient(grads, v)
-    au = GroupRingElem.from_word(u)
+    au = GroupRingElem({u: 1})
     zero = GroupRingElem()
     for g in gens:
         lhs = gw.get(g, zero)

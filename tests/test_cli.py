@@ -461,6 +461,32 @@ def test_an_exponent_past_an_index_is_an_error_at_the_payload(capsys, tmp_path):
         )
 
 
+def test_a_payload_past_the_bound_is_an_error_at_its_column():
+    # the first two fail on their exponent; the third reduces to one run,
+    # which format_spec would write as x(2,1)^1200000
+    for text, expected in (
+        (
+            "ranks = 1 2\naction 2 1 1 = B(1,2)^10000000000\n",
+            (2, 16, "exponent 10000000000 is too large"),
+        ),
+        (
+            "ranks = 1 2\nmode = images\n"
+            "action 2 1 1 : 1 -> x(2,1)^1000000000000000000\n",
+            (3, 20, "exponent 1000000000000000000 is too large"),
+        ),
+        (
+            "ranks = 1 2\nmode = images\n"
+            "action 2 1 1 : 1 -> x(2,1)^600000 x(2,1)^600000\n",
+            (3, 20, "word has more than 1000000 letters"),
+        ),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(SpecFileError) as info:
+            parse_spec(text)
+        assert time.perf_counter() - start < 0.5, text
+        assert (info.value.line, info.value.col, info.value.message) == expected
+
+
 def test_action_validation_points_at_the_action_line():
     with pytest.raises(SpecFileError) as info:
         parse_spec("ranks = 1 2\naction 2 1 1 = B(9,1)\n")
@@ -544,7 +570,16 @@ ACTION_HEADS = (
     # unusual heads: int() reads them
     (MAG + "action +2 1 1 = B(1,2)\n", B12),
     (MAG + "action 2 \u0661 1 = B(1,2)\n", B12),
+    # an NBSP is a blank; an empty payload or 1 is the trivial action
+    (MAG + "action\u00a02 1 1 = B(1,2)\n", B12),
+    (MAG + "action 2 1 1 = # trivial\n", AdpSpec((1, 2, 3))),
+    (MAG + "action 2 1 1 = 1\n", AdpSpec((1, 2, 3))),
     # malformed heads
+    (MAG + "action\n", (2, 1, "action line too short")),
+    (MAG + "action   \n", (2, 1, "action line too short")),
+    (MAG + "action 2 1 1 :\n", (2, 14, IMAGES_ONLY)),
+    (IMG + "action 2 1 1 :\n", (3, 14, ARROW)),
+    (MAG + "action2 1 1 = B(1,2)\n", (2, 1, "unknown directive 'action2'")),
     (MAG + "action 2 1 1 =B(1,2)\n", (2, 14, SEPARATOR)),
     (MAG + "action 2 1 1 => B(1,2)\n", (2, 14, SEPARATOR)),
     (MAG + "action 2 1\n", (2, 1, "action line too short")),
@@ -639,6 +674,33 @@ def test_written_action_lines_never_reach_the_token_split(count_calls):
         assert parse_spec(text) == spec
         # the pattern reads every action head; only ranks and mode split
         assert [line for (line,) in split] == text.splitlines()[:2], spec.name
+
+
+def test_action_lines_in_any_blank_runs_parse_to_the_same_spec():
+    # the written action lines of many specs, their tokens rejoined with
+    # random runs of spaces, tabs and NBSPs, leading blanks and a comment
+    rng = random.Random(35)
+    blanks = (" ", "\t", "\u00a0")
+
+    def run_of_blanks():
+        return "".join(rng.choice(blanks) for _ in range(rng.randint(1, 3)))
+
+    specs = [load_spec(str(path)) for path in sorted(GOLDEN_SPECS.glob("*.spec"))]
+    specs += all_builtins_through_five_blocks()
+    specs += [random_spec(random.Random(seed)) for seed in range(50)]
+    for spec in specs:
+        text = format_spec(spec)
+        lines = []
+        for line in text.splitlines():
+            if line.startswith("action"):
+                tokens = line.split()
+                line = run_of_blanks() + tokens[0]
+                line += "".join(run_of_blanks() + token for token in tokens[1:])
+                line += run_of_blanks() + "# comment"
+            lines.append(line)
+        parsed = parse_spec("\n".join(lines) + "\n")
+        assert parsed == spec, spec.name
+        assert format_spec(parsed) == text, spec.name
 
 
 def test_load_spec_builtin_reference():

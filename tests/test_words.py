@@ -1,10 +1,12 @@
 import random
+import time
 from collections import namedtuple
 from itertools import groupby
 
 import pytest
 
 from almostdirect.words import (
+    MAX_PAYLOAD,
     IAWord,
     Word,
     _reduce,
@@ -19,7 +21,7 @@ from oracles import ia_text_per_factor, johnson_per_factor
 
 def test_free_reduction():
     assert x(1, 1) * x(1, 1, -1) == Word()
-    assert (x(1, 1) * x(2, 1) * x(2, 1, -1) * x(1, 1, -1)).is_identity()
+    assert not x(1, 1) * x(2, 1) * x(2, 1, -1) * x(1, 1, -1)
     # reduction cascades through newly adjacent inverse pairs
     w = x(1, 1) * x(2, 1) * x(2, 2) * x(2, 2, -1) * x(2, 1, -1)
     assert w == x(1, 1)
@@ -100,7 +102,7 @@ def test_commutator():
     a = x(1, 1)
     b = x(1, 2)
     assert commutator(a, b) == Word.parse("x(1,1) x(1,2) x(1,1)^-1 x(1,2)^-1")
-    assert commutator(a, a).is_identity()
+    assert not commutator(a, a)
     assert ~commutator(a, b) == commutator(b, a)
 
 
@@ -453,6 +455,40 @@ def test_an_exponent_past_an_index_is_a_value_error():
     assert parse_error(IAWord.parse, 2, "B(1,2)^" + huge) == message
     negative = "exponent -%s is too large" % huge
     assert parse_error(Word.parse, "x(2,1)^-" + huge) == negative
+
+
+# payloads past the bound of MAX_PAYLOAD letters or factors: one exponent,
+# or all the tokens of the payload together, glued or not
+LETTERS = "word has more than 1000000 letters"
+FACTORS = "IA word has more than 1000000 factors"
+PAST_THE_BOUND = (
+    ("x(2,1)^1000000000000000000", "exponent 1000000000000000000 is too large"),
+    ("x(2,1)^-1000001", "exponent -1000001 is too large"),
+    ("x(2,1)^600000 x(2,1)^600000", LETTERS),
+    ("x(2,1)^600000x(2,2)^600000", LETTERS),
+    (" ".join(["x(2,1)^1000"] * 1001), LETTERS),
+    (2, "B(1,2)^10000000000", "exponent 10000000000 is too large"),
+    (2, "B(1,2)^600000 B(1,2)^600000", FACTORS),
+    (2, "B(1,2)^600000 B(2,1)^600000", FACTORS),
+)
+
+
+def test_a_payload_past_the_bound_is_a_value_error():
+    assert MAX_PAYLOAD == 10**6
+    for *args, message in PAST_THE_BOUND:
+        parse = IAWord.parse if len(args) == 2 else Word.parse
+        start = time.perf_counter()
+        assert parse_error(parse, *args) == message, args
+        # each fails before it builds the word
+        assert time.perf_counter() - start < 0.5, args
+    # also when the repeated token is already in the table
+    warm = {}
+    Word.parse("x(2,1)^1000", warm)
+    text = " ".join(["x(2,1)^1000"] * 1001)
+    assert parse_error(Word.parse, text, warm) == LETTERS
+    assert len(Word.parse(" ".join(["x(2,1)^1000"] * 1000), warm)) == MAX_PAYLOAD
+    # the bound itself is allowed
+    assert len(IAWord.parse(2, "B(1,2)^-1000000").factors) == MAX_PAYLOAD
 
 
 Pair = namedtuple("Pair", "gen exp")
