@@ -9,14 +9,15 @@ relations off the action images, or off the Johnson homomorphism of a magnus
 action; :func:`~almostdirect.exterior.cohomology_ring`
 packages them as an exterior algebra quotient with certified normal forms;
 and :mod:`~almostdirect.invariants` reads off Hilbert series, lower central
-series ranks, and topological complexity certificates.
+series ranks, and topological complexity certificates.  The names below are
+that pipeline and the words that specs are written in; the Fox calculus and
+the Laurent chain map of :mod:`~almostdirect.fox` and
+:mod:`~almostdirect.homology` are the oracles of the tests.
 
-Everything is exact: integers, rationals, and Laurent polynomials over Z.
+Everything is exact: integers and rationals.
 """
 
 from .words import Word, x, commutator, commutator_decompose, beta, theta, IAWord
-from .laurent import LaurentPoly, t
-from .fox import fox_derivative, fox_gradient, abel_gradient, abelianize
 from .adp import (
     AdpSpec,
     build_presentation,
@@ -26,16 +27,8 @@ from .adp import (
     pure_braid_mod_center,
     upper_mccool_mod_center,
     extend_with_torus,
-    random_spec,
 )
-from .homology import (
-    chain_a2,
-    delta2,
-    verify_chain_map,
-    h2_matrix,
-    kernel_basis,
-    H2Matrix,
-)
+from .homology import h2_matrix, kernel_basis, H2Matrix
 from .exterior import (
     ExtElem,
     e,
@@ -47,7 +40,6 @@ from .invariants import (
     poincare_vector,
     lcs_ranks,
     lcs_identity_holds,
-    TensorElem,
     zcl_witness,
     witness_term,
     tc_certificate,

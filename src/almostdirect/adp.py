@@ -22,14 +22,7 @@ triangular McCool groups, and the quotients of these by their centers.
 
 from __future__ import annotations
 
-from .words import (
-    IAWord,
-    Word,
-    _word,
-    beta,
-    theta,
-    x,
-)
+from .words import IAWord, Word, _word, x
 
 __all__ = [
     "ActionError",
@@ -43,7 +36,6 @@ __all__ = [
     "pure_braid_mod_center",
     "upper_mccool_mod_center",
     "extend_with_torus",
-    "random_spec",
     "BUILTINS",
 ]
 
@@ -87,10 +79,10 @@ class AdpSpec:
     image of ``x(j,q)`` under ``x(i,p)``, keyed ``(i, j, p, q)``, for every
     generator the action moves, in relation order.  A magnus action
     expands with :meth:`~almostdirect.words.IAWord.images`.
-    :meth:`action_image`, :func:`build_presentation` and the images form
-    of ``format_spec`` read it; ``==`` compares only the actions that
-    differ, by ``tau1`` when both are IA words and then by the images they
-    move; the ring reads ``tau1``, and ``hash`` the keys of ``actions``.
+    :func:`build_presentation` and the images form of ``format_spec`` read
+    it; ``==`` compares only the actions that differ, by ``tau1`` when both
+    are IA words and then by the images they move; the ring reads
+    ``tau1``, and ``hash`` the keys of ``actions``.
     """
 
     __slots__ = ("ranks", "actions", "tau1", "name", "_images")
@@ -205,14 +197,6 @@ class AdpSpec:
         certifies that they define an invertible endomorphism.
         """
         return any(kind == IMAGES for kind, _ in self.actions.values())
-
-    def action_image(self, i, j, p, q):
-        """The image of ``x(j,q)`` under the action of ``x(i,p)``."""
-        self._check_key((i, j, p))
-        if not (1 <= q <= self.ranks[j - 1]):
-            raise ValueError("index %d exceeds rank of block %d" % (q, j))
-        image = self.images.get((i, j, p, q))
-        return x(j, q) if image is None else image
 
     def acts_trivially_beyond(self, i):
         """True when block ``i`` acts trivially on every later block."""
@@ -399,50 +383,6 @@ def extend_with_torus(spec, m):
     out.actions = dict(spec.actions)
     out.tau1 = dict(spec.tau1)
     return out
-
-
-def _random_ia_factor(rng, n):
-    if n >= 3 and rng.random() < 0.5:
-        a, b, c = rng.sample(range(1, n + 1), 3)
-        gen = theta(a, b, c)
-    else:
-        a, b = rng.sample(range(1, n + 1), 2)
-        gen = beta(a, b)
-    return (gen, rng.choice((1, -1)))
-
-
-def random_spec(rng, max_blocks=4, min_rank=1, max_rank=3, max_factors=4):
-    """A random magnus-mode spec that is a genuine almost-direct product.
-
-    An arbitrary assignment of IA words to the acting generators does not
-    in general extend to an action of the iterated product (the earlier
-    blocks are not free once they commute up to conjugation), so plain
-    per-generator randomness leaves the intended domain as soon as three
-    blocks interact.  Instead one random IA automorphism is drawn per
-    block and every acting generator acts on that block by a power of it,
-    of word length at most ``max_factors``: words with zero exponent sums
-    then act trivially, which makes the iterated action consistent for
-    every choice of powers.  ``rng`` is a ``random.Random``.
-    """
-    l = rng.randint(1, max_blocks)
-    ranks = tuple(rng.randint(min_rank, max_rank) for _ in range(l))
-    actions = {}
-    for j in range(2, l + 1):
-        n = ranks[j - 1]
-        if n < 2:
-            continue
-        base_len = rng.randint(1, max(1, max_factors // 2))
-        sigma = tuple(_random_ia_factor(rng, n) for _ in range(base_len))
-        sigma_inv = tuple((g, -e) for g, e in reversed(sigma))
-        max_power = max_factors // base_len
-        for i in range(1, j):
-            for p in range(1, ranks[i - 1] + 1):
-                c = rng.randint(-max_power, max_power)
-                if not c:
-                    continue
-                factors = (sigma if c > 0 else sigma_inv) * abs(c)
-                actions[(i, j, p)] = (MAGNUS, IAWord(n, factors))
-    return AdpSpec(ranks, actions, name="random")
 
 
 BUILTINS = {

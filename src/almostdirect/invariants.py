@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .exterior import mono_mul, mono_token, poincare_vector
+from .exterior import mono_token, poincare_vector
 from .sparse import Sparse
 
 __all__ = [
@@ -106,67 +106,20 @@ def lcs_identity_holds(ranks, max_k):
 class TensorElem(Sparse):
     """An element of the tensor square of a cohomology ring.
 
-    Terms map pairs of normal monomials to coefficients; multiplication
-    follows the sign rule ``(a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd``
-    with both components reduced to normal form.  Elements of different
-    rings do not add, subtract or multiply.
+    Terms map pairs ``(a, b)`` of normal monomials, the elements
+    ``a (x) b``, to coefficients.  :func:`zcl_witness` builds the one
+    product the package needs term by term, so a tensor element adds,
+    subtracts and scales as every :class:`~almostdirect.sparse.Sparse`
+    does, and prints, but has no product of its own.
     """
 
-    __slots__ = ("ring",)
+    __slots__ = ()
 
     UNIT = ((), ())
-
-    def __init__(self, ring, terms=None):
-        self.ring = ring
-        super().__init__(terms)
-
-    @classmethod
-    def one(cls, ring):
-        return cls(ring, {cls.UNIT: 1})
-
-    def _new(self, terms):
-        return TensorElem(self.ring, terms)
-
-    def _same_ring(self, other):
-        return other.ring is self.ring or other.ring == self.ring
-
-    def _coerce(self, other):
-        if isinstance(other, TensorElem) and not self._same_ring(other):
-            return None
-        return super()._coerce(other)
 
     @staticmethod
     def _key_str(key):
         return "%s(x)%s" % tuple(map(mono_token, key))
-
-    def __mul__(self, other):
-        if not isinstance(other, TensorElem):
-            return super().__mul__(other)
-        if not self._same_ring(other):
-            return NotImplemented
-        ring = self.ring
-        terms = {}
-        for (a, b), c1 in self.terms.items():
-            for (u, v), c2 in other.terms.items():
-                sign = -1 if (len(b) * len(u)) & 1 else 1
-                left = mono_mul(a, u)
-                if left is None:
-                    continue
-                right = mono_mul(b, v)
-                if right is None:
-                    continue
-                s_l, m_l = left
-                s_r, m_r = right
-                coeff = sign * s_l * s_r * c1 * c2
-                for ml, cl in ring.reduce_mono(m_l).items():
-                    for mr, cr in ring.reduce_mono(m_r).items():
-                        key = (ml, mr)
-                        s = terms.get(key, 0) + coeff * cl * cr
-                        if s:
-                            terms[key] = s
-                        else:
-                            del terms[key]
-        return TensorElem(ring, terms)
 
 
 @dataclass
@@ -259,7 +212,7 @@ def zcl_witness(ring):
                         del terms[key]
         element = terms
     # every coefficient is nonzero: the product takes the dict as it is
-    product = TensorElem(ring)
+    product = TensorElem()
     product.terms = element
     (left, right), _ = witness_term(ring.ranks)
     return ZclWitness(len(left) + len(right), product)

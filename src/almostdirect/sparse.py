@@ -5,7 +5,7 @@ dict from a hashable key (a monomial, a word, a pair of monomials) to a
 nonzero integer or Fraction.  :class:`Sparse` holds the arithmetic that
 does not depend on what the keys mean: sums, negation, scalar multiples,
 equality, hashing and the signed string form.  A subclass names its unit
-key, how two keys multiply, and how a key prints.
+key, how two keys multiply if its elements do, and how a key prints.
 
 :func:`add_scaled` is the merge under all of it, also used on the plain row
 dicts of :mod:`~almostdirect.linalg`.
@@ -43,9 +43,10 @@ class Sparse:
 
     Subclasses set ``UNIT``, the key of the element ``1``, so that integers
     and Fractions stand for multiples of ``1`` in ``+``, ``-`` and ``==``;
-    ``_key_mul(m1, m2)``, returning ``(sign, key)`` or None when the product
-    vanishes; ``_key_str`` (or all of ``_term_str``); and ``_order``, the
-    sort key of the printed terms (None sorts the keys themselves).
+    ``_key_mul(m1, m2)`` when its elements multiply, returning ``(sign,
+    key)`` or None when the product vanishes; ``_key_str`` (or all of
+    ``_term_str``); and ``_order``, the sort key of the printed terms (None
+    sorts the keys themselves).
     """
 
     __slots__ = ("terms",)
@@ -67,19 +68,11 @@ class Sparse:
             return self._new({self.UNIT: other})
         return None
 
-    @classmethod
-    def one(cls):
-        return cls({cls.UNIT: 1})
-
     def is_zero(self):
         return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
-
-    def augment(self):
-        """Sum of the coefficients."""
-        return sum(self.terms.values())
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -125,20 +125,41 @@ def _too_long(what):
     raise ValueError("%s has more than %d %s" % (what, MAX_PAYLOAD, unit))
 
 
-def _power(tokens, item, power):
-    # |power| copies of the shared ``item``, the exponent checked first
+def _int(text, what):
+    # a number as written; ``int`` refuses more digits than Python's limit
+    # (4,300 by default), and so would ``str`` or ``%d``, so such a number
+    # is quoted as written
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s %s is too large" % (what, text)) from None
+
+
+def _exponent(written):
+    # the exponent of a factor from the list of the numbers written after
+    # its indices, 1 when there are none, checked against MAX_PAYLOAD before
+    # anything is allocated
+    if not written:
+        return 1
+    power = _int(written[0], "exponent")
     if abs(power) > MAX_PAYLOAD:
-        raise ValueError("exponent %d is too large" % power)
+        raise ValueError("exponent %s is too large" % written[0])
+    return power
+
+
+def _power(tokens, gen, power):
+    # |power| copies of the shared ``(gen, sign)``
+    item = (gen, 1 if power > 0 else -1)
     return (tokens.setdefault(item, item),) * abs(power)
 
 
 def _letter_factor(text, tokens):
     # ``x(b,i)^k`` as |k| shared letters
-    block, index, *power = map(int, _INT_RE.findall(text))
+    block, index, *power = _INT_RE.findall(text)
+    block, index = _int(block, "block"), _int(index, "index")
     if block < 1 or index < 1:
         raise ValueError("generator indices start at 1")
-    power = power[0] if power else 1
-    return _power(tokens, ((block, index), 1 if power > 0 else -1), power)
+    return _power(tokens, (block, index), _exponent(power))
 
 
 class Word:
@@ -335,13 +356,14 @@ _IA_RE = re.compile(
 
 def _ia_factor(text, tokens):
     # ``B(i,j)^k`` or ``T(i;s,t)^k`` as |k| shared factors
-    ints = list(map(int, _INT_RE.findall(text)))
+    numbers = _INT_RE.findall(text)
     arity = 2 if text[0] == "B" else 3
-    gen = beta(*ints[:2]) if arity == 2 else theta(*ints[:3])
-    power = ints[arity] if len(ints) > arity else 1
+    indices = [_int(k, "index") for k in numbers[:arity]]
+    gen = beta(*indices) if arity == 2 else theta(*indices)
+    power = _exponent(numbers[arity:])
     if power == 0:
         raise ValueError("IA factor exponent must be nonzero")
-    return _power(tokens, (gen, 1 if power > 0 else -1), power)
+    return _power(tokens, gen, power)
 
 
 class IAWord:

@@ -4,18 +4,144 @@ No subcommand runs these.  Each restates a fact the package computes
 another way, or builds an element only a test inspects: the dense H2
 matrix and its column order, span equality as a rank identity, the
 triangular basis ``xi`` of the exterior algebra, the products that the
-Groebner certificate rewrites, the tensor-square elements and closed
-forms that the zero-divisor witness must equal, and ``tau_1`` and the
-printed form of an IA word read one factor at a time.
+Groebner certificate rewrites, the tensor square with its product, the
+tensor-square elements and closed forms that the zero-divisor witness
+must equal, and ``tau_1`` and the printed form of an IA word read one
+factor at a time.  Some build the inputs of the tests: the unit and the
+augmentation of a sparse algebra, one image of a spec's action, and the
+seeded random specs.
 """
 
 from itertools import combinations
 
-from almostdirect.adp import generators, relation_keys
+from almostdirect.adp import MAGNUS, AdpSpec, generators, relation_keys
 from almostdirect.exterior import CohomologyRing, ExtElem, deg_lex_key, e, mono_mul
 from almostdirect.invariants import TensorElem
 from almostdirect.laurent import LaurentPoly, t
 from almostdirect.linalg import span_rank
+from almostdirect.words import IAWord, beta, theta, x
+
+
+def unit(cls):
+    """The unit ``1`` of a :class:`~almostdirect.sparse.Sparse` algebra."""
+    return cls({cls.UNIT: 1})
+
+
+def augment(elem):
+    """The sum of the coefficients: every variable or letter sent to 1."""
+    return sum(elem.terms.values())
+
+
+def action_image(spec, i, j, p, q):
+    """The image of ``x(j,q)`` under the action of ``x(i,p)`` in ``spec``."""
+    spec._check_key((i, j, p))
+    if not (1 <= q <= spec.ranks[j - 1]):
+        raise ValueError("index %d exceeds rank of block %d" % (q, j))
+    image = spec.images.get((i, j, p, q))
+    return x(j, q) if image is None else image
+
+
+def _random_ia_factor(rng, n):
+    if n >= 3 and rng.random() < 0.5:
+        a, b, c = rng.sample(range(1, n + 1), 3)
+        gen = theta(a, b, c)
+    else:
+        a, b = rng.sample(range(1, n + 1), 2)
+        gen = beta(a, b)
+    return (gen, rng.choice((1, -1)))
+
+
+def random_spec(rng, max_blocks=4, min_rank=1, max_rank=3, max_factors=4):
+    """A random magnus-mode spec that is a genuine almost-direct product.
+
+    An arbitrary assignment of IA words to the acting generators does not
+    in general extend to an action of the iterated product (the earlier
+    blocks are not free once they commute up to conjugation), so plain
+    per-generator randomness leaves the intended domain as soon as three
+    blocks interact.  Instead one random IA automorphism is drawn per
+    block and every acting generator acts on that block by a power of it,
+    of word length at most ``max_factors``: words with zero exponent sums
+    then act trivially, which makes the iterated action consistent for
+    every choice of powers.  ``rng`` is a ``random.Random``.
+    """
+    l = rng.randint(1, max_blocks)
+    ranks = tuple(rng.randint(min_rank, max_rank) for _ in range(l))
+    actions = {}
+    for j in range(2, l + 1):
+        n = ranks[j - 1]
+        if n < 2:
+            continue
+        base_len = rng.randint(1, max(1, max_factors // 2))
+        sigma = tuple(_random_ia_factor(rng, n) for _ in range(base_len))
+        sigma_inv = tuple((g, -e) for g, e in reversed(sigma))
+        max_power = max_factors // base_len
+        for i in range(1, j):
+            for p in range(1, ranks[i - 1] + 1):
+                c = rng.randint(-max_power, max_power)
+                if not c:
+                    continue
+                factors = (sigma if c > 0 else sigma_inv) * abs(c)
+                actions[(i, j, p)] = (MAGNUS, IAWord(n, factors))
+    return AdpSpec(ranks, actions, name="random")
+
+
+class RingTensorElem(TensorElem):
+    """An element of the tensor square bound to its ring, so it multiplies.
+
+    Multiplication follows the sign rule ``(a (x) b)(c (x) d) =
+    (-1)^{|b||c|} ac (x) bd`` with both components reduced to normal form.
+    Elements of different rings do not add, subtract or multiply.
+    """
+
+    __slots__ = ("ring",)
+
+    def __init__(self, ring, terms=None):
+        self.ring = ring
+        super().__init__(terms)
+
+    @classmethod
+    def one(cls, ring):
+        return cls(ring, {cls.UNIT: 1})
+
+    def _new(self, terms):
+        return type(self)(self.ring, terms)
+
+    def _same_ring(self, other):
+        return other.ring is self.ring or other.ring == self.ring
+
+    def _coerce(self, other):
+        if isinstance(other, RingTensorElem) and not self._same_ring(other):
+            return None
+        return super()._coerce(other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RingTensorElem):
+            return super().__mul__(other)
+        if not self._same_ring(other):
+            return NotImplemented
+        ring = self.ring
+        terms = {}
+        for (a, b), c1 in self.terms.items():
+            for (u, v), c2 in other.terms.items():
+                sign = -1 if (len(b) * len(u)) & 1 else 1
+                left = mono_mul(a, u)
+                if left is None:
+                    continue
+                right = mono_mul(b, v)
+                if right is None:
+                    continue
+                s_l, m_l = left
+                s_r, m_r = right
+                coeff = sign * s_l * s_r * c1 * c2
+                for ml, cl in ring.reduce_mono(m_l).items():
+                    for mr, cr in ring.reduce_mono(m_r).items():
+                        key = (ml, mr)
+                        s = terms.get(key, 0) + coeff * cl * cr
+                        if s:
+                            terms[key] = s
+                        else:
+                            del terms[key]
+        return type(self)(ring, terms)
 
 
 def spans_equal(rows1, rows2):
@@ -99,7 +225,7 @@ def xi(ring, subsets):
     """
     if len(subsets) != len(ring.ranks):
         raise ValueError("need one index set per block")
-    out = ExtElem.one()
+    out = unit(ExtElem)
     for j, qs in enumerate(subsets, start=1):
         qs = tuple(qs)
         if any(not 1 <= q <= ring.ranks[j - 1] for q in qs):
@@ -125,7 +251,7 @@ def tensor(ring, a, b):
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             terms[(ma, mb)] = ca * cb
-    return TensorElem(ring, terms)
+    return RingTensorElem(ring, terms)
 
 
 def zero_divisor(ring, u):
@@ -135,7 +261,7 @@ def zero_divisor(ring, u):
     degrees = {len(m) for m in u.terms}
     if len(degrees) != 1 or 0 in degrees:
         raise ValueError("zero divisors come from positive-degree elements")
-    one = ExtElem.one()
+    one = unit(ExtElem)
     return tensor(ring, one, u) - tensor(ring, u, one)
 
 
@@ -161,7 +287,7 @@ def claim_expansion(ring):
             x_mono = tuple((j, 1 if j in chosen else 2) for j in range(1, l + 1))
             y_mono = tuple((j, 2 if j in chosen else 1) for j in range(1, l + 1))
             terms[(x_mono, y_mono)] = sign * (-1) ** size
-    return TensorElem(ring, terms)
+    return RingTensorElem(ring, terms)
 
 
 def torus_shuffle_expansion(m):
@@ -187,7 +313,7 @@ def torus_shuffle_expansion(m):
             left = tuple((i, 1) for i in chosen)
             right = tuple((i, 1) for i in rest)
             terms[(left, right)] = (-1) ** (size + inversions)
-    return TensorElem(ring, terms)
+    return RingTensorElem(ring, terms)
 
 
 def johnson_per_factor(ia, block):

@@ -15,7 +15,6 @@ from almostdirect.adp import (
     partial_pure_braid,
     pure_braid,
     pure_braid_mod_center,
-    random_spec,
     relation_keys,
     upper_mccool,
     upper_mccool_mod_center,
@@ -38,7 +37,14 @@ from almostdirect.invariants import (
 from almostdirect.linalg import span_rank
 from almostdirect.sparse import add_scaled
 from almostdirect.words import Word, commutator_decompose
-from oracles import claim_expansion, dense, is_normal, spans_equal
+from oracles import (
+    claim_expansion,
+    dense,
+    is_normal,
+    random_spec,
+    spans_equal,
+    unit,
+)
 
 
 def report(num, ok, detail):
@@ -323,7 +329,7 @@ def gradient(grads, w):
 
 def fundamental_formula_holds(letters, grads):
     w = Word(letters)
-    one = GroupRingElem.one()
+    one = unit(GroupRingElem)
     total = GroupRingElem()
     for g, d in gradient(grads, w).items():
         total = total + d * (GroupRingElem({Word(((g, 1),)): 1}) - one)

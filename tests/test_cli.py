@@ -21,7 +21,6 @@ from almostdirect.adp import (
     extend_with_torus,
     partial_pure_braid,
     pure_braid,
-    random_spec,
     upper_mccool,
 )
 from almostdirect.cli import (
@@ -32,6 +31,7 @@ from almostdirect.cli import (
     parse_spec,
 )
 from almostdirect.words import IAWord, x
+from oracles import random_spec
 from test_acceptance import all_builtins_through_five_blocks
 from test_words import reassemble
 
@@ -485,6 +485,33 @@ def test_a_payload_past_the_bound_is_an_error_at_its_column():
             parse_spec(text)
         assert time.perf_counter() - start < 0.5, text
         assert (info.value.line, info.value.col, info.value.message) == expected
+
+
+def test_a_number_past_the_digits_int_reads_is_an_error_at_the_payload():
+    # 5,000 digits: more than int, str or %d handle, so each number is
+    # quoted as written, at the payload column, where 20 digits of an
+    # exponent or of an IA index fail too
+    huge = "9" * 5000
+    images = "ranks = 1 2\nmode = images\naction 2 1 1 : 1 -> "
+    for text, expected in (
+        ("ranks = 1 2\naction 2 1 1 = B(1,2)^" + huge, (2, 16, "exponent ")),
+        ("ranks = 1 2\naction 2 1 1 = B(1,2)^-" + huge, (2, 16, "exponent -")),
+        ("ranks = 1 2\naction 2 1 1 = B(1,%s)" % huge, (2, 16, "index ")),
+        ("ranks = 1 3\naction 2 1 1 = T(%s;2,3)" % huge, (2, 16, "index ")),
+        (images + "x(2,1)^" + huge, (3, 20, "exponent ")),
+        (images + "x(2,1)^-" + huge, (3, 20, "exponent -")),
+        # 20 digits of a word's index pass the parse, and the spec refuses
+        # the image at the action's first column; these cannot pass it
+        (images + "x(2,%s)" % huge, (3, 20, "index ")),
+        (images + "x(%s,1)" % huge, (3, 20, "block ")),
+    ):
+        line, col, quoted = expected
+        start = time.perf_counter()
+        with pytest.raises(SpecFileError) as info:
+            parse_spec(text + "\n")
+        assert time.perf_counter() - start < 0.5, quoted
+        assert (info.value.line, info.value.col) == (line, col), quoted
+        assert info.value.message == quoted + huge + " is too large"
 
 
 def test_action_validation_points_at_the_action_line():

@@ -12,7 +12,6 @@ from almostdirect.adp import (
     partial_pure_braid,
     pure_braid,
     pure_braid_mod_center,
-    random_spec,
     relation_keys,
     upper_mccool,
     upper_mccool_mod_center,
@@ -30,7 +29,14 @@ from almostdirect.homology import (
 from almostdirect.cli import load_spec, main, parse_spec
 from almostdirect.laurent import LaurentPoly, t
 from almostdirect.words import Word, commutator_decompose, x
-from oracles import dense, koszul_d1, sorted_generator_pairs
+from oracles import (
+    action_image,
+    augment,
+    dense,
+    koszul_d1,
+    random_spec,
+    sorted_generator_pairs,
+)
 from test_acceptance import pair_matrix, specs_under_test
 from test_benchmark_targets import load
 from test_cli import INCONSISTENT
@@ -163,7 +169,7 @@ def test_chain_a2_augments_to_matrix_row():
         keys = relation_keys(spec.ranks)
         for key, row in zip(keys, dense(m), strict=True):
             a2 = chain_a2(key, words.get(key, Word()))
-            aug = {pair: poly.augment() for pair, poly in a2.items()}
+            aug = {pair: augment(poly) for pair, poly in a2.items()}
             assert [aug.get(c, 0) for c in cols] == row, key
 
 
@@ -240,7 +246,7 @@ def test_presentation_stores_the_moved_relations_and_implies_the_rest():
         assert all(words.values())
         for key in every:
             i, j, p, q = key
-            image = spec.action_image(i, j, p, q)
+            image = action_image(spec, i, j, p, q)
             assert words.get(key, Word()) == x(j, q, -1) * image
         # the dense matrix over every relation, unit rows included
         m = h2_matrix(ranks, words)

@@ -11,7 +11,6 @@ from almostdirect.adp import (
     partial_pure_braid,
     pure_braid,
     pure_braid_mod_center,
-    random_spec,
     upper_mccool,
     upper_mccool_mod_center,
 )
@@ -32,10 +31,13 @@ from almostdirect.invariants import (
     zcl_witness,
 )
 from oracles import (
+    RingTensorElem,
     claim_expansion,
     is_normal,
+    random_spec,
     tensor,
     torus_shuffle_expansion,
+    unit,
     zero_divisor,
 )
 from test_acceptance import (
@@ -78,17 +80,17 @@ def test_lcs_needs_at_least_one_degree():
 def test_tensor_sign_rule():
     ring = cohomology_ring(AdpSpec((2,)))
     u, v = e(1, 1), e(1, 2)
-    left = tensor(ring, ExtElem.one(), u) * tensor(ring, v, ExtElem.one())
+    left = tensor(ring, unit(ExtElem), u) * tensor(ring, v, unit(ExtElem))
     # (1 (x) u)(v (x) 1) = (-1)^{|u||v|} v (x) u
     assert left == -tensor(ring, v, u)
-    right = tensor(ring, v, ExtElem.one()) * tensor(ring, ExtElem.one(), u)
+    right = tensor(ring, v, unit(ExtElem)) * tensor(ring, unit(ExtElem), u)
     assert right == tensor(ring, v, u)
 
 
 def test_tensor_factors_reduce_in_the_quotient():
     ring = cohomology_ring(pure_braid(3))
-    el = tensor(ring, e(2, 1) * e(2, 2), ExtElem.one())
-    expect = tensor(ring, ring.normal_form(e(2, 1) * e(2, 2)), ExtElem.one())
+    el = tensor(ring, e(2, 1) * e(2, 2), unit(ExtElem))
+    expect = tensor(ring, ring.normal_form(e(2, 1) * e(2, 2)), unit(ExtElem))
     assert el == expect
 
 
@@ -133,8 +135,8 @@ def suffix_product_witness(ring):
         for j, n in enumerate(ring.ranks, start=1)
         for p in range(1, min(n, 2) + 1)
     ]
-    length, element = 0, TensorElem.one(ring)
-    cur = TensorElem.one(ring)
+    length, element = 0, RingTensorElem.one(ring)
+    cur = RingTensorElem.one(ring)
     for r, f in enumerate(reversed(factors), start=1):
         cur = f * cur
         if cur:
@@ -160,8 +162,8 @@ def block_order_witness(ring):
         for j, n in enumerate(ring.ranks, start=1)
         for p in range(1, min(n, 2) + 1)
     ]
-    length, element = 0, TensorElem.one(ring)
-    cur = TensorElem.one(ring)
+    length, element = 0, RingTensorElem.one(ring)
+    cur = RingTensorElem.one(ring)
     for r, f in enumerate(factors, start=1):
         cur = cur * f
         if not cur:
@@ -194,7 +196,7 @@ def prefix_witnesses(ring):
     :func:`zero_divisor` factors of blocks ``1..j``, multiplied in block
     order, as ``(length, num_factors, terms)``."""
     length, num_factors = 0, 0
-    element = cur = TensorElem.one(ring)
+    element = cur = RingTensorElem.one(ring)
     out = []
     for j, n in enumerate(ring.ranks, start=1):
         for p in range(1, min(n, 2) + 1):
@@ -420,21 +422,21 @@ def term_by_term_token(elem):
 
 
 def test_elem_token_is_the_term_by_term_formula():
-    _, rings, witnesses = witness_corpus()
+    _, _, witnesses = witness_corpus()
     elems = [wit.element for wit in witnesses]
     for spec in all_builtins_through_five_blocks():
         ring = ring_of(spec)
         elems += [ring.eta(j, p, q) for (j, p), (_, q) in ring.etas]
-    elems += [ExtElem(), TensorElem(rings[0])]
+    elems += [ExtElem(), TensorElem()]
     elems.append(ExtElem({(): Fraction(1, 2), ((1, 1),): -3}))
     # equal left monomials whose right ones differ in length, where the
     # order of the pairs is not deg-lex on the right
     a, b, c = ((1, 1),), ((2, 1),), ((1, 1), (2, 1))
-    elems.append(TensorElem(rings[0], {(a, b): 1, (a, c): -2, (b, a): 3, (a, ()): 4}))
-    elems.append(TensorElem(rings[0], {(c, b): 1, (c, a): 1, (b, c): -1, (b, b): 2}))
+    elems.append(TensorElem({(a, b): 1, (a, c): -2, (b, a): 3, (a, ()): 4}))
+    elems.append(TensorElem({(c, b): 1, (c, a): 1, (b, c): -1, (b, b): 2}))
     # the unit monomial on either side, and a Fraction coefficient
     unit = TensorElem.UNIT
     mixed = {unit: Fraction(1, 2), ((), a): -3, (a, ()): Fraction(-2, 3)}
-    elems.append(TensorElem(rings[0], mixed))
+    elems.append(TensorElem(mixed))
     for elem in elems:
         assert elem_token(elem) == term_by_term_token(elem)

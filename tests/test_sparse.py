@@ -9,11 +9,11 @@ from almostdirect.invariants import TensorElem
 from almostdirect.laurent import LaurentPoly, t
 from almostdirect.sparse import add_scaled
 from almostdirect.words import Word, x
-from oracles import tensor
+from oracles import RingTensorElem, tensor, unit
 
 RING = cohomology_ring(pure_braid(3))
 RING4 = cohomology_ring(pure_braid(4))
-ONE = ExtElem.one()
+ONE = unit(ExtElem)
 
 
 def test_repr_strings():
@@ -26,7 +26,7 @@ def test_repr_strings():
         == "2 (1) - x(1,1) + 3 (x(1,1) x(1,2))"
     )
     assert repr(t(1, 1, 2) * 3 - 1 + t(2, 1, -1)) == "-1 + 3 t(1,1)^2 + t(2,1)^-1"
-    assert repr(TensorElem.one(RING) * 3) == "3 1(x)1"
+    assert repr(RingTensorElem.one(RING) * 3) == "3 1(x)1"
 
 
 # (make from a terms dict, two distinct nonzero elements, a key of each class)
@@ -49,10 +49,17 @@ CASES = {
         e(1, 1) * e(2, 1) + Fraction(1, 3) * e(2, 2),
         ((1, 1), (2, 2)),
     ),
+    # the package's tensor elements, which carry no ring and no product
+    "tensor-terms": (
+        TensorElem,
+        TensorElem({(((1, 1),), ()): 1, ((), ((2, 1),)): -2}),
+        TensorElem({((), ()): 3, (((2, 1),), ((2, 2),)): Fraction(1, 3)}),
+        (((1, 1),), ((2, 1),)),
+    ),
     "tensor": (
-        lambda terms: TensorElem(RING, terms),
+        lambda terms: RingTensorElem(RING, terms),
         tensor(RING, e(1, 1), ONE) - tensor(RING, ONE, e(2, 1)),
-        TensorElem.one(RING) * 3 + tensor(RING, e(2, 1), e(2, 2)),
+        RingTensorElem.one(RING) * 3 + tensor(RING, e(2, 1), e(2, 2)),
         (((1, 1),), ((2, 1),)),
     ),
 }
@@ -115,7 +122,7 @@ def test_equal_elements_hash_equal(case):
 
 
 def test_tensor_elements_of_different_rings_do_not_mix():
-    one3, one4 = TensorElem.one(RING), TensorElem.one(RING4)
+    one3, one4 = RingTensorElem.one(RING), RingTensorElem.one(RING4)
     assert one3 != one4
     for op in (
         lambda u, v: u + v,
@@ -125,7 +132,7 @@ def test_tensor_elements_of_different_rings_do_not_mix():
         with pytest.raises(TypeError):
             op(one3, one4)
     # a ring built again from the same spec is the same ring
-    assert one3 + TensorElem.one(cohomology_ring(pure_braid(3))) == one3 * 2
+    assert one3 + RingTensorElem.one(cohomology_ring(pure_braid(3))) == one3 * 2
 
 
 def test_add_scaled_merges_in_place_and_drops_cancelled_terms():
