@@ -82,7 +82,7 @@ class AdpSpec:
     :func:`build_presentation` and the images form of ``format_spec`` read
     it; ``==`` compares only the actions that differ, by ``tau1`` when both
     are IA words and then by the images they move; the ring reads
-    ``tau1``, and ``hash`` the keys of ``actions``.
+    :meth:`h2_entries`, and ``hash`` the keys of ``actions``.
     """
 
     __slots__ = ("ranks", "actions", "tau1", "name", "_images")
@@ -188,6 +188,16 @@ class AdpSpec:
                 for q, w in _moved(j, action).items()
             }
         return self._images
+
+    def h2_entries(self):
+        """The H2 table of the ring, keyed and ordered as :attr:`images`:
+        the moved images of an images action, and the classes ``tau_1``
+        that ``tau1`` keeps of a magnus action, so no IA word expands."""
+        return {
+            (i, j, p, q): entry
+            for (i, j, p), (kind, payload) in self.actions.items()
+            for q, entry in (payload if kind == IMAGES else self.tau1[i, j, p]).items()
+        }
 
     @property
     def has_uncertified_images(self):

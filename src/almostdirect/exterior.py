@@ -121,7 +121,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
 
-from .adp import MAGNUS, generators
+from .adp import generators
 from .homology import h2_matrix, kernel_basis
 from .linalg import span_rank
 from .sparse import Sparse, add_scaled
@@ -294,7 +294,8 @@ class CohomologyRing:
     ``((j, p), (j, q))``, the terms of ``eta(j; p, q)`` as a dict from
     monomials to integers.  The constructor checks it in one pass and keeps
     it, less any zero coefficients, as ``_eta``; every method that reads an
-    eta reads that table.
+    eta reads that table.  Its one rewrite table ``_rules`` holds each
+    product ``e_g e_h`` of one block, in both orders, as a dict.
     """
 
     def __init__(self, ranks, etas):
@@ -315,8 +316,7 @@ class CohomologyRing:
                     "eta(%d;%d,%d) has lead coefficient %r, not 1"
                     % (j, p, q, terms.get(lead))
                 )
-            eta = {lead: 1}
-            rule = {}
+            tail = {}
             for mono, c in terms.items():
                 if mono == lead or not c:
                     # the merge in reduce_mono expects nonzero coefficients
@@ -334,20 +334,17 @@ class CohomologyRing:
                         "term %r of eta(%d;%d,%d) is outside the earlier blocks"
                         % (mono, j, p, q)
                     )
-                eta[mono] = c
-                rule[mono] = -c
-            self._eta[lead] = eta
-            self._rules[lead] = rule
-        if len(self._eta) != sum(comb(n, 2) for n in self.ranks):
-            j, p, q = next(
-                (j, p, q)
-                for j, n in enumerate(self.ranks, start=1)
-                for p, q in combinations(range(1, n + 1), 2)
-                if ((j, p), (j, q)) not in self._eta
-            )
-            raise ValueError(
-                "missing kernel element for block %d pair (%d,%d)" % (j, p, q)
-            )
+                tail[mono] = c
+            self._eta[lead] = {lead: 1, **tail}
+            # eta = 0 rewrites e_g e_h to minus its tail, and e_h e_g to it
+            self._rules[lead] = {m: -c for m, c in tail.items()}
+            self._rules[lead[::-1]] = tail
+        for j, n in enumerate(self.ranks, start=1):
+            for p, q in combinations(range(1, n + 1), 2):
+                if ((j, p), (j, q)) not in self._eta:
+                    raise ValueError(
+                        "missing kernel element for block %d pair (%d,%d)" % (j, p, q)
+                    )
         self._memo = {}
 
     def __eq__(self, other):
@@ -453,10 +450,6 @@ class CohomologyRing:
         no memo and no call of :meth:`reduce_mono`.
         """
         rules = self._rules
-        # omega[g, h]: e_g e_h = sum omega[g, h][m] m for g != h in one block
-        omega = dict(rules)
-        for (g, h), rule in rules.items():
-            omega[h, g] = {m: -c for m, c in rule.items()}
         for lead, cofactor in self.critical_pairs():
             (gp, gq), (gr,) = lead, cofactor
             # the first rewrite leaves terms c e_g times a pair of block j:
@@ -466,11 +459,11 @@ class CohomologyRing:
             if gr != gq:
                 firsts += [
                     (c, g, (gs, gq))
-                    for (g, gs), c in omega.get((gr, gp), _NO_RULE).items()
+                    for (g, gs), c in rules.get((gr, gp), _NO_RULE).items()
                 ]
             out = {}
             for c, g, pair in firsts:
-                for (h, gt), d in omega.get(pair, _NO_RULE).items():
+                for (h, gt), d in rules.get(pair, _NO_RULE).items():
                     # c d e_g e_h e_t: normal when g and h lie in two
                     # blocks, one rule away when they share one
                     if g[0] != h[0]:
@@ -479,7 +472,7 @@ class CohomologyRing:
                         else:
                             out[h, g, gt] = out.get((h, g, gt), 0) - c * d
                     else:
-                        for (a, b), k in omega.get((g, h), _NO_RULE).items():
+                        for (a, b), k in rules.get((g, h), _NO_RULE).items():
                             out[a, b, gt] = out.get((a, b, gt), 0) + c * d * k
             yield lead, cofactor, {m: c for m, c in out.items() if c}
 
@@ -531,17 +524,7 @@ class CohomologyRing:
 
 
 def cohomology_ring(spec):
-    """Build the cohomology ring of a spec from its H2 rows.
-
-    An images action gives its moved images, a magnus action the classes
-    ``tau_1`` that the spec kept in ``spec.tau1``, so no IA word is
-    expanded and no ``tau_1`` computed; the table comes in relation order,
-    as ``spec.images``.
-    """
-    table = {}
-    for key, (kind, payload) in spec.actions.items():
-        i, j, p = key
-        moved = spec.tau1[key] if kind == MAGNUS else payload
-        for q, entry in moved.items():
-            table[(i, j, p, q)] = entry
-    return CohomologyRing(spec.ranks, kernel_basis(h2_matrix(spec.ranks, table)))
+    """The ring of a spec, from :meth:`~almostdirect.adp.AdpSpec.h2_entries`."""
+    return CohomologyRing(
+        spec.ranks, kernel_basis(h2_matrix(spec.ranks, spec.h2_entries()))
+    )

@@ -20,7 +20,7 @@ from almostdirect.adp import (
     upper_mccool_mod_center,
 )
 from almostdirect.exterior import cohomology_ring, e
-from almostdirect.fox import GroupRingElem, fox_gradient
+from almostdirect.fox import fox_gradient
 from almostdirect.homology import (
     H2Matrix,
     h2_matrix,
@@ -43,7 +43,6 @@ from oracles import (
     is_normal,
     random_spec,
     spans_equal,
-    unit,
 )
 
 
@@ -318,35 +317,49 @@ def reduced_words(max_len, rank):
     return out
 
 
-def gradient(grads, w):
-    # the product rule asks again and again for the gradients of the same
-    # subwords, so fox_gradient runs once per word of the dict ``grads``
-    grad = grads.get(w.letters)
+def seam(a, b):
+    # the free reduction of the letters a b, for reduced a and b: letters
+    # cancel only where the two meet
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == (b[k][0], -b[k][1]):
+        k += 1
+    return a[: len(a) - k] + b[k:]
+
+
+def gradient(grads, letters):
+    # fox_gradient of the reduced word with these letters, each derivative
+    # a dict keyed by letter tuples; the product rule asks again and again
+    # for the gradients of the same subwords, so fox_gradient runs once per
+    # word of the dict ``grads``
+    grad = grads.get(letters)
     if grad is None:
-        grad = grads[w.letters] = fox_gradient(w)
+        grad = grads[letters] = {
+            g: {w.letters: c for w, c in d.terms.items()}
+            for g, d in fox_gradient(Word(letters)).items()
+        }
     return grad
 
 
 def fundamental_formula_holds(letters, grads):
-    w = Word(letters)
-    one = unit(GroupRingElem)
-    total = GroupRingElem()
+    # sum over g of d(w)/d(g) (g - 1) = w - 1; multiplying by a single word
+    # is a bijection on words, so u g and u are two distinct terms
+    w = Word(letters).letters
+    total = {}
     for g, d in gradient(grads, w).items():
-        total = total + d * (GroupRingElem({Word(((g, 1),)): 1}) - one)
-    return total == GroupRingElem({w: 1}) - one
+        for u, c in d.items():
+            add_scaled(total, {seam(u, ((g, 1),)): c, u: -c})
+    return total == add_scaled({w: 1}, {(): -1})
 
 
 def product_rule_holds(letters, cut, gens, grads):
-    u, v = Word(letters[:cut]), Word(letters[cut:])
-    w = u * v
-    gw = gradient(grads, w)
+    # d(uv)/d(g) = d(u)/d(g) + u d(v)/d(g) for every generator g
+    u, v = Word(letters[:cut]).letters, Word(letters[cut:]).letters
+    gw = gradient(grads, seam(u, v))
     gu = gradient(grads, u)
     gv = gradient(grads, v)
-    au = GroupRingElem({u: 1})
-    zero = GroupRingElem()
     for g in gens:
-        lhs = gw.get(g, zero)
-        if lhs != gu.get(g, zero) + au * gv.get(g, zero):
+        u_gv = {seam(u, t): c for t, c in gv.get(g, {}).items()}
+        if gw.get(g, {}) != add_scaled(dict(gu.get(g, {})), u_gv):
             return False
     return True
 

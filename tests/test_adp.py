@@ -92,6 +92,7 @@ def test_malformed_actions_raise_action_error_naming_the_key():
         ((1, 2), (MAGNUS, conj), "action key must be a triple (i, j, p)"),
         ("121", (MAGNUS, conj), "action key must be a triple (i, j, p)"),
         ((1, 2, "1"), (MAGNUS, conj), "action key must be a triple (i, j, p)"),
+        ((1, 2, 1), ("wat", {1: x(2, 1)}), "unknown action kind 'wat'"),
     ]
     for key, action, message in cases:
         with pytest.raises(ActionError) as info:
@@ -184,6 +185,11 @@ def test_spec_equality_ignores_name():
         {(1, 2, 1): (IMAGES, {1: x(2, 2, -1) * x(2, 1) * x(2, 2), 2: x(2, 2)})},
     )
     assert m == im
+    # the ranks decide first, and the name shows only in the repr
+    assert AdpSpec((1, 2)) != AdpSpec((2, 1))
+    assert repr(a) == "<AdpSpec a ranks=[1, 2] actions=0>"
+    assert repr(AdpSpec((1, 2))) == "<AdpSpec adp ranks=[1, 2] actions=0>"
+    assert repr(pure_braid(4)) == "<AdpSpec purebraid 4 ranks=[1, 2, 3] actions=4>"
 
 
 def test_action_image_defaults_to_identity():

@@ -110,10 +110,34 @@ def test_cohomology_basis_porcelain(capsys):
     ]
 
 
-def test_hilbert_check(capsys):
+def test_hilbert_check(count_calls, capsys):
+    from almostdirect import cli, exterior
+
     rc, out, err = run(capsys, ["hilbert", "builtin:purebraid:4", "--check"])
     assert rc == 0
     assert "poincare polynomial coefficients: 1 6 11 6" in out
+    # without --check: the header, then the Poincare record or line alone,
+    # and no ring is built
+    calls = [
+        count_calls(cli, "cohomology_ring"),
+        count_calls(exterior, "cohomology_ring"),
+        count_calls(exterior.CohomologyRing, "__init__"),
+    ]
+    for porcelain, expected in (
+        (
+            False,
+            [
+                "purebraid 4: blocks 1 2 3",
+                "poincare polynomial coefficients: 1 6 11 6",
+            ],
+        ),
+        (True, ["ranks 1 2 3", "poincare 1 6 11 6"]),
+    ):
+        argv = ["hilbert", "builtin:purebraid:4"] + ["--porcelain"] * porcelain
+        rc, out, err = run(capsys, argv)
+        assert (rc, err) == (0, "")
+        assert out.splitlines() == expected
+    assert calls == [[]] * 3
 
 
 def test_lcs(capsys):
@@ -409,22 +433,52 @@ def test_images_mode_omitted_generators_stay_fixed():
     assert parse_spec(text) == AdpSpec((1, 2))
 
 
+PARSE_ERRORS = (
+    ("ranks = 1 x\n", 1, 11, "expected rank, got 'x'"),
+    (
+        "ranks = 1 2\nmode = images\naction 2 1 1 = B(1,2)\n",
+        3,
+        14,
+        "'=' action line in images mode",
+    ),
+    ("mode = magnus\n", 1, 1, "spec has no ranks line"),
+    ("ranks = 1 2\nranks = 1 2\n", 2, 1, "duplicate ranks line"),
+    ("ranks = 1 2\nzap\n", 2, 1, "unknown directive 'zap'"),
+    (
+        "builtin wat 3\n",
+        1,
+        9,
+        "unknown builtin 'wat' (choose from partialpurebraid, purebraid,"
+        " purebraidbar, uppermccool, uppermccoolbar)",
+    ),
+    ("ranks = 1 2\nmode = images\nmode = images\n", 3, 1, "duplicate mode line"),
+    ("ranks = 1 0\n", 1, 11, "rank must be at least 1"),
+    ("builtin\n", 1, 1, "builtin needs a name"),
+    # an argument the family refuses points at the builtin line
+    (
+        "builtin partialpurebraid 0 1\n",
+        1,
+        1,
+        "partial pure braid needs l >= 1 and k >= 1",
+    ),
+    ("builtin uppermccool 1\n", 1, 1, "upper McCool needs n >= 2"),
+    ("ranks 1 2\n", 1, 1, "expected 'ranks = n1 n2 ...'"),
+    ("ranks =\n", 1, 7, "ranks needs at least one block"),
+    ("mode images\n", 1, 1, "expected 'mode = magnus' or 'mode = images'"),
+    ("mode = wat\n", 1, 8, "mode must be 'magnus' or 'images'"),
+)
+
+
 def test_parse_errors_carry_positions():
-    with pytest.raises(SpecFileError) as info:
-        parse_spec("ranks = 1 x\n")
-    assert (info.value.line, info.value.col) == (1, 11)
-    assert "line 1, column 11" in str(info.value)
-    with pytest.raises(SpecFileError) as info:
-        parse_spec("ranks = 1 2\nmode = images\naction 2 1 1 = B(1,2)\n")
-    assert info.value.line == 3
-    with pytest.raises(SpecFileError):
-        parse_spec("mode = magnus\n")
-    with pytest.raises(SpecFileError):
-        parse_spec("ranks = 1 2\nranks = 1 2\n")
-    with pytest.raises(SpecFileError):
-        parse_spec("ranks = 1 2\nzap\n")
-    with pytest.raises(SpecFileError):
-        parse_spec("builtin wat 3\n")
+    for text, line, col, message in PARSE_ERRORS:
+        with pytest.raises(SpecFileError) as info:
+            parse_spec(text)
+        assert (info.value.line, info.value.col, info.value.message) == (
+            line,
+            col,
+            message,
+        ), text
+        assert str(info.value) == "line %d, column %d: %s" % (line, col, message)
 
 
 def test_images_payload_with_index_zero_points_at_the_payload():

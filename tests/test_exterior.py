@@ -74,6 +74,9 @@ def test_exterior_element_arithmetic():
     assert (a * b) * c == a * (b * c)
     assert a * unit(ExtElem) == a
     assert str(a * c) == "e(1,1)e(2,1)"
+    for block, index in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="generator indices start at 1"):
+            e(block, index)
 
 
 def test_leading_term_uses_deg_lex():

@@ -6,7 +6,9 @@ import pytest
 
 from almostdirect import homology
 from almostdirect.adp import (
+    IMAGES,
     MAGNUS,
+    AdpSpec,
     build_presentation,
     extend_with_torus,
     partial_pure_braid,
@@ -303,6 +305,17 @@ def test_rows_off_the_images_equal_rows_off_the_relation_words():
     assert len(specs) == len(specs_under_test()) + 203
 
 
+def mixed_kinds(spec):
+    # the spec with every other action replaced by the images it moves
+    actions = dict(spec.actions)
+    for key in list(actions)[1::2]:
+        actions[key] = (
+            IMAGES,
+            {q: w for (i, j, p, q), w in spec.images.items() if (i, j, p) == key},
+        )
+    return AdpSpec(spec.ranks, actions, name="mixed")
+
+
 def test_johnson_rows_equal_the_rows_off_the_expanded_images(monkeypatch):
     # the ring reads a magnus action through tau_1, with no word expanded;
     # each of its rows equals the row read off the expanded image, term for
@@ -315,7 +328,16 @@ def test_johnson_rows_equal_the_rows_off_the_expanded_images(monkeypatch):
         for spec in specs_under_test()
         if any(kind == MAGNUS for kind, _ in spec.actions.values())
     ]
-    specs += [random_spec(random.Random(s), max_factors=8) for s in range(1000)]
+    randoms = [random_spec(random.Random(s), max_factors=8) for s in range(1000)]
+    specs += randoms
+    # specs that hold both kinds of action, magnus and images, in turn
+    mixed = [mixed_kinds(spec) for spec in randoms[:200]]
+    mixed = [
+        spec
+        for spec in mixed
+        if {kind for kind, _ in spec.actions.values()} == {MAGNUS, IMAGES}
+    ]
+    specs += mixed
     specs += [
         load_spec(str(GOLDEN_SPECS / ("longword-%s.spec" % name)))
         for name in ("1-3", "2-2")
@@ -341,8 +363,10 @@ def test_johnson_rows_equal_the_rows_off_the_expanded_images(monkeypatch):
         etas = [(k, list(v.items())) for k, v in kernel_basis(johnson).items()]
         expect = [(k, list(v.items())) for k, v in kernel_basis(images).items()]
         assert etas == expect, spec
-    # 24 of the fifty random specs of specs_under_test() act at all
-    assert len(specs) == 24 + 1000 + 2 + 27
+    # 24 of the fifty random specs of specs_under_test() act at all, and 95
+    # of the first 200 random specs have two actions or more to mix
+    assert len(mixed) == 95
+    assert len(specs) == 24 + 1000 + 2 + 27 + 95
 
 
 def not_reassembled(ranks, words):

@@ -37,6 +37,10 @@ def test_group_axioms():
     assert u ** 0 == Word()
     assert u ** 3 == u * u * u
     assert u ** -2 == ~u * ~u
+    with pytest.raises(TypeError):
+        u * 3
+    with pytest.raises(ValueError, match="letter exponents must be \\+1 or -1: 2"):
+        Word([((1, 1), 2)])
 
 
 def test_parse_str_round_trip():
@@ -131,6 +135,8 @@ def test_commutator_decompose_rejects_nonzero_exponent_sums():
         commutator_decompose(x(1, 1))
     with pytest.raises(ValueError):
         commutator_decompose(Word.parse("x(1,1)^2 x(1,2)^-2"))
+    with pytest.raises(ValueError, match="pairing must be 'first' or 'last'"):
+        commutator_decompose(commutator(x(1, 1), x(1, 2)), "middle")
 
 
 def test_basic_ia_generators():
@@ -180,6 +186,9 @@ def test_ia_word_parse_round_trip():
         assert IAWord.parse(3, str(w)).factors == w.factors
     w = IAWord.parse(3, "B(1,2)T(1;2,3)^-1")
     assert w.factors == ((beta(1, 2), 1), (theta(1, 2, 3), -1))
+    # equal words hash equal, wherever they were built
+    twin = IAWord(3, ((beta(1, 2), 1), (theta(1, 2, 3), -1)))
+    assert twin == w and hash(twin) == hash(w)
 
 
 def test_ia_word_rejects_out_of_range():
