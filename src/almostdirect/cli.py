@@ -348,7 +348,7 @@ def cmd_present(spec, args, out):
     for key in keys:
         i, j, p, q = key
         word = words.get(key, unmoved)
-        pairs = commutator_decompose(word, args.pairing) if word else ()
+        pairs = commutator_decompose(word) if word else ()
         if args.porcelain:
             out.append("relation %d %d %d %d %s" % (i, j, p, q, word.text("")))
             for k, (u, v) in enumerate(pairs, start=1):
@@ -573,13 +573,7 @@ def build_parser():
         p.set_defaults(func=func, torus=0)
         return p
 
-    p = add("present", cmd_present, "print the commutator presentation")
-    p.add_argument(
-        "--pairing",
-        choices=("first", "last"),
-        default="first",
-        help="commutator decomposition strategy",
-    )
+    add("present", cmd_present, "print the commutator presentation")
     p = add("cohomology", cmd_cohomology, "print the cohomology ring")
     p.add_argument(
         "--basis", action="store_true", help="also list the quotient basis"

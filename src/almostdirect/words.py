@@ -297,26 +297,23 @@ def commutator(u, v):
     return u * v * ~u * ~v
 
 
-def commutator_decompose(w, pairing="first"):
+def commutator_decompose(w):
     """Write ``w`` as an ordered product of commutators of subwords.
 
     Requires every exponent sum of ``w`` to vanish.  Returns a list of pairs
     ``(u_k, v_k)`` with ``w == product of commutator(u_k, v_k)``.  The first
-    letter ``g^e`` of the current word is matched with an occurrence of
-    ``g^-e`` later in the word (the first such occurrence for
-    ``pairing="first"``, the last for ``pairing="last"``); writing the word
-    as ``g^e A g^-e B`` gives the factor ``[g^e, A]`` and the algorithm
-    recurses on the reduction of ``A B``.
+    letter ``g^e`` of the current word is matched with the first occurrence
+    of ``g^-e`` later in the word; writing the word as ``g^e A g^-e B``
+    gives the factor ``[g^e, A]`` and the algorithm recurses on the
+    reduction of ``A B``.
 
     >>> w = commutator(x(2, 1), x(2, 2))
     >>> commutator_decompose(w)
     [(x(2,1), x(2,2))]
     >>> w = commutator(x(2, 1), x(2, 2)) * commutator(x(2, 1), x(2, 3))
-    >>> commutator_decompose(w, pairing="last")
-    [(x(2,1), x(2,2) x(2,1)^-1 x(2,2)^-1 x(2,1) x(2,3)), (x(2,2), x(2,1)^-1)]
+    >>> commutator_decompose(w)
+    [(x(2,1), x(2,2)), (x(2,1), x(2,3))]
     """
-    if pairing not in ("first", "last"):
-        raise ValueError("pairing must be 'first' or 'last'")
     if w.exponent_sums():
         raise ValueError("exponent sums do not vanish: %s" % w)
     pairs = []
@@ -324,10 +321,7 @@ def commutator_decompose(w, pairing="first"):
     while letters:
         first = letters[0]
         inverse = (first[0], -first[1])
-        if pairing == "first":
-            k = letters.index(inverse, 1)
-        else:
-            k = len(letters) - 1 - letters[::-1].index(inverse)
+        k = letters.index(inverse, 1)
         # slices of a reduced word are reduced
         a = letters[1:k]
         pairs.append((_word((first,)), _word(a)))

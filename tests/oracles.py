@@ -6,8 +6,9 @@ matrix and its column order, span equality as a rank identity, the
 triangular basis ``xi`` of the exterior algebra, the products that the
 Groebner certificate rewrites, the tensor square with its product, the
 tensor-square elements and closed forms that the zero-divisor witness
-must equal, and ``tau_1`` and the printed form of an IA word read one
-factor at a time.  Some build the inputs of the tests: the unit and the
+must equal, ``tau_1`` and the printed form of an IA word read one
+factor at a time, and a commutator decomposition under either occurrence
+rule.  Some build the inputs of the tests: the unit and the
 augmentation of a sparse algebra, one image of a spec's action, and the
 seeded random specs.
 """
@@ -19,7 +20,7 @@ from almostdirect.exterior import CohomologyRing, ExtElem, deg_lex_key, e, mono_
 from almostdirect.invariants import TensorElem
 from almostdirect.laurent import LaurentPoly, t
 from almostdirect.linalg import span_rank
-from almostdirect.words import IAWord, beta, theta, x
+from almostdirect.words import IAWord, Word, beta, theta, x
 
 
 def unit(cls):
@@ -349,3 +350,26 @@ def ia_text_per_factor(ia):
             s = "T(%d;%d,%d)" % gen[1:]
         parts.append(s if exp == 1 else s + "^-1")
     return " ".join(parts)
+
+
+def listed_positions_decompose(w, pairing="last"):
+    """The commutator pairs of ``w`` from a list of every matching position.
+
+    The rule of :func:`~almostdirect.words.commutator_decompose`, with each
+    subword rebuilt and fully reduced: the first letter ``g^e`` is matched
+    with the first (``pairing="first"``) or the last (``pairing="last"``)
+    later occurrence of ``g^-e``.  The package splits by the first; the
+    last gives the tests a second, different split of the same word.
+    """
+    pairs = []
+    while w.letters:
+        g, e = w.letters[0]
+        positions = [
+            k for k, let in enumerate(w.letters) if k > 0 and let == (g, -e)
+        ]
+        k = positions[0] if pairing == "first" else positions[-1]
+        a = Word(w.letters[1:k])
+        b = Word(w.letters[k + 1 :])
+        pairs.append((Word(((g, e),)), a))
+        w = Word(a.letters + b.letters)
+    return pairs

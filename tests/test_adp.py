@@ -447,7 +447,7 @@ def test_magnus_spec_applies_each_action_once_per_generator(count_calls):
     # the first read of the table expands each kept action once, and no
     # generator is applied on its own
     for word in build_presentation(spec).values():
-        commutator_decompose(word, "last")
+        commutator_decompose(word)
     for key in all_keys(spec):
         action_image(spec, *key)
     assert len(calls) == 2 and applied == []

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import random
@@ -25,6 +26,7 @@ from almostdirect.adp import (
 )
 from almostdirect.cli import (
     SpecFileError,
+    build_parser,
     format_spec,
     load_spec,
     main,
@@ -262,6 +264,7 @@ def test_usage_errors_return_one(capsys):
     assert main([]) == 1
     assert main(["present", "/no/such/file.adp"]) == 1
     assert main(["present", "builtin:wat:3"]) == 1
+    assert main(["present", "builtin:purebraid:3", "--pairing", "last"]) == 1
     capsys.readouterr()
 
 
@@ -1157,15 +1160,14 @@ def test_only_present_decomposes_words(count_calls, capsys):
     ):
         assert main([argv[0], "builtin:purebraid:5", *argv[1:]]) == 0
     assert in_oracle == in_present == []
-    # present decomposes each of the 25 moved relations of the 35 once,
-    # with its pairing; an unmoved relation has no pairs
+    # present decomposes each of the 25 moved relations of the 35 once, by
+    # its word alone; an unmoved relation has no pairs
     moved = pure_braid(5).images
     assert len(moved) == 25
-    assert main(["present", "builtin:purebraid:5", "--pairing", "last"]) == 0
+    assert main(["present", "builtin:purebraid:5"]) == 0
     assert in_oracle == []
-    assert [args[1:] for args in in_present] == [("last",)] * len(moved)
-    assert [args[0] for args in in_present] == [
-        x(j, q, -1) * image for (i, j, p, q), image in moved.items()
+    assert in_present == [
+        (x(j, q, -1) * image,) for (i, j, p, q), image in moved.items()
     ]
     capsys.readouterr()
 
@@ -1200,3 +1202,33 @@ def test_readme_lists_the_records_verify_prints(capsys):
         line.split()[1] for line in out.splitlines() if line.startswith("verify ")
     ]
     assert documented == printed
+
+
+def test_readme_and_the_parser_name_the_same_options():
+    # every option of a subcommand, --help aside, is named in the README;
+    # every option the README names is one the parser has, and one of the
+    # subcommand where a code line or span starts with a subcommand
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+        - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    fence = re.compile(r"^```[^\n]*\n(.*?)^```", flags=re.M | re.S)
+    code = [line for block in fence.findall(text) for line in block.splitlines()]
+    code += re.findall(r"`([^`]+)`", fence.sub("", text))
+    named = set(re.findall(r"--[a-z][a-z-]*", text)) - {"--no-build-isolation"}
+    parsed = set().union(*options.values())
+    assert parsed - named == set()
+    assert named - parsed == set()
+    for line in code:
+        words = line.split("|")[0].split()
+        if words[:1] == ["almostdirect"]:
+            words = words[1:]
+        if words and words[0] in options:
+            used = {w for w in words if w.startswith("--")}
+            assert used <= options[words[0]], line

@@ -27,8 +27,17 @@ from almostdirect.exterior import (
 from almostdirect.homology import kernel_basis
 from almostdirect.invariants import zcl_witness
 from almostdirect.linalg import span_rank
-from oracles import critical_product, is_normal, leading_term, random_spec, unit, xi
-from test_acceptance import pair_matrix, ring_of, specs_under_test
+from almostdirect.words import commutator_decompose
+from oracles import (
+    critical_product,
+    is_normal,
+    leading_term,
+    listed_positions_decompose,
+    random_spec,
+    unit,
+    xi,
+)
+from test_acceptance import pair_matrix, rank_report, ring_of, specs_under_test
 from test_cli import INCONSISTENT
 
 
@@ -335,12 +344,13 @@ def test_groebner_verify_reports_each_degree():
 
 
 def test_ring_pairing_choice_does_not_change_the_rules():
-    # the ring of the image rows against rings of the pair formula
+    # the ring of the image rows against rings of the pair formula, under
+    # the package's split and the reference's last-occurrence split
     for spec in (pure_braid(4), upper_mccool(4)):
         ring = cohomology_ring(spec)
         words = build_presentation(spec)
-        for pairing in ("first", "last"):
-            matrix = pair_matrix(spec.ranks, words, pairing)
+        for decompose in (commutator_decompose, listed_positions_decompose):
+            matrix = pair_matrix(spec.ranks, words, decompose)
             paired = CohomologyRing(spec.ranks, kernel_basis(matrix))
             assert [el.terms for el in ring.eta_elements()] == [
                 el.terms for el in paired.eta_elements()
@@ -350,7 +360,7 @@ def test_ring_pairing_choice_does_not_change_the_rules():
 def test_critical_pairs_agree_with_the_rank_oracle():
     for spec in specs_under_test():
         ring = ring_of(spec)
-        assert (ring.critical_pair_verify() is None) == ring.groebner_verify().ok
+        assert (ring.critical_pair_verify() is None) == rank_report(spec).ok
 
 
 def test_critical_pairs_reject_the_inconsistent_table():
@@ -434,17 +444,20 @@ def perturbed_rings(per_ring=60):
 
 
 def test_degree_three_certificate_agrees_with_all_pairs():
-    rings = [ring_of(spec) for spec in specs_under_test()]
-    rings += [cohomology_ring(parse_spec(INCONSISTENT)), rank_three_block_ring()]
-    rings += perturbed_rings()
-    assert len(rings) == len(specs_under_test()) + 2 + 900
+    # a spec's ring carries its spec, whose rank report is shared
+    specs = specs_under_test()
+    rings = [(ring_of(spec), spec) for spec in specs]
+    others = [cohomology_ring(parse_spec(INCONSISTENT)), rank_three_block_ring()]
+    rings += [(ring, None) for ring in others + perturbed_rings()]
+    assert len(rings) == len(specs) + 2 + 900
     first_disjoint = []
-    for ring in rings:
+    for ring, spec in rings:
         witness = ring.critical_pair_verify()
         full = all_pairs_verify(ring)
         assert (witness is None) == (full is None), ring.etas
         if len(ring.gens) <= 9:
-            assert ring.groebner_verify().ok == (witness is None)
+            rep = ring.groebner_verify() if spec is None else rank_report(spec)
+            assert rep.ok == (witness is None)
         if full is not None and not (set(full[0]) & set(full[1])):
             first_disjoint.append((full, witness))
     # a ring that all pairs reject first at two disjoint leads, in degree

@@ -1,8 +1,8 @@
 """Golden porcelain corpus: the CLI output of fixed inputs, byte for byte.
 
 Each file under ``tests/golden/`` holds the porcelain output of every call
-in :data:`CALLS` on one spec (``present`` for both pairings, ``verify``,
-``cohomology``, ``hilbert --check``, ``zcl``, ``tc --torus 1``, ``lcs`` and
+in :data:`CALLS` on one spec (``present``, ``verify``, ``cohomology``,
+``hilbert --check``, ``zcl``, ``tc --torus 1``, ``lcs`` and
 ``zcl --torus 1``), each
 after a ``$`` line naming the call and an ``rc`` line with its exit code.
 The specs are the builtins through five blocks and the spec files in
@@ -36,8 +36,7 @@ BUILTINS = (
 )
 
 CALLS = (
-    ("present", "--porcelain", "--pairing", "first"),
-    ("present", "--porcelain", "--pairing", "last"),
+    ("present", "--porcelain"),
     ("verify", "--porcelain"),
     ("cohomology", "--porcelain"),
     ("hilbert", "--check", "--porcelain"),

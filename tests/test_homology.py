@@ -36,6 +36,7 @@ from oracles import (
     augment,
     dense,
     koszul_d1,
+    listed_positions_decompose,
     random_spec,
     sorted_generator_pairs,
 )
@@ -176,20 +177,20 @@ def test_chain_a2_augments_to_matrix_row():
 
 
 def test_both_pairings_reassemble_the_long_relators():
-    # the pairs of either pairing multiply back to w, so both give the row
-    # that h2_matrix reads off w
+    # the package's pairs and the reference's last-occurrence pairs both
+    # multiply back to w, so both give the row that h2_matrix reads off w
     names = ("longword-1-3.spec", "longword-2-2.spec", "inconsistent.spec")
     longest = 0
     for name in names:
         spec = load_spec(str(GOLDEN_SPECS / name))
         words = build_presentation(spec)
-        for pairing in ("first", "last"):
+        for decompose in (commutator_decompose, listed_positions_decompose):
             for key, word in words.items():
-                pairs = commutator_decompose(word, pairing)
-                assert reassemble(pairs) == word, (name, key, pairing)
+                pairs = decompose(word)
+                assert reassemble(pairs) == word, (name, key, decompose)
                 longest = max(longest, len(word))
-            rows = dense(pair_matrix(spec.ranks, words, pairing))
-            assert rows == dense(h2_matrix(spec.ranks, words)), (name, pairing)
+            rows = dense(pair_matrix(spec.ranks, words, decompose))
+            assert rows == dense(h2_matrix(spec.ranks, words)), (name, decompose)
     assert longest >= 80
 
 
@@ -387,8 +388,8 @@ def tamper_pairs(monkeypatch, word, extra):
     # unmoved relation has the empty word, so Word() tampers all of them
     real = homology.commutator_decompose
 
-    def tampered(w, pairing="first"):
-        out = real(w, pairing)
+    def tampered(w):
+        out = real(w)
         return out + list(extra) if w == word else out
 
     monkeypatch.setattr(homology, "commutator_decompose", tampered)

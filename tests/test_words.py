@@ -16,7 +16,7 @@ from almostdirect.words import (
     theta,
     x,
 )
-from oracles import ia_text_per_factor, johnson_per_factor
+from oracles import ia_text_per_factor, johnson_per_factor, listed_positions_decompose
 
 
 def test_free_reduction():
@@ -122,12 +122,15 @@ def test_commutator_decompose_round_trip():
         commutator(x(2, 1), x(2, 2)),
         commutator(x(2, 2), x(2, 1)) * commutator(x(2, 1), x(2, 3)),
         commutator(x(2, 1) * x(2, 2), x(2, 3) * x(2, 1, -1)),
+        commutator(x(2, 1), x(2, 2)) * commutator(x(2, 1), x(2, 3)),
         Word(),
     ]
+    # the package's split and the reference's other split
     for w in samples:
-        for pairing in ("first", "last"):
-            pairs = commutator_decompose(w, pairing)
-            assert reassemble(pairs) == w
+        for decompose in (commutator_decompose, listed_positions_decompose):
+            assert reassemble(decompose(w)) == w
+    # the two rules split the same word differently
+    assert commutator_decompose(samples[3]) != listed_positions_decompose(samples[3])
 
 
 def test_commutator_decompose_rejects_nonzero_exponent_sums():
@@ -135,8 +138,6 @@ def test_commutator_decompose_rejects_nonzero_exponent_sums():
         commutator_decompose(x(1, 1))
     with pytest.raises(ValueError):
         commutator_decompose(Word.parse("x(1,1)^2 x(1,2)^-2"))
-    with pytest.raises(ValueError, match="pairing must be 'first' or 'last'"):
-        commutator_decompose(commutator(x(1, 1), x(1, 2)), "middle")
 
 
 def test_basic_ia_generators():
@@ -374,23 +375,6 @@ def test_seam_products_equal_full_reduction():
             assert is_freely_reduced(letters) and len(letters) == abs(k)
 
 
-def listed_positions_decompose(w, pairing):
-    # the decomposition by a list of every matching position, each subword
-    # rebuilt and fully reduced: the oracle for commutator_decompose
-    pairs = []
-    while w.letters:
-        g, e = w.letters[0]
-        positions = [
-            k for k, let in enumerate(w.letters) if k > 0 and let == (g, -e)
-        ]
-        k = positions[0] if pairing == "first" else positions[-1]
-        a = Word(w.letters[1:k])
-        b = Word(w.letters[k + 1 :])
-        pairs.append((Word(((g, e),)), a))
-        w = Word(a.letters + b.letters)
-    return pairs
-
-
 def test_commutator_decompose_matches_listed_positions():
     from test_acceptance import specs_under_test
     from test_homology import GOLDEN_SPECS
@@ -407,12 +391,11 @@ def test_commutator_decompose_matches_listed_positions():
     for spec in specs:
         words += build_presentation(spec).values()
     for word in words:
-        for pairing in ("first", "last"):
-            pairs = commutator_decompose(word, pairing)
-            expected = listed_positions_decompose(word, pairing)
-            assert [(u.letters, v.letters) for u, v in pairs] == [
-                (u.letters, v.letters) for u, v in expected
-            ]
+        pairs = commutator_decompose(word)
+        expected = listed_positions_decompose(word, "first")
+        assert [(u.letters, v.letters) for u, v in pairs] == [
+            (u.letters, v.letters) for u, v in expected
+        ]
     assert len(words) > 400
 
 
